@@ -28,7 +28,7 @@ import sys
 import time
 
 import procs
-from workloads import WORKLOADS, check_cli, cli_commands, generate
+from workloads import CLI_ROUND, WORKLOADS, check_cli, cli_commands, generate
 
 SETUP_LAUNCHES = 3
 IMPORT_LAUNCHES = 3
@@ -103,67 +103,66 @@ def import_breakdown(failures: list) -> dict:
 
 
 def cli_untraced(manifest, seconds, workdir) -> dict:
-    """Closed loop over the workload's families in order; a task is one
-    family's four commands, each a fresh process, and its time is the sum
-    of their wall times.  Every run starts at the first family, so runs of
-    any seed cover the same family mix."""
+    """Closed loop over whole rounds of the first ``CLI_ROUND`` families
+    until ``seconds`` have passed.  A task is one family's four commands,
+    each a fresh process, and its time is the sum of their wall times.
+    Whole rounds of a fixed family list keep the family mix of a run the
+    same however fast the host is; only the number of rounds varies."""
     latencies, failures, failed, peak = [], [], 0, 0.0
     start = time.perf_counter()
-    i = 0
-    while True:
-        meta = manifest[i % len(manifest)]
-        fails = []
-        task_s = 0.0
-        for argv in cli_commands(meta, workdir):
-            child = procs.run([*procs.CLI, *argv], timeout=120)
-            task_s += child.wall_s
-            peak = max(peak, child.peak_rss_mb)
-            fails += check_cli(meta, argv, child.code, child.stdout)
-        latencies.append(task_s)
-        failures.extend(f"task {i} ({meta['family']}): {f}" for f in fails)
-        failed += bool(fails)
-        i += 1
-        if time.perf_counter() - start >= seconds:
-            break
+    rounds = 0
+    while rounds == 0 or time.perf_counter() - start < seconds:
+        for meta in manifest[:CLI_ROUND]:
+            fails = []
+            task_s = 0.0
+            for argv in cli_commands(meta, workdir):
+                child = procs.run([*procs.CLI, *argv], timeout=120)
+                task_s += child.wall_s
+                peak = max(peak, child.peak_rss_mb)
+                fails += check_cli(meta, argv, child.code, child.stdout)
+            latencies.append(task_s)
+            failures.extend(f"round {rounds} ({meta['family']}): {f}"
+                            for f in fails)
+            failed += bool(fails)
+        rounds += 1
     return {"attempted": len(latencies), "failed": failed,
             "failures": failures, "latencies": latencies, "peak_rss_mb": peak}
 
 
 def cli_traced(manifest, seconds, workdir) -> dict:
-    """One round over every family through the tracing launcher.  While
-    ``seconds`` last, each command also runs once as the plain CLI just
-    before, and the overhead compares those pairs."""
+    """One round over every family through the tracing launcher.  Families
+    that start while ``seconds`` last also run each command once as the
+    plain CLI just before, and the overhead compares those twin tasks."""
     from spans import summarize
     spans, failures, failed, attempted = [], [], 0, 0
     plain_s = traced_s = 0.0
-    pairs = 0
+    twins = 0
     launcher = os.path.join(procs.HERE, "launch.py")
     start = time.perf_counter()
     for i, meta in enumerate(manifest):
+        twin = time.perf_counter() - start < seconds
         plain_fails, traced_fails = [], []
         for argv in cli_commands(meta, workdir):
-            twin = time.perf_counter() - start < seconds
             if twin:
                 plain = procs.run([*procs.CLI, *argv], timeout=120)
                 plain_fails += check_cli(meta, argv, plain.code, plain.stdout)
+                plain_s += plain.wall_s
             path = os.path.join(workdir, f"spans-{i}-{argv[0]}.json")
             traced = procs.run([launcher, path, *argv], timeout=120)
             traced_fails += check_cli(meta, argv, traced.code, traced.stdout)
             spans.extend(_relabel(path, f"{i}:{argv[0]}", len(spans)))
             if twin:
-                plain_s += plain.wall_s
                 traced_s += traced.wall_s
-                pairs += 1
         failures.extend(f"{meta['family']}: {f}" for f in plain_fails + traced_fails)
         failed += bool(plain_fails) + bool(traced_fails)
-        attempted += 1 + (pairs > 4 * i)
+        attempted += 1 + twin
+        twins += twin
     with open(os.path.join(workdir, "spans.json"), "w", encoding="utf-8") as fh:
         json.dump(spans, fh)
-    tasks = pairs / 4.0
     return {"attempted": attempted, "failed": failed,
             "failures": failures, "rounds": 1, "layers": summarize(spans),
-            "traced_tasks_per_s": tasks / traced_s if pairs else 0.0,
-            "untraced_tasks_per_s": tasks / plain_s if pairs else 0.0}
+            "traced_tasks_per_s": twins / traced_s if twins else 0.0,
+            "untraced_tasks_per_s": twins / plain_s if twins else 0.0}
 
 
 def _relabel(path: str, task: str, offset: int) -> list:

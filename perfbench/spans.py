@@ -14,7 +14,6 @@ name are traced as well.  ``uninstall`` restores the originals.
 from __future__ import annotations
 
 import functools
-import math
 import sys
 import time
 
@@ -57,46 +56,27 @@ def _seed_candidates(args, kwargs, result):
 
 def _jacobian_bytes(args, kwargs, result):
     # size of the (ncol, M, n) float64 deviation array the analytic
-    # Jacobian builds, from the same grid rule the solver uses
+    # Jacobian builds, on the grid the solver itself chooses
+    from fde.solver import _grid_size
     prob, u = args[0], args[1]
     config = args[2] if len(args) > 2 else kwargs.get("config")
-    M = 4 * u.kmax
-    if config is not None and config.M:
-        M = max(config.M, M)
-    M = max(M, 2 * prob.p.kmax + 1, 16)
     ncol = u.n * (2 * u.kmax + 1)
-    return {"bytes_computed": 8 * ncol * M * u.n}
+    return {"bytes_computed": 8 * ncol * _grid_size(u, config, prob) * u.n}
 
 
 def _newton(args, kwargs, result):
     return {"iters": result.iterations, "converged": int(result.converged)}
 
 
-def _grid_points(args, kwargs, result):
-    s_values = args[2] if len(args) > 2 else kwargs["s_values"]
-    M = args[3] if len(args) > 3 else kwargs.get("M")
-    total = 0
-    for s in _as_list(s_values):
-        if M is None:
-            Ms = 1 << int(math.ceil(math.log2(max(4096.0, 128.0 * s))))
-            total += min(Ms, 2 ** 22)
-        else:
-            total += M
-    return {"grid_points": total}
-
-
-def _as_list(x):
-    try:
-        return [float(v) for v in x]
-    except TypeError:
-        return [float(x)]
+def _grid(args, kwargs, result):
+    return {"points": args[1] if len(args) > 1 else kwargs["M"]}
 
 
 HOOKS = {
     "solver.seed_kernel": _seed_candidates,
     "solver.coefficient_jacobian": _jacobian_bytes,
     "solver.solve_periodic": _newton,
-    "lazer_leach.gamma_convergence": _grid_points,
+    "trigpoly.eval_grid": _grid,
 }
 
 # count metric -> (span name, key the hook records)
@@ -105,8 +85,6 @@ COUNTS = {
     "solver.coefficient_jacobian.bytes_computed":
         ("solver.coefficient_jacobian", "bytes_computed"),
     "solver.newton_iters": ("solver.solve_periodic", "iters"),
-    "lazer_leach.gamma_convergence.grid_points":
-        ("lazer_leach.gamma_convergence", "grid_points"),
 }
 
 
@@ -237,6 +215,8 @@ def summarize(spans: list, scale: float = 1.0) -> dict:
             out[f"{name}.{stat}"] = val * scale
     for metric, (name, key) in COUNTS.items():
         out[metric] = info.get(name, {}).get(key, 0) * scale
+    out["lazer_leach.gamma_convergence.grid_points"] = \
+        grid_points(spans) * scale
     out["solver.solve_best.useful_ratio"] = useful_ratio(spans)
     for layer, val in layers.items():
         out[f"layer.{layer}.self_s"] = val * scale
@@ -249,6 +229,14 @@ def _has_ancestor(spans: list, parent: int, name: str) -> bool:
             return True
         parent = spans[parent][3]
     return False
+
+
+def grid_points(spans: list) -> int:
+    """Grid points of the ``eval_grid`` calls ``gamma_convergence`` makes
+    itself (its direct children), as the calls' ``M`` argument."""
+    return sum(extra["points"] for name, start, end, parent, task, extra in spans
+               if name == "trigpoly.eval_grid" and parent >= 0
+               and spans[parent][0] == "lazer_leach.gamma_convergence")
 
 
 def useful_ratio(spans: list) -> float:

@@ -178,6 +178,26 @@ def test_install_wraps_module_bindings_and_restores_them():
     assert all(s[3] == 0 for s in tr.spans[1:])
 
 
+def test_counts_follow_the_package_grids():
+    prob = fde.build_example("duffing-delay")
+    report = fde.resonant_set(prob.P, prob.Lam)
+    w = fde.sphere_samples(report, 1, seed=0)[0]
+    u = fde.TrigPoly.zero(1, 4)
+    tr = spans.Tracer()
+    tr.install(fde)
+    try:
+        fde.gamma_convergence(prob, w, [1e2, 1e3], M=4096)
+        fde.coefficient_jacobian(prob, u)
+    finally:
+        tr.uninstall()
+    out = spans.summarize(tr.spans)
+    # one eval_grid call on an M-point grid per s
+    assert out["lazer_leach.gamma_convergence.grid_points"] == 2 * 4096
+    # ncol = 2 kmax + 1 = 9 columns of an (M, 1) array
+    M = fde.solver._grid_size(u, None, prob)
+    assert out["solver.coefficient_jacobian.bytes_computed"] == 8 * 9 * M
+
+
 def test_parse_importtime():
     text = ("import time: self [us] | cumulative | imported package\n"
             "import time:       900 |       9000 |   numpy\n"

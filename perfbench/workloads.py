@@ -62,11 +62,13 @@ class Workload:
         return len(self.families)
 
 
-# Why each workload exists is recorded in BENCHMARK.json.  cli-cold fits
-# few tasks in a run, so it starts with a two-component system: every run
-# then includes the largest command processes.
+# Why each workload exists is recorded in BENCHMARK.json.  A cli-cold task
+# takes 5-7 s, so an untraced cli-cold round is only the first CLI_ROUND
+# families, starting with a two-component system so that every run includes
+# the largest command processes; the traced run covers all seven.
 CLI_ORDER = ("gompertz-system", "duffing-delay", "beam", "duffing-distributed",
              "weakly-coupled", "distributed-uniform", "distributed-sine")
+CLI_ROUND = 4
 
 WORKLOADS = {w.name: w for w in (
     Workload("cli-cold", CLI_ORDER, 1),
