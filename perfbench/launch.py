@@ -1,33 +1,40 @@
-"""Runs one ``fde`` CLI command with the tracer installed.
+"""Runs ``fde analyze`` on problem files with the tracer installed.
 
-    python perfbench/launch.py SPANS.json analyze problem.json
+    python perfbench/launch.py SPANS.json problem.json...
 
-The import of ``fde`` is recorded as the span ``import.fde``; the command
-runs through ``fde.cli.main`` and the spans are written to ``SPANS.json``
-when it returns.  The exit code is the command's.
+The import of ``fde`` is recorded as the span ``import.fde``; each file then
+goes through ``fde.cli.main(["analyze", FILE])``, which loads and validates
+it and dispatches the command, with the report written to ``os.devnull``.
+The spans are written to ``SPANS.json`` at the end.  The exit code is the
+first non-zero exit code of a command (a failed linear condition gives 2),
+0 when every command succeeded.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 from spans import Tracer
 
 
 def main(argv) -> int:
-    spans_path, command = argv[0], argv[1:]
+    spans_path, files = argv[0], argv[1:]
     tracer = Tracer()
     with tracer.span("import.fde"):
         import fde.cli
     tracer.install(fde)
+    codes = []
     try:
-        code = fde.cli.main(command)
+        for path in files:
+            tracer.task = path
+            codes.append(fde.cli.main(["analyze", path, "--out", os.devnull]))
     finally:
         tracer.uninstall()
         with open(spans_path, "w", encoding="utf-8") as fh:
             json.dump(tracer.spans, fh)
-    return code
+    return next((code for code in codes if code), 0)
 
 
 if __name__ == "__main__":

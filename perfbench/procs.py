@@ -21,10 +21,6 @@ HERE = os.path.join(ROOT, "perfbench")
 PINNED = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
           "MKL_NUM_THREADS": "1"}
 
-# the ``fde`` console script, without installing it: ``python -m fde.cli``
-# warns because the package's ``__init__`` already imports ``fde.cli``
-CLI = ("-c", "import sys; from fde.cli import main; sys.exit(main())")
-
 
 def child_env() -> dict:
     env = dict(os.environ)

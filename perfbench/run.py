@@ -1,6 +1,6 @@
 """fde benchmark: one workload, one seed, end-to-end or per-layer metrics.
 
-    python3 perfbench/run.py --workload sweep-warm --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload sweep-warm --seed 1 --seconds 30 --trace 0
 
 Run from the root of a checkout.  The benchmark draws the workload's
 problems from the seed, writes them under ``.perfbench_runs/``, times
@@ -8,8 +8,10 @@ problems from the seed, writes them under ``.perfbench_runs/``, times
 then runs the workload for ``--seconds`` and checks every output.
 
 ``--trace 0`` prints the end-to-end metrics; ``--trace 1`` prints the
-per-layer metrics of a traced run (see ``worker.py`` and ``launch.py``)
-with its own overhead.  The last line of standard output is the result
+per-layer metrics of a traced run (see ``worker.py``) with its own
+overhead, and those of the cli layer and the import of ``fde`` from one
+traced fresh process that runs ``fde analyze`` on the files (see
+``launch.py``).  The last line of standard output is the result
 object; the line before it records the environment and the inputs.  The
 exit code is 1 when any correctness check failed.
 """
@@ -25,10 +27,9 @@ import shutil
 import statistics
 import subprocess
 import sys
-import time
 
 import procs
-from workloads import CLI_ROUND, WORKLOADS, check_cli, cli_commands, generate
+from workloads import WORKLOADS, generate
 
 SETUP_LAUNCHES = 3
 IMPORT_LAUNCHES = 3
@@ -99,84 +100,28 @@ def import_breakdown(failures: list) -> dict:
     return {key: _median([r[key] for r in runs]) for key in runs[0]}
 
 
-# -- cli-cold -----------------------------------------------------------
+# -- cli layer ----------------------------------------------------------
+
+# metrics the traced CLI pass supplies; the worker does not trace loading
+CLI_METRICS = ("cli.", "layer.cli.", "layer.import.")
 
 
-def cli_untraced(manifest, seconds, workdir) -> dict:
-    """Closed loop over whole rounds of the first ``CLI_ROUND`` families
-    until ``seconds`` have passed.  A task is one family's four commands,
-    each a fresh process, and its time is the sum of their wall times.
-    Whole rounds of a fixed family list keep the family mix of a run the
-    same however fast the host is; only the number of rounds varies."""
-    latencies, failures, failed, peak = [], [], 0, 0.0
-    start = time.perf_counter()
-    rounds = 0
-    while rounds == 0 or time.perf_counter() - start < seconds:
-        for meta in manifest[:CLI_ROUND]:
-            fails = []
-            task_s = 0.0
-            for argv in cli_commands(meta, workdir):
-                child = procs.run([*procs.CLI, *argv], timeout=120)
-                task_s += child.wall_s
-                peak = max(peak, child.peak_rss_mb)
-                fails += check_cli(meta, argv, child.code, child.stdout)
-            latencies.append(task_s)
-            failures.extend(f"round {rounds} ({meta['family']}): {f}"
-                            for f in fails)
-            failed += bool(fails)
-        rounds += 1
-    return {"attempted": len(latencies), "failed": failed,
-            "failures": failures, "latencies": latencies, "peak_rss_mb": peak}
-
-
-def cli_traced(manifest, seconds, workdir) -> dict:
-    """One round over every family through the tracing launcher.  Families
-    that start while ``seconds`` last also run each command once as the
-    plain CLI just before, and the overhead compares those twin tasks."""
+def cli_layer(files: list, workdir: str, failures: list) -> dict:
+    """Per-layer metrics of the cli layer and the import of fde, from one
+    fresh process that imports fde and runs ``fde analyze`` on every file
+    through the tracing launcher: the set-up path, with dispatch."""
     from spans import summarize
-    spans, failures, failed, attempted = [], [], 0, 0
-    plain_s = traced_s = 0.0
-    twins = 0
-    launcher = os.path.join(procs.HERE, "launch.py")
-    start = time.perf_counter()
-    for i, meta in enumerate(manifest):
-        twin = time.perf_counter() - start < seconds
-        plain_fails, traced_fails = [], []
-        for argv in cli_commands(meta, workdir):
-            if twin:
-                plain = procs.run([*procs.CLI, *argv], timeout=120)
-                plain_fails += check_cli(meta, argv, plain.code, plain.stdout)
-                plain_s += plain.wall_s
-            path = os.path.join(workdir, f"spans-{i}-{argv[0]}.json")
-            traced = procs.run([launcher, path, *argv], timeout=120)
-            traced_fails += check_cli(meta, argv, traced.code, traced.stdout)
-            spans.extend(_relabel(path, f"{i}:{argv[0]}", len(spans)))
-            if twin:
-                traced_s += traced.wall_s
-        failures.extend(f"{meta['family']}: {f}" for f in plain_fails + traced_fails)
-        failed += bool(plain_fails) + bool(traced_fails)
-        attempted += 1 + twin
-        twins += twin
-    with open(os.path.join(workdir, "spans.json"), "w", encoding="utf-8") as fh:
-        json.dump(spans, fh)
-    return {"attempted": attempted, "failed": failed,
-            "failures": failures, "rounds": 1, "layers": summarize(spans),
-            "traced_tasks_per_s": twins / traced_s if twins else 0.0,
-            "untraced_tasks_per_s": twins / plain_s if twins else 0.0}
-
-
-def _relabel(path: str, task: str, offset: int) -> list:
-    """Spans a launcher wrote, with parents shifted by ``offset`` and
-    labelled with ``task``; none when the launcher died early."""
-    if not os.path.exists(path):
-        return []
+    path = os.path.join(workdir, "cli.spans.json")
+    child = procs.run([os.path.join(procs.HERE, "launch.py"), path, *files],
+                      timeout=120)
+    if child.code != 0 or not os.path.exists(path):
+        failures.append(f"traced analyze exited {child.code}: "
+                        f"{child.stderr.strip()[-300:]}")
+        return {}
     with open(path, encoding="utf-8") as fh:
         spans = json.load(fh)
-    for sp in spans:
-        if sp[3] >= 0:
-            sp[3] += offset
-        sp[4] = task
-    return spans
+    return {k: v for k, v in summarize(spans).items()
+            if k.startswith(CLI_METRICS)}
 
 
 # -- library workloads --------------------------------------------------
@@ -235,11 +180,10 @@ def main(argv=None) -> int:
     harness_failures: list = []
     if args.trace:
         metrics = import_breakdown(harness_failures)
-        if workload.name == "cli-cold":
-            res = cli_traced(manifest, args.seconds, workdir)
-        else:
-            res = library(workload.name, manifest_path, args.seconds, 1, workdir)
+        res = library(workload.name, manifest_path, args.seconds, 1, workdir)
         metrics.update(res.get("layers", {}))
+        metrics.update(cli_layer([m["file"] for m in manifest], workdir,
+                                 harness_failures))
         traced_rate = res.get("traced_tasks_per_s", 0.0)
         plain_rate = res.get("untraced_tasks_per_s", 0.0)
         metrics["trace.tasks_per_s"] = traced_rate
@@ -248,10 +192,7 @@ def main(argv=None) -> int:
         record["rounds"] = res.get("rounds")
     else:
         setup = measure_setup([m["file"] for m in manifest], harness_failures)
-        if workload.name == "cli-cold":
-            res = cli_untraced(manifest, args.seconds, workdir)
-        else:
-            res = library(workload.name, manifest_path, args.seconds, 0, workdir)
+        res = library(workload.name, manifest_path, args.seconds, 0, workdir)
         lat = res["latencies"]
         metrics = {
             "setup_s": _median(setup),

@@ -24,7 +24,7 @@ import pytest  # noqa: E402
 
 import spans  # noqa: E402
 import workloads as wl  # noqa: E402
-from run import unit_of  # noqa: E402
+from run import CLI_METRICS, cli_layer, unit_of  # noqa: E402
 
 
 # -- generator ----------------------------------------------------------
@@ -101,17 +101,17 @@ def test_library_tasks_pass_on_generated_problems(tmp_path):
         assert wl.sweep_task(fde, prob, meta) == [], meta["family"]
 
 
-def test_cli_gate_reads_exit_codes_and_reports(tmp_path):
-    meta = _meta("weakly-coupled", c1=0.5, c2=0.4)
-    meta["file"] = str(tmp_path / "000-weakly-coupled.json")
-    argv = ["check-ll", meta["file"]]
-    good = {"R2": {"margin": 0.8},
-            "degree": {"degree": 1},
-            "ll_margin": {"margin": meta["margin"]}}
-    assert wl.check_cli(meta, argv, 0, json.dumps(good)) == []
-    bad = dict(good, degree=None)
-    assert len(wl.check_cli(meta, argv, 0, json.dumps(bad))) == 1
-    assert wl.check_cli(meta, argv, 2, "") == ["check-ll exited 2"]
+def test_cli_layer_traces_load_and_dispatch(tmp_path):
+    manifest = wl.generate(fde, wl.WORKLOADS["wide-band"], 3,
+                           str(tmp_path / "problems"))
+    files = [m["file"] for m in manifest[:2]]
+    failures: list = []
+    out = cli_layer(files, str(tmp_path), failures)
+    assert failures == []
+    assert out["cli.main.calls"] == 2
+    assert out["cli.load_problem.calls"] == 2
+    assert out["layer.import.self_s"] > 0.0
+    assert all(k.startswith(CLI_METRICS) for k in out)
 
 
 # -- spans --------------------------------------------------------------

@@ -62,16 +62,8 @@ class Workload:
         return len(self.families)
 
 
-# Why each workload exists is recorded in BENCHMARK.json.  A cli-cold task
-# takes 5-7 s, so an untraced cli-cold round is only the first CLI_ROUND
-# families, starting with a two-component system so that every run includes
-# the largest command processes; the traced run covers all seven.
-CLI_ORDER = ("gompertz-system", "duffing-delay", "beam", "duffing-distributed",
-             "weakly-coupled", "distributed-uniform", "distributed-sine")
-CLI_ROUND = 4
-
+# Why each workload exists is recorded in BENCHMARK.json.
 WORKLOADS = {w.name: w for w in (
-    Workload("cli-cold", CLI_ORDER, 1),
     Workload("sweep-warm", FAMILIES, 4),
     Workload("wide-band", ("gompertz-system", "weakly-coupled"), 4, kmax=256),
     Workload("certify-dense", FAMILIES, 4),
@@ -228,41 +220,3 @@ def certify_task(fde, prob, meta) -> list:
 
 LIBRARY_TASKS = {"sweep-warm": sweep_task, "wide-band": wide_task,
                  "certify-dense": certify_task}
-
-
-# -- CLI task -----------------------------------------------------------
-
-
-def cli_commands(meta: dict, outdir: str) -> list:
-    """The four commands of a cli-cold task, as CLI argument lists."""
-    problem = meta["file"]
-    stem = os.path.join(outdir, os.path.basename(problem)[:-len(".json")])
-    solution = stem + ".solution.json"
-    return [["analyze", problem],
-            ["check-ll", problem],
-            ["solve", problem, "--out", solution],
-            ["verify", problem, "--solution", solution]]
-
-
-def check_cli(meta: dict, argv: list, code: int, stdout: str) -> list:
-    """Gate one CLI command from its exit code and report."""
-    fails: list = []
-    command = argv[0]
-    if code != 0:
-        return [f"{command} exited {code}"]
-    if command == "solve":
-        with open(argv[argv.index("--out") + 1], encoding="utf-8") as fh:
-            doc = json.load(fh)
-        check_solution(fails, doc["converged"], doc["pointwise_residual"])
-        return fails
-    doc = json.loads(stdout)
-    if command == "check-ll":
-        check_r2(fails, doc["R2"]["margin"])
-        deg = doc["degree"]["degree"] if doc["degree"] is not None else None
-        check_degree(fails, meta, deg)
-        margin = doc["ll_margin"]["margin"] if doc["ll_margin"] else None
-        check_margin(fails, meta, margin)
-    elif command == "verify":
-        # exit 0 already means the defect met the CLI's tolerance
-        check_solution(fails, True, doc["pointwise_residual"])
-    return fails
