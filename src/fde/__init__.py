@@ -6,10 +6,9 @@ sphere, and computes 2 pi periodic solutions by spectral harmonic
 balance with pointwise defect verification.
 """
 
-from .errors import (AliasingError, BlockStructureError, DimensionMismatch,
-                     FdeError, GridTooSmall, NotInImageError,
-                     ProblemFormatError, R2ViolationError, RefinementError,
-                     ScanBoundExceeded)
+from .errors import (BlockStructureError, DimensionMismatch, FdeError,
+                     GridTooSmall, NotInImageError, ProblemFormatError,
+                     R2ViolationError, RefinementError, ScanBoundExceeded)
 from .trigpoly import TrigPoly, analyze_grid, eval_grid, differentiate
 from .measures import (ConstProfile, Density, MeasureMatrix, PolyProfile,
                        ScalarMeasure, SinProfile, apply_deviation,
@@ -35,7 +34,7 @@ from .cli import load_problem, parse_problem
 __version__ = "0.1.0"
 
 __all__ = [
-    "AliasingError", "BlockStructureError", "DimensionMismatch", "FdeError",
+    "BlockStructureError", "DimensionMismatch", "FdeError",
     "GridTooSmall", "NotInImageError", "ProblemFormatError",
     "R2ViolationError", "RefinementError", "ScanBoundExceeded",
     "TrigPoly", "analyze_grid", "eval_grid", "differentiate",

@@ -32,7 +32,7 @@ from .lazer_leach import (certificate, degree_product, degree_winding,
                           sphere_scan)
 from .problem import ProblemSpec, SolveConfig
 from .resonance import check_linear_conditions, resonant_set
-from .solver import solve_best, solve_periodic, verify_pointwise
+from .solver import VERIFY_TOL, solve_best, verify_pointwise
 from .trigpoly import TrigPoly, analyze_grid, eval_grid
 
 _MEASURE_SCHEMA = {
@@ -264,7 +264,7 @@ def cmd_verify(prob: ProblemSpec, args) -> tuple[dict, int]:
     if not args.solution:
         raise ProblemFormatError("verify needs --solution FILE")
     u = _load_solution(args.solution, args.kmax)
-    tol = args.tol or 1e-8
+    tol = args.tol or VERIFY_TOL
     resid = verify_pointwise(prob, u, max(8 * u.kmax, 64))
     doc = {"pointwise_residual": resid, "tol": tol, "kmax": u.kmax,
            "pass": bool(resid <= tol)}

@@ -51,5 +51,5 @@ class BlockStructureError(FdeError):
     """Kernel does not decompose into per-component blocks."""
 
 
-class AliasingError(FdeError):
-    """Residual is not grid-converged; raise the sampling rate."""
+class NullDirectionError(FdeError, ValueError):
+    """Radial limit requested along a direction with a vanishing component."""

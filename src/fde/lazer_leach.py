@@ -73,22 +73,6 @@ def _ensure_report(prob, report):
     return resonant_set(prob.P, prob.Lam) if report is None else report
 
 
-def radial_limit(g, direction) -> np.ndarray:
-    """Limit of ``g(s v)`` as ``s -> +inf``.
-
-    ``direction`` is either a nonzero vector or a sign pattern such as
-    ``"+-"`` / ``(1, -1)``.  Componentwise fields reject vectors with a
-    vanishing component: the pointwise limit there sits on the null set
-    where the sign field is ambiguous.
-    """
-    if isinstance(direction, str):
-        return g.limit_sigma(direction)
-    arr = np.asarray(direction)
-    if arr.dtype.kind in "iu" and np.all(np.abs(arr) == 1):
-        return g.limit_sigma(direction)
-    return g.limit_direction(arr.astype(float))
-
-
 def limit_field_on_samples(g, y: np.ndarray) -> np.ndarray:
     """Vectorized radial limit at each row of ``y``; zero rows (and zero
     components, for componentwise fields) fall back to ``g(0)``."""

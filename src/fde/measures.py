@@ -6,9 +6,10 @@ of absolutely continuous pieces whose densities come from a small catalog
 
     lamhat(k) = int e^{-ikt} dlam(t),   k in Z,
 
-which is available in closed form for every catalog entry.  Matrix-valued
-measures collect one scalar measure per entry and act on trigonometric
-polynomials through :func:`apply_deviation`:
+which is available in closed form for every catalog entry and is evaluated
+elementwise over an integer array of modes (a scalar ``k`` gives a
+scalar).  Matrix-valued measures collect one scalar measure per entry and
+act on trigonometric polynomials through :func:`apply_deviation`:
 
     (Lam u)(t) = int dLam(s) u(t + s)   <=>   c_k -> lamhat(-k) c_k.
 
@@ -28,27 +29,33 @@ from .trigpoly import TrigPoly
 TWO_PI = 2.0 * np.pi
 
 
-def _int_exp(mu: float, a: float, b: float) -> complex:
-    """int_a^b e^{i mu s} ds."""
-    if abs(mu) < 1e-14:
-        return complex(b - a)
-    return (np.exp(1j * mu * b) - np.exp(1j * mu * a)) / (1j * mu)
+def _frequencies(mu):
+    """``(mask, i mu)`` with the ``mu = 0`` entries masked and replaced by
+    ``i`` so the closed forms below never divide by zero."""
+    mu = np.asarray(mu, dtype=float)
+    zero = np.abs(mu) < 1e-14
+    return zero, 1j * np.where(zero, 1.0, mu)
 
 
-def _int_pow_exp(n: int, mu: float, a: float, b: float) -> complex:
-    """int_a^b s^n e^{i mu s} ds."""
-    if abs(mu) < 1e-14:
-        return complex((b ** (n + 1) - a ** (n + 1)) / (n + 1))
+def _int_exp(mu, a: float, b: float):
+    """int_a^b e^{i mu s} ds, elementwise in ``mu``."""
+    zero, imu = _frequencies(mu)
+    return np.where(zero, b - a, (np.exp(imu * b) - np.exp(imu * a)) / imu)
+
+
+def _int_pow_exp(n: int, mu, a: float, b: float):
+    """int_a^b s^n e^{i mu s} ds, elementwise in ``mu``."""
+    zero, imu = _frequencies(mu)
 
     def F(s):
         acc = 0.0 + 0.0j
         fac = 1.0
         for j in range(n + 1):
-            acc += (-1) ** j * fac * s ** (n - j) / (1j * mu) ** (j + 1)
+            acc = acc + (-1) ** j * fac * s ** (n - j) / imu ** (j + 1)
             fac *= n - j
-        return np.exp(1j * mu * s) * acc
+        return np.exp(imu * s) * acc
 
-    return F(b) - F(a)
+    return np.where(zero, (b ** (n + 1) - a ** (n + 1)) / (n + 1), F(b) - F(a))
 
 
 def _abs_sin_primitive(u: float) -> float:
@@ -228,13 +235,15 @@ class ScalarMeasure:
 
     # -- analysis ------------------------------------------------------
 
-    def transform(self, k: int) -> complex:
-        out = 0.0 + 0.0j
+    def transform(self, k):
+        """``lamhat(k)`` for an integer or an integer array of modes."""
+        k = np.asarray(k)
+        out = np.zeros(k.shape, dtype=complex)
         for theta, w in self.atoms:
             out += atom_transform(theta, w, k)
         for d in self.densities:
             out += density_transform(d, k)
-        return out
+        return out[()]
 
     def total_variation(self) -> float:
         tv = sum(abs(w) for _, w in self.atoms)
@@ -258,22 +267,28 @@ class ScalarMeasure:
         return ScalarMeasure(atoms=atoms, densities=dens)
 
 
-def atom_transform(theta: float, weight: float, k: int) -> complex:
+def atom_transform(theta: float, weight: float, k):
     """Transform of a point mass: ``weight * e^{-ik theta}``."""
     return weight * np.exp(-1j * k * theta)
 
 
-def density_transform(density: Density, k: int) -> complex:
+def density_transform(density: Density, k):
     """Closed-form ``int_a^b profile(s) e^{-iks} ds``."""
     return density.profile.transform(density.a, density.b, k)
 
 
 @dataclass
 class MeasureMatrix:
-    """Square matrix of scalar measures acting on n-component signals."""
+    """Square matrix of scalar measures acting on n-component signals.
+
+    :meth:`stack` caches the deviation transforms on first use, so the
+    entries must not change afterwards.
+    """
 
     n: int
     entries: list  # n x n nested list of ScalarMeasure
+    _stack: np.ndarray | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
@@ -308,8 +323,19 @@ class MeasureMatrix:
                     out.entries[i][j] = ScalarMeasure.dirac(0.0, A[i, j])
         return out
 
-    def transform(self, k: int) -> np.ndarray:
+    def transform(self, k) -> np.ndarray:
         return matrix_transform(self, k)
+
+    def stack(self, kmax: int) -> np.ndarray:
+        """Read-only ``(kmax+1, n, n)`` array of ``lamhat(-k)``, ``k = 0..kmax``.
+
+        Computed once and sliced on later calls; recomputed only when a
+        larger ``kmax`` is asked for.
+        """
+        if self._stack is None or self._stack.shape[0] <= kmax:
+            self._stack = matrix_transform(self, -np.arange(kmax + 1))
+            self._stack.flags.writeable = False
+        return self._stack[:kmax + 1]
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for row in self.entries for m in row)
@@ -325,10 +351,11 @@ class MeasureMatrix:
                               for row in d["entries"]])
 
 
-def matrix_transform(mat: MeasureMatrix, k: int) -> np.ndarray:
-    """Entrywise transform; complex ``(n, n)`` array."""
-    return np.array([[m.transform(k) for m in row] for row in mat.entries],
-                    dtype=complex)
+def matrix_transform(mat: MeasureMatrix, k) -> np.ndarray:
+    """Entrywise transform; complex ``k.shape + (n, n)`` array."""
+    out = np.array([[m.transform(k) for m in row] for row in mat.entries],
+                   dtype=complex)
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def total_variation_bound(mat: MeasureMatrix) -> float:
@@ -344,7 +371,4 @@ def apply_deviation(mat: MeasureMatrix, u: TrigPoly) -> TrigPoly:
     """Convolve ``u`` with the matrix measure: mode ``k`` picks ``lamhat(-k)``."""
     if mat.n != u.n:
         raise DimensionMismatch("measure matrix size differs from signal")
-    out = np.empty_like(u.coeffs)
-    for k in range(u.kmax + 1):
-        out[k] = matrix_transform(mat, -k) @ u.coeffs[k]
-    return TrigPoly(out)
+    return TrigPoly(np.einsum("kij,kj->ki", mat.stack(u.kmax), u.coeffs))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NullDirectionError
 from .measures import apply_deviation
 from .trigpoly import TrigPoly, analyze_grid, eval_grid
 
@@ -109,10 +109,6 @@ def _sign_key(sigma) -> str:
         else:
             raise DimensionMismatch(f"invalid sign entry {s!r}")
     return "".join(out)
-
-
-class NullDirectionError(ValueError):
-    """Radial limit requested along a direction with a vanishing component."""
 
 
 @dataclass

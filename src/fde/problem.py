@@ -48,8 +48,10 @@ class MatrixPolynomial:
     def degree(self) -> int:
         return self.coeffs.shape[0] - 1
 
-    def __call__(self, z: complex) -> np.ndarray:
-        out = np.zeros((self.n, self.n), dtype=complex)
+    def __call__(self, z) -> np.ndarray:
+        """``P(z)`` by Horner's rule; shape ``z.shape + (n, n)``."""
+        z = np.asarray(z)[..., None, None]
+        out = np.zeros(z.shape[:-2] + (self.n, self.n), dtype=complex)
         for j in range(self.degree, -1, -1):
             out = out * z + self.coeffs[j]
         return out
@@ -72,14 +74,14 @@ class SolveConfig:
 
     ``M`` defaults to ``4 * kmax`` (anti-aliasing); the damping schedule is
     the Levenberg-Marquardt triple (initial mu, growth, shrink factors).
+    Problem files written by older versions may carry ``jacobian`` and
+    ``fd_step`` keys; they are ignored.
     """
 
     kmax: int = 64
     M: int | None = None
     tol_residual: float = 1e-10
     max_iter: int = 100
-    jacobian: str = "analytic"       # or "finite-difference"
-    fd_step: float = 1e-7
     mu0: float = 1e-4
     mu_grow: float = 8.0
     mu_shrink: float = 0.25
@@ -93,13 +95,10 @@ class SolveConfig:
             self.M = 4 * self.kmax
         if self.M < max(2 * self.kmax + 1, 4 * self.kmax):
             raise DimensionMismatch("M undersamples the chosen bandwidth")
-        if self.jacobian not in ("analytic", "finite-difference"):
-            raise DimensionMismatch(f"unknown jacobian mode {self.jacobian!r}")
 
     def to_dict(self):
         return {"kmax": self.kmax, "M": self.M,
                 "tol_residual": self.tol_residual, "max_iter": self.max_iter,
-                "jacobian": self.jacobian, "fd_step": self.fd_step,
                 "damping": [self.mu0, self.mu_grow, self.mu_shrink],
                 "seed_radii": list(self.seed_radii),
                 "seed_samples": self.seed_samples}
@@ -111,8 +110,6 @@ class SolveConfig:
             kmax=int(d.get("kmax", 64)), M=d.get("M"),
             tol_residual=float(d.get("tol_residual", 1e-10)),
             max_iter=int(d.get("max_iter", 100)),
-            jacobian=d.get("jacobian", "analytic"),
-            fd_step=float(d.get("fd_step", 1e-7)),
             mu0=float(damping[0]), mu_grow=float(damping[1]),
             mu_shrink=float(damping[2]),
             seed_radii=tuple(d.get("seed_radii", (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0))),

@@ -24,10 +24,12 @@ from .trigpoly import TrigPoly
 _HARD_CAP = 10 ** 6
 
 
-def symbol(P: MatrixPolynomial, Lam: MeasureMatrix, k: int) -> np.ndarray:
-    """Mode-``k`` symbol ``P(ik) + lamhat(-k)``; complex ``(n, n)``."""
+def symbol(P: MatrixPolynomial, Lam: MeasureMatrix, k) -> np.ndarray:
+    """Mode-``k`` symbol ``P(ik) + lamhat(-k)``; complex ``k.shape + (n, n)``
+    for an integer or an integer array ``k``."""
     if P.n != Lam.n:
         raise DimensionMismatch("polynomial and measure sizes differ")
+    k = np.asarray(k)
     return P(1j * k) + matrix_transform(Lam, -k)
 
 
@@ -162,13 +164,12 @@ def resonant_set(P: MatrixPolynomial, Lam: MeasureMatrix,
     ``k >= 0`` is scanned; negative modes follow by conjugation.
     """
     k_star = scan_bound(P, Lam)
+    Ls = symbol(P, Lam, np.arange(k_star + 1))
+    sig = np.linalg.svd(Ls, compute_uv=False)
     modes = {}
-    for k in range(0, k_star + 1):
-        L = symbol(P, Lam, k)
-        sig = np.linalg.svd(L, compute_uv=False)
-        if sig[-1] < tol * (1.0 + sig[0]):
-            nu, theta, _ = kernel_data(L, tol)
-            modes[k] = ResonantMode(k, L, float(sig[-1]), nu, theta)
+    for k in np.flatnonzero(sig[:, -1] < tol * (1.0 + sig[:, 0])).tolist():
+        nu, theta, _ = kernel_data(Ls[k], tol)
+        modes[k] = ResonantMode(k, Ls[k].copy(), float(sig[k, -1]), nu, theta)
     return ResonanceReport(P=P, Lam=Lam, tol=tol, k_star=k_star, modes=modes)
 
 
@@ -325,11 +326,9 @@ def image_defect(phi: TrigPoly, report: ResonanceReport) -> dict:
 
 
 def apply_symbol(u: TrigPoly, report: ResonanceReport) -> TrigPoly:
-    """``L u`` computed mode by mode."""
-    out = np.empty_like(u.coeffs)
-    for k in range(u.kmax + 1):
-        out[k] = report.symbol(k) @ u.coeffs[k]
-    return TrigPoly(out)
+    """``L u``: mode ``k`` picks up ``L_k``."""
+    Ls = report.symbol(np.arange(u.kmax + 1))
+    return TrigPoly(np.einsum("kij,kj->ki", Ls, u.coeffs))
 
 
 def right_inverse(phi: TrigPoly, report: ResonanceReport,
@@ -363,12 +362,11 @@ def right_inverse(phi: TrigPoly, report: ResonanceReport,
 def right_inverse_gain(report: ResonanceReport, kmax: int) -> float:
     """Reported bound ``kappa`` with ``|(K phi)'|_inf <= kappa |phi|_inf``
     on the ``kmax`` truncation."""
-    kappa = 0.0
-    for k in range(1, kmax + 1):
-        if k in report.modes:
-            gain = np.linalg.norm(np.linalg.pinv(report.modes[k].L,
-                                                 rcond=10 * report.tol), 2)
-        else:
-            gain = np.linalg.norm(np.linalg.inv(report.symbol(k)), 2)
-        kappa += 2.0 * k * gain
-    return float(kappa)
+    ks = np.arange(1, kmax + 1)
+    sig = np.linalg.svd(report.symbol(ks), compute_uv=False)
+    # resonant modes invert through the pseudoinverse: drop its cut-off
+    # singular values, so the gain is one over the smallest kept one
+    resonant = np.isin(ks, list(report.modes))[:, None]
+    cut = resonant & (sig <= 10 * report.tol * sig[:, :1])
+    gain = 1.0 / np.min(np.where(cut, np.inf, sig), axis=1)
+    return float(np.sum(2.0 * ks * gain))

@@ -10,6 +10,22 @@ resonant coordinates a zero initial guess cannot reach.
 Packing convention: ``x = [c_0, Re c_1, Im c_1, ..., Re c_K, Im c_K]``
 componentwise, and the packed residual carries sqrt(2) weights on the
 ``k >= 1`` rows so its Euclidean norm equals the L2 norm of ``R``.
+
+The Jacobian is assembled alternating frequency and time (Krack & Gross,
+*Harmonic Balance for Nonlinear Vibration Problems*, 2019): the
+linearized Nemytskii part is a sum of products ``A(t) (B u)(t)`` of a grid
+function with a mode multiplier -- ``g'(Psi u)`` with ``psihat(-k)``, and
+for each tap of ``h`` its weight times the profile derivative with the
+delay phase ``e^{-ik tau}``.  One FFT of ``A`` turns each product into a
+Toeplitz block ``Ahat_{k-j} B_j`` plus a Hankel block
+``Ahat_{k+j} conj(B_j)``, with indices mod ``M`` so the grid aliasing of
+the residual carries over exactly; the symbol adds ``L_k`` on the
+diagonal.
+
+A run counts as converged when the coefficient residual meets
+``tol_residual``, the residual does not move when the grid doubles, and
+the pointwise defect meets :data:`VERIFY_TOL`, the tolerance ``fde
+verify`` applies.
 """
 
 from __future__ import annotations
@@ -18,20 +34,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AliasingError, DimensionMismatch, GridTooSmall
-from .measures import MeasureMatrix, ScalarMeasure, apply_deviation, matrix_transform
+from .errors import DimensionMismatch, GridTooSmall
+from .measures import MeasureMatrix, ScalarMeasure, apply_deviation
 from .nonlinearity import _h_base_deriv, nemytskii_eval
 from .problem import SolveConfig
 from .resonance import (KernelElement, ResonanceReport, resonant_set, symbol)
 from .sampling import coords_to_amps, sphere_points
-from .trigpoly import TrigPoly, analyze_grid, differentiate, eval_grid
+from .trigpoly import TrigPoly, differentiate, eval_grid
 
 TWO_PI = 2.0 * np.pi
+
+# sup-norm defect in the original equation that a solution must meet
+VERIFY_TOL = 1e-8
 
 
 def symbol_stack(prob, kmax: int) -> np.ndarray:
     """Symbols ``L_0 .. L_kmax`` as one ``(kmax+1, n, n)`` array."""
-    return np.stack([symbol(prob.P, prob.Lam, k) for k in range(kmax + 1)])
+    return symbol(prob.P, prob.Lam, np.arange(kmax + 1))
 
 
 def _grid_size(u: TrigPoly, config: SolveConfig | None, prob) -> int:
@@ -57,29 +76,27 @@ def assemble_residual(prob, u: TrigPoly, config: SolveConfig | None = None,
 # -- real packing ------------------------------------------------------
 
 
+def _pack(c: np.ndarray, weight: float) -> np.ndarray:
+    """``[Re c_0, w Re c_1, w Im c_1, ...]`` for a ``(kmax+1, n)`` array."""
+    tail = np.stack([c[1:].real, c[1:].imag], axis=1)      # (kmax, 2, n)
+    return np.concatenate([c[0].real, (weight * tail).ravel()])
+
+
 def pack_coeffs(u: TrigPoly) -> np.ndarray:
-    parts = [u.coeffs[0].real]
-    for k in range(1, u.kmax + 1):
-        parts.extend([u.coeffs[k].real, u.coeffs[k].imag])
-    return np.concatenate(parts)
+    return _pack(u.coeffs, 1.0)
 
 
 def unpack_coeffs(x: np.ndarray, kmax: int, n: int) -> TrigPoly:
-    c = np.zeros((kmax + 1, n), dtype=complex)
+    tail = x[n:].reshape(kmax, 2, n)
+    c = np.empty((kmax + 1, n), dtype=complex)
     c[0] = x[:n]
-    for k in range(1, kmax + 1):
-        b = n + 2 * n * (k - 1)
-        c[k] = x[b:b + n] + 1j * x[b + n:b + 2 * n]
+    c[1:] = tail[:, 0] + 1j * tail[:, 1]
     return TrigPoly(c)
 
 
 def pack_residual(R: TrigPoly) -> np.ndarray:
     """Real residual vector whose Euclidean norm is ``||R||_L2``."""
-    rt2 = np.sqrt(2.0)
-    parts = [R.coeffs[0].real]
-    for k in range(1, R.kmax + 1):
-        parts.extend([rt2 * R.coeffs[k].real, rt2 * R.coeffs[k].imag])
-    return np.concatenate(parts)
+    return _pack(R.coeffs, np.sqrt(2.0))
 
 
 # -- Jacobian ----------------------------------------------------------
@@ -87,79 +104,51 @@ def pack_residual(R: TrigPoly) -> np.ndarray:
 
 def _jacobian_analytic(prob, u: TrigPoly, stack: np.ndarray, M: int) -> np.ndarray:
     kmax, n = u.kmax, u.n
-    ncol = n * (2 * kmax + 1)
-    t = TWO_PI * np.arange(M) / M
-    E = np.exp(1j * np.outer(t, np.arange(kmax + 1)))      # (M, kmax+1)
-    psim = np.stack([matrix_transform(prob.Psi, -k) for k in range(kmax + 1)])
+    k = np.arange(kmax + 1)
+    # a product A(t) (B u)(t) sends c_j to mode k through Ahat_{k-j} B_j
+    # and conj(c_j) through Ahat_{k+j} conj(B_j); DFT indices are mod M
+    # (k + j <= 2 kmax < M needs no wrap)
+    toeplitz, hankel = (k[:, None] - k) % M, k[:, None] + k
 
-    def col(k, i, imag=False):
-        if k == 0:
-            return i
-        return n + 2 * n * (k - 1) + (n if imag else 0) + i
+    def spectra(a):
+        ahat = np.fft.fft(a, axis=-1) / M
+        return np.take(ahat, toeplitz, axis=-1), np.take(ahat, hankel, axis=-1)
 
-    # deviated signals of every basis direction
-    Dev = np.empty((ncol, M, n))
-    for i in range(n):
-        Dev[col(0, i)] = psim[0][:, i].real
-        for k in range(1, kmax + 1):
-            z = np.outer(E[:, k], psim[k][:, i])
-            Dev[col(k, i)] = 2.0 * z.real
-            Dev[col(k, i, imag=True)] = -2.0 * z.imag
-
-    y = eval_grid(apply_deviation(prob.Psi, u), M)
-    dG = prob.g.deriv(y)
+    # g'(Psi u) with psihat(-j), contracted over the middle component;
+    # T and H are indexed [row component, column component, k, j]
+    dG = prob.g.deriv(eval_grid(apply_deviation(prob.Psi, u), M))
     if prob.g.kind == "componentwise":
-        W = dG[None, :, :] * Dev
-    else:
-        W = np.einsum("mij,cmj->cmi", dG, Dev)
+        dG = dG[:, :, None] * np.eye(n)
+    At, Ah = spectra(dG.transpose(1, 2, 0))
+    psi = prob.Psi.stack(kmax).transpose(1, 2, 0)[None, :, :, None, :]
+    T = (At[:, :, None] * psi).sum(axis=1)
+    H = (Ah[:, :, None] * psi.conj()).sum(axis=1)
 
+    # each tap of h: its weight times the profile derivative, with e^{-ij tau}
     if prob.h is not None and prob.h.terms:
+        t = TWO_PI * np.arange(M) / M
         taps = prob.h.tap_signals(u, M)
         for term in prob.h.terms:
-            z = np.zeros(M)
-            for tap in term.taps:
-                z += tap.weight * taps[(tap.component, tap.delay)]
+            z = sum(tap.weight * taps[(tap.component, tap.delay)] for tap in term.taps)
             fac = term.amp * term.tmod(t) * _h_base_deriv(term.profile, z)
             for tap in term.taps:
-                i, tw = tap.component, tap.weight
-                W[col(0, i)][:, term.component] += fac * tw
-                for k in range(1, kmax + 1):
-                    zz = E[:, k] * np.exp(-1j * k * tap.delay)
-                    W[col(k, i)][:, term.component] += fac * tw * 2.0 * zz.real
-                    W[col(k, i, imag=True)][:, term.component] -= fac * tw * 2.0 * zz.imag
+                at, ah = spectra(tap.weight * fac)
+                phase = np.exp(-1j * k * tap.delay)
+                T[term.component, tap.component] += at * phase
+                H[term.component, tap.component] += ah * phase.conj()
 
-    Nhat = np.fft.fft(W, axis=1)[:, :kmax + 1, :] / M      # (ncol, kmax+1, n)
+    H[..., 0] = 0.0                 # the real mean mode has no conjugate twin
+    T[:, :, k, k] += stack.transpose(1, 2, 0)
+    # split c_j = a_j + i b_j into real columns
+    Da, Db = T + H, 1j * (T - H)
 
-    rt2 = np.sqrt(2.0)
-    rows = [Nhat[:, 0, :].real]
-    for k in range(1, kmax + 1):
-        rows.extend([rt2 * Nhat[:, k, :].real, rt2 * Nhat[:, k, :].imag])
-    J = np.concatenate(rows, axis=1).T                     # (nrow, ncol)
-
-    J[0:n, 0:n] += stack[0].real
-    for k in range(1, kmax + 1):
-        b = n + 2 * n * (k - 1)
-        S = stack[k]
-        J[b:b + n, b:b + n] += rt2 * S.real
-        J[b:b + n, b + n:b + 2 * n] -= rt2 * S.imag
-        J[b + n:b + 2 * n, b:b + n] += rt2 * S.imag
-        J[b + n:b + 2 * n, b + n:b + 2 * n] += rt2 * S.real
-    return J
-
-
-def _jacobian_fd(prob, u: TrigPoly, stack: np.ndarray, M: int,
-                 step: float) -> np.ndarray:
-    kmax, n = u.kmax, u.n
-    x0 = pack_coeffs(u)
-    F0 = pack_residual(assemble_residual(prob, u, stack=stack, M=M))
-    J = np.empty((x0.size, x0.size))
-    for j in range(x0.size):
-        h = step * (1.0 + abs(x0[j]))
-        x = x0.copy()
-        x[j] += h
-        F = pack_residual(assemble_residual(prob, unpack_coeffs(x, kmax, n),
-                                            stack=stack, M=M))
-        J[:, j] = (F - F0) / h
+    # rows (k, re/im, i) and columns (j, a/b, l), then drop Im of mode 0
+    # and the b-column of the real mean coefficient
+    full = np.array([[Da.real, Db.real], [Da.imag, Db.imag]])
+    full = full.transpose(4, 0, 2, 5, 1, 3).reshape(2 * n * (kmax + 1), -1)
+    keep = np.r_[0:n, 2 * n:2 * n * (kmax + 1)]
+    J = full[np.ix_(keep, keep)]
+    J[n:] *= np.sqrt(2.0)
     return J
 
 
@@ -168,14 +157,11 @@ def coefficient_jacobian(prob, u: TrigPoly, config: SolveConfig | None = None,
     """Jacobian of the packed residual at ``u``."""
     if stack is None or stack.shape[0] != u.kmax + 1:
         stack = symbol_stack(prob, u.kmax)
-    M = _grid_size(u, config, prob)
-    if config is not None and config.jacobian == "finite-difference":
-        return _jacobian_fd(prob, u, stack, M, config.fd_step)
     if not prob.g.smooth:
         raise DimensionMismatch(
             "sign-table nonlinearity is not differentiable; solving needs a "
             "smooth catalog profile")
-    return _jacobian_analytic(prob, u, stack, M)
+    return _jacobian_analytic(prob, u, stack, _grid_size(u, config, prob))
 
 
 # -- seeding -----------------------------------------------------------
@@ -275,9 +261,10 @@ def solve_periodic(prob, seed=None, config: SolveConfig | None = None,
 
     ``seed`` is a :class:`KernelElement`, a :class:`TrigPoly` initial
     guess, or ``None`` for the zero seed.  A converged run re-evaluates the
-    residual on a doubled grid and raises :class:`AliasingError` when the
-    two disagree by more than ``10 * tol``; it also reports the pointwise
-    defect on an 8x oversampled grid.
+    residual on a doubled grid; when the two disagree by more than
+    ``10 * tol`` the run is not converged and its last trace entry records
+    both (``residual_M``, ``residual_2M``).  The pointwise defect on an 8x
+    oversampled grid must also meet :data:`VERIFY_TOL`.
     """
     if config is None:
         config = prob.solve if prob.solve is not None else SolveConfig()
@@ -358,11 +345,11 @@ def solve_periodic(prob, seed=None, config: SolveConfig | None = None,
         r2 = float(np.linalg.norm(pack_residual(assemble_residual(
             prob, u, stack=stack, M=2 * M))))
         if abs(r2 - res) > 10.0 * config.tol_residual:
-            raise AliasingError(
-                f"residual moves from {res:.3e} to {r2:.3e} when the grid "
-                "doubles; raise kmax or M")
+            converged = False
+            trace[-1].update(residual_M=res, residual_2M=r2)
 
     pointwise = verify_pointwise(prob, u, max(8 * kmax, 64))
+    converged = converged and pointwise <= VERIFY_TOL
     return SolveResult(u=u, converged=converged, coeff_residual=res,
                        pointwise_residual=pointwise, iterations=it,
                        seed=seed_el, trace=trace, gauge=gauge)

@@ -147,6 +147,19 @@ def test_solve_exit_3_when_iteration_budget_exhausted(capsys, tmp_path):
     assert json.loads(out)["converged"] is False
 
 
+@pytest.mark.parametrize("kmax", ["8", "6"])
+def test_solve_exit_3_when_band_too_narrow(capsys, kmax):
+    # kmax 8 meets the coefficient tolerance with a pointwise defect near
+    # 5e-4; at kmax 6 the residual also moves when the grid doubles
+    code, out, _ = run(capsys, "solve", "duffing-delay", "--kmax", kmax)
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["converged"] is False
+    assert doc["pointwise_residual"] > 1e-8
+    if kmax == "6":
+        assert doc["trace"][-1]["residual_2M"] > 10 * doc["trace"][-1]["residual_M"]
+
+
 def test_verify_exit_3_on_wrong_solution(capsys, tmp_path):
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps(TrigPoly.cosine(1, amplitude=0.3).to_dict()))
@@ -191,6 +204,21 @@ def test_missing_saturation_limits_rejected(capsys, tmp_path):
     assert "asymptotic limits" in err
     assert "R1" in err
     assert "$.g.components[0]" in err
+
+
+def test_legacy_jacobian_keys_load_and_sign_table_solve_fails(capsys, tmp_path):
+    # files written when the solver had a finite-difference Jacobian mode
+    # still load; a sign-table g still cannot be solved (no derivative)
+    _, out, _ = run(capsys, "example", "duffing-delay")
+    doc = json.loads(out)
+    doc["solve"].update(jacobian="finite-difference", fd_step=1e-7)
+    assert parse_problem(json.dumps(doc)).solve.kmax == doc["solve"]["kmax"]
+    doc["g"] = {"kind": "sign_table", "table": {"+": [1.0], "-": [-1.0]}}
+    path = tmp_path / "sign.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "solve", str(path))
+    assert code == 4
+    assert "not differentiable" in err
 
 
 def test_singular_leading_coefficient_rejected(capsys, tmp_path):

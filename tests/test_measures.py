@@ -117,6 +117,50 @@ def test_bulk_spot_adaptive():
             oracles.transform_quad(mu, k), abs=1e-10)
 
 
+def test_array_modes_match_scalar_modes():
+    # every profile kind, the mu = 0 branches (integer sine frequency at
+    # k = +-omega, constant and polynomial at k = 0) and history intervals
+    # split across 0
+    measures = [
+        ScalarMeasure(atoms=[(0.3, 1.2), (-1.1, -0.4)]),
+        ScalarMeasure(densities=[Density(-1.0, 1.5, ConstProfile(0.7))]),
+        ScalarMeasure(densities=[Density(-2.0, 0.5, SinProfile(1.3, 3.0, 0.4))]),
+        ScalarMeasure(densities=[Density(0.4, 2.0, SinProfile(-0.8, 2.5))]),
+        ScalarMeasure(densities=[Density(-0.8, 1.2, PolyProfile([0.3, -0.4, 0.2]))]),
+        ScalarMeasure(atoms=[(1.0, 0.5)],
+                      densities=[Density(-np.pi, 0.0, ConstProfile(0.5)),
+                                 Density(1.0, 3.0, PolyProfile([1.0, 0.5]))]),
+    ]
+    ks = np.array([-5, -3, -1, 0, 1, 2, 3, 7])
+    for mu in measures:
+        arr = mu.transform(ks)
+        assert arr.shape == ks.shape
+        assert np.max(np.abs(arr - oracles.transform_gauss(mu, ks))) < 1e-9
+        for k, val in zip(ks, arr):
+            assert val == pytest.approx(mu.transform(int(k)), abs=1e-14)
+        assert np.ndim(mu.transform(3)) == 0
+    mat = MeasureMatrix(2, [measures[:2], measures[2:4]])
+    stack = matrix_transform(mat, ks)
+    assert stack.shape == (ks.size, 2, 2)
+    for k, block in zip(ks, stack):
+        assert np.max(np.abs(block - matrix_transform(mat, int(k)))) < 1e-14
+
+
+def test_deviation_stack_cache():
+    rng = np.random.default_rng(19)
+    mat = MeasureMatrix(2, [[random_scalar_measure(rng) for _ in range(2)]
+                            for _ in range(2)])
+
+    def fresh(kmax):
+        return np.array([matrix_transform(mat, -k) for k in range(kmax + 1)])
+
+    for kmax in (3, 11, 5, 0):
+        stack = mat.stack(kmax)
+        assert stack.shape == (kmax + 1, 2, 2)
+        assert np.max(np.abs(stack - fresh(kmax))) < 1e-14
+    assert not mat.stack(4).flags.writeable
+
+
 # -- structural invariants ---------------------------------------------
 
 
