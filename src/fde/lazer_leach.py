@@ -30,8 +30,7 @@ import numpy as np
 from .errors import (BlockStructureError, DimensionMismatch, R2ViolationError,
                      RefinementError)
 from .measures import apply_deviation, matrix_transform
-from .resonance import (KernelElement, ResonanceReport, project_kernel,
-                        resonant_set)
+from .resonance import KernelElement, ResonanceReport, resonant_set
 from .sampling import coords_to_amps, phase_circle, sphere_points
 from .trigpoly import analyze_grid, eval_grid
 
@@ -41,7 +40,8 @@ _NOTE = "sampling-based evidence, not a proof"
 
 
 class SphereSample(KernelElement):
-    """Kernel element normalized to ``||w||_L2 = 1``.
+    """Kernel element normalized to ``||w||_L2 = 1`` (each element of a
+    batch).
 
     Its real parametrization coordinates then lie on the sphere of radius
     sqrt(2).
@@ -49,7 +49,8 @@ class SphereSample(KernelElement):
 
     def __post_init__(self):
         super().__post_init__()
-        if abs(self.norm_l2() - 1.0) > 1e-9:
+        norms = np.sqrt(2.0) * np.linalg.norm(self.amps, axis=-1)
+        if np.any(np.abs(norms - 1.0) > 1e-9):
             raise DimensionMismatch("sphere sample is not L2-normalized")
 
     @staticmethod
@@ -61,12 +62,13 @@ class SphereSample(KernelElement):
         return SphereSample(report, amps / (np.sqrt(2.0) * nrm))
 
     @staticmethod
-    def single_phase(report: ResonanceReport, phase: float) -> "SphereSample":
+    def single_phase(report: ResonanceReport, phase) -> "SphereSample":
         """The sample shaped like ``sqrt(2) cos(k t - phase)`` when the
-        kernel is two dimensional."""
+        kernel is two dimensional; an array of phases gives a batch."""
         if report.nu != 1:
             raise DimensionMismatch("phase parametrization needs a 2-d kernel")
-        return SphereSample(report, np.array([np.exp(-1j * phase) / np.sqrt(2.0)]))
+        return SphereSample(report, np.exp(-1j * np.asarray(phase))[..., None]
+                            / np.sqrt(2.0))
 
 
 def _ensure_report(prob, report):
@@ -74,47 +76,40 @@ def _ensure_report(prob, report):
 
 
 def limit_field_on_samples(g, y: np.ndarray) -> np.ndarray:
-    """Vectorized radial limit at each row of ``y``; zero rows (and zero
-    components, for componentwise fields) fall back to ``g(0)``."""
+    """Vectorized radial limit at each row of ``y`` (shape ``(..., n)``);
+    zero rows (and zero components, for componentwise fields) fall back to
+    ``g(0)``."""
     if g.kind == "componentwise":
         hi = np.array([p.hi for p in g.components])
         lo = np.array([p.lo for p in g.components])
         g0 = g.value_at_zero()
-        return np.where(y > 0, hi, np.where(y < 0, lo, g0))
+        out = np.where(y < 0, lo, g0)
+        np.copyto(out, hi, where=y > 0)
+        return out
     if g.kind == "radial":
-        r = np.linalg.norm(y, axis=1)
+        r = np.linalg.norm(y, axis=-1)
         safe = np.where(r > 0, r, 1.0)
-        out = (y / safe[:, None]) @ g.A.T + g.b
+        out = (y / safe[..., None]) @ g.A.T + g.b
         out[r == 0.0] = g.value_at_zero()
         return out
     out = g(np.sign(y))
-    null = np.any(y == 0.0, axis=1)
+    null = np.any(y == 0.0, axis=-1)
     if np.any(null):
         out[null] = g.value_at_zero()
     return out
 
 
-def g_w_samples(prob, w: KernelElement, M: int) -> np.ndarray:
-    """Grid samples of the limit field ``g_w`` along the deviated kernel
-    element ``Psi w``."""
-    y = eval_grid(apply_deviation(prob.Psi, w.to_poly()), M)
-    return limit_field_on_samples(prob.g, y)
-
-
-def _kernel_band(prob, report) -> int:
-    ks = [k for k in report.modes if k > 0]
-    return max(max(ks, default=1), prob.p.kmax)
-
-
 def gamma_tilde(prob, w: KernelElement, M: int = 4096) -> KernelElement:
-    """Projected limit field ``Proj_ker (g_w - p)`` in kernel coordinates."""
+    """Projected limit field ``Proj_ker (g_w - p)`` in kernel coordinates,
+    with ``g_w`` sampled along the deviated kernel element ``Psi w``; a
+    batch of ``w`` gives the batch of fields."""
     report = w.report
-    kb = _kernel_band(prob, report)
+    kb = max(report.kernel_basis.shape[1] - 1, 1, prob.p.kmax)
     if M < max(2 * kb + 1, 64):
         raise DimensionMismatch("grid too small for the resonant band")
-    vals = g_w_samples(prob, w, M) - eval_grid(prob.p, M)
-    poly = analyze_grid(vals, kb)
-    return KernelElement.from_poly(report, project_kernel(poly, report))
+    vals = limit_field_on_samples(prob.g, eval_grid(apply_deviation(prob.Psi, w.to_poly()), M))
+    vals -= eval_grid(prob.p, M)
+    return KernelElement.from_poly(report, analyze_grid(vals, kb))
 
 
 def gamma_unit(prob, w: KernelElement, M: int = 4096,
@@ -129,7 +124,7 @@ def gamma_unit(prob, w: KernelElement, M: int = 4096,
 
 def kernel_forcing_coords(prob, report: ResonanceReport) -> np.ndarray:
     """Coordinates of the kernel projection of the forcing ``p``."""
-    return KernelElement.from_poly(report, project_kernel(prob.p, report)).amps
+    return KernelElement.from_poly(report, prob.p).amps
 
 
 # -- sphere certificates ----------------------------------------------
@@ -156,19 +151,16 @@ class SphereScan:
 
 
 def sphere_samples(report: ResonanceReport, count: int, seed: int) -> list:
-    pts = sphere_points(2 * report.nu, count, seed=seed)
-    return [SphereSample(report, coords_to_amps(x)) for x in pts]
+    amps = coords_to_amps(sphere_points(2 * report.nu, count, seed=seed))
+    return [SphereSample(report, a) for a in amps]
 
 
 def deviation_eigenvalues(report: ResonanceReport, Psi) -> np.ndarray:
     """Per-slot action of the deviation on the kernel: the eigenvalue of
     ``psihat(-k)`` on each kernel direction (exact under the eigenvector
     condition, the Rayleigh quotient otherwise)."""
-    mus = []
-    for k, j in report.kernel_slots():
-        th = report.modes[k].theta[:, j]
-        mus.append(np.vdot(th, matrix_transform(Psi, -k) @ th))
-    return np.asarray(mus, dtype=complex)
+    basis = report.kernel_basis
+    return np.einsum("skn,knm,skm->s", basis.conj(), Psi.stack(basis.shape[1] - 1), basis)
 
 
 def sphere_scan(prob, report: ResonanceReport | None = None,
@@ -197,25 +189,19 @@ def sphere_scan(prob, report: ResonanceReport | None = None,
     budget = h_sup / np.sqrt(2.0)
     mus = deviation_eigenvalues(report, prob.Psi)
 
-    r2 = np.inf
-    r2_wit = None
-    n2 = np.inf
-    n2_wit = None
-    gammas = []
-    for w in samples:
-        a = gamma_tilde(prob, w, M).amps
-        mag = float(np.linalg.norm(a))
-        gammas.append(a)
-        if mag < r2:
-            r2, r2_wit = mag, w
-        d = mus * w.amps
-        dn = np.linalg.norm(d)
-        if dn < 1e-14:         # deviation annihilates the sample
-            gap = -np.inf
-        else:
-            gap = float(np.real(np.vdot(d / dn, a))) - budget
-        if gap < n2:
-            n2, n2_wit = gap, w
+    amps = np.array([w.amps for w in samples])
+    gammas = gamma_tilde(prob, KernelElement(report, amps), M).amps
+    mags = np.linalg.norm(gammas, axis=-1)
+    d = mus * amps
+    dn = np.linalg.norm(d, axis=-1)
+    # a sample the deviation annihilates gets gap -inf
+    d = d / np.where(dn < 1e-14, 1.0, dn)[:, None]
+    gaps = np.where(dn < 1e-14, -np.inf,
+                    np.real(np.sum(d.conj() * gammas, axis=-1)) - budget)
+    # argmin keeps the first sample among ties
+    i_r2, i_n2 = int(np.argmin(mags)), int(np.argmin(gaps))
+    r2, r2_wit = float(mags[i_r2]), samples[i_r2]
+    n2, n2_wit = float(gaps[i_n2]), samples[i_n2]
 
     r2_cert = certificate("R2", r2, samples=n_samples,
                           witness=r2_wit.to_dict(), holds=bool(r2 > gate),
@@ -260,31 +246,28 @@ def degree_winding(prob, report: ResonanceReport | None = None,
             "winding degree needs a 2-dimensional kernel; "
             "use degree_product for block-decoupled systems")
 
-    cache: dict = {}
-
-    def val(phi):
-        if phi not in cache:
-            a = gamma_tilde(prob, SphereSample.single_phase(report, phi),
-                            M).amps[0]
-            if abs(a) <= tol:
-                raise R2ViolationError(
-                    "projected field vanishes on the phase circle",
-                    witness=phi)
-            cache[phi] = a
-        return cache[phi]
-
-    phis = list(phase_circle(n_grid)) + [TWO_PI]
+    phis = np.append(phase_circle(n_grid), TWO_PI)
+    vals = np.zeros(phis.size, dtype=complex)
+    fresh = np.ones(phis.size, dtype=bool)      # phases not evaluated yet
     while True:
-        vals = [val(p) for p in phis]
-        steps = [np.angle(vals[i + 1] / vals[i]) for i in range(len(vals) - 1)]
-        bad = [i for i, s in enumerate(steps) if abs(s) >= 0.5 * np.pi]
-        if not bad:
+        a = gamma_tilde(prob, SphereSample.single_phase(report, phis[fresh]),
+                        M).amps[:, 0]
+        vanish = np.abs(a) <= tol
+        if np.any(vanish):
+            raise R2ViolationError(
+                "projected field vanishes on the phase circle",
+                witness=float(phis[fresh][np.argmax(vanish)]))
+        vals[fresh] = a
+        steps = np.angle(vals[1:] / vals[:-1])
+        bad = np.flatnonzero(np.abs(steps) >= 0.5 * np.pi)
+        if not bad.size:
             break
-        if len(phis) + len(bad) > max_points:
+        if phis.size + bad.size > max_points:
             raise RefinementError("winding refinement budget exhausted")
-        for i in reversed(bad):
-            phis.insert(i + 1, 0.5 * (phis[i] + phis[i + 1]))
-    total = sum(steps) / TWO_PI
+        phis = np.insert(phis, bad + 1, 0.5 * (phis[bad] + phis[bad + 1]))
+        vals = np.insert(vals, bad + 1, 0.0)
+        fresh = np.insert(np.zeros(fresh.size, dtype=bool), bad + 1, True)
+    total = np.sum(steps) / TWO_PI
     deg = int(np.round(total))
     if abs(total - deg) > 0.05:
         raise RefinementError(f"winding sum {total:.4f} is not near an integer")
@@ -330,10 +313,11 @@ def degree_product(prob, report: ResonanceReport | None = None,
 
     # coupling probe: the g-response of a pure block sample must stay in its
     # own block (the forcing contributes off-block coordinates regardless)
-    for c, (k, idx) in sorted(blocks.items()):
-        amps = np.zeros(nslots, dtype=complex)
-        amps[idx] = 1.0 / np.sqrt(2.0)
-        a_g = gamma_tilde(prob, SphereSample(report, amps), M).amps + a_p
+    idxs = [idx for c, (k, idx) in sorted(blocks.items())]
+    amps = np.zeros((len(idxs), nslots), dtype=complex)
+    amps[np.arange(len(idxs)), idxs] = 1.0 / np.sqrt(2.0)
+    responses = gamma_tilde(prob, SphereSample(report, amps), M).amps + a_p
+    for idx, a_g in zip(idxs, responses):
         off = float(np.linalg.norm(np.delete(a_g, idx)))
         if off > coupling_tol * (1.0 + np.linalg.norm(a_g)):
             raise BlockStructureError(
@@ -393,16 +377,24 @@ def gamma_convergence(prob, w: KernelElement, s_values,
     certifies that sphere margins survive at large finite amplitude.  The
     grid must resolve the saturation layers around the zeros of ``Psi w``,
     whose width shrinks like ``1/s``, so it scales with ``s`` unless ``M``
-    is pinned explicitly.
+    is pinned explicitly.  The grids are nested powers of two, so ``Psi w``
+    is sampled once on the largest and each ``s`` reads every
+    ``M_max / M_s``-th sample.
     """
+    s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
+    if not s_values.size:
+        return np.zeros(0)
+    if M is None:
+        sizes = [min(1 << int(np.ceil(np.log2(max(4096.0, 128.0 * s)))), 2 ** 22)
+                 for s in s_values]
+    else:
+        sizes = [M] * s_values.size
+    M_max = max(sizes)
+    y = eval_grid(apply_deviation(prob.Psi, w.to_poly()), M_max)
+    limit = limit_field_on_samples(prob.g, y)
     out = []
-    for s in np.atleast_1d(np.asarray(s_values, dtype=float)):
-        if M is None:
-            Ms = 1 << int(np.ceil(np.log2(max(4096.0, 128.0 * s))))
-            Ms = min(Ms, 2 ** 22)
-        else:
-            Ms = M
-        y = eval_grid(apply_deviation(prob.Psi, w.to_poly()), Ms)
-        diff = limit_field_on_samples(prob.g, y) - prob.g(s * y)
+    for s, Ms in zip(s_values, sizes):
+        ys = y[::M_max // Ms]
+        diff = limit[::M_max // Ms] - prob.g(s * ys)
         out.append(float(np.sqrt(np.mean(np.sum(diff * diff, axis=1)))))
     return np.asarray(out)

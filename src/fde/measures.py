@@ -250,9 +250,6 @@ class ScalarMeasure:
         tv += sum(d.profile.abs_mass(d.a, d.b) for d in self.densities)
         return float(tv)
 
-    def is_zero(self) -> bool:
-        return not self.atoms and not self.densities
-
     # -- serialization -------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -337,9 +334,6 @@ class MeasureMatrix:
             self._stack.flags.writeable = False
         return self._stack[:kmax + 1]
 
-    def is_zero(self) -> bool:
-        return all(m.is_zero() for row in self.entries for m in row)
-
     def to_dict(self) -> dict:
         return {"n": self.n,
                 "entries": [[m.to_dict() for m in row] for row in self.entries]}
@@ -368,7 +362,9 @@ def total_variation_bound(mat: MeasureMatrix) -> float:
 
 
 def apply_deviation(mat: MeasureMatrix, u: TrigPoly) -> TrigPoly:
-    """Convolve ``u`` with the matrix measure: mode ``k`` picks ``lamhat(-k)``."""
+    """Convolve ``u`` with the matrix measure: mode ``k`` picks ``lamhat(-k)``.
+
+    Broadcasts over the batch axes of ``u``."""
     if mat.n != u.n:
         raise DimensionMismatch("measure matrix size differs from signal")
-    return TrigPoly(np.einsum("kij,kj->ki", mat.stack(u.kmax), u.coeffs))
+    return TrigPoly(np.einsum("kij,...kj->...ki", mat.stack(u.kmax), u.coeffs))

@@ -34,7 +34,7 @@ def _base(kind: str, z):
 
 def _base_deriv(kind: str, z):
     if kind == "tanh":
-        return 1.0 / np.cosh(z) ** 2
+        return 1.0 - np.tanh(z) ** 2
     if kind == "atan":
         return (2.0 / np.pi) / (1.0 + z * z)
     if kind == "alg":
@@ -176,21 +176,22 @@ class BoundedNonlinearity:
     # -- evaluation ----------------------------------------------------
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Field at each row of ``x``, shape ``(..., n)``."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != self.n:
+        if x.shape[-1] != self.n:
             raise DimensionMismatch("argument width differs from field size")
         if self.kind == "componentwise":
-            return np.stack([p.value(x[:, j]) for j, p in enumerate(self.components)], axis=1)
+            return np.stack([p.value(x[..., j]) for j, p in enumerate(self.components)],
+                            axis=-1)
         if self.kind == "radial":
-            r = np.sqrt(np.sum(x * x, axis=1))
+            r = np.sqrt(np.sum(x * x, axis=-1))[..., None]
             safe = np.where(r > 0, r, 1.0)
-            v = x / safe[:, None]
-            G = v @ self.A.T + self.b
+            G = (x / safe) @ self.A.T + self.b
             phi = r / np.sqrt(1.0 + r * r)
-            return phi[:, None] * np.where(r[:, None] > 0, G, 0.0)
-        idx = ((x > 0.0).astype(int) << np.arange(self.n)).sum(axis=1)
+            return phi * np.where(r > 0, G, 0.0)
+        idx = ((x > 0.0).astype(int) << np.arange(self.n)).sum(axis=-1)
         out = self._table_array()[idx]
-        null = np.any(x == 0.0, axis=1)
+        null = np.any(x == 0.0, axis=-1)
         if np.any(null):
             out[null] = self.zero_value
         return out
@@ -284,16 +285,6 @@ class BoundedNonlinearity:
         vals.append(np.linalg.norm(self.zero_value))
         return float(max(vals))
 
-    def envelope(self, s: float, vmin: float = 1.0) -> float:
-        """Bound on ``|g(s v) - limit(v)|`` for unit ``v`` with
-        ``min_j |v_j| >= vmin`` (componentwise) or any unit ``v`` (radial)."""
-        if self.kind == "componentwise":
-            return float(np.sqrt(sum(p.tail_bound(s * vmin) ** 2
-                                     for p in self.components)))
-        if self.kind == "radial":
-            return float(self.sup_norm() * 0.5 / max(s, 1.0) ** 2)
-        return 0.0
-
     # -- serialization -------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -338,7 +329,11 @@ def _h_base(kind: str, z):
     if kind == "tanh":
         return np.tanh(z)
     if kind == "sech":
-        return 1.0 / np.cosh(z)
+        # 2 e^{-|z|} / (1 + e^{-2|z|}) cannot overflow; its underflow to 0
+        # far out is the correctly rounded value
+        with np.errstate(under="ignore"):
+            e = np.exp(-np.abs(z))
+            return 2.0 * e / (1.0 + e * e)
     if kind == "sin":
         return np.sin(z)
     if kind == "cos":
@@ -348,9 +343,9 @@ def _h_base(kind: str, z):
 
 def _h_base_deriv(kind: str, z):
     if kind == "tanh":
-        return 1.0 / np.cosh(z) ** 2
+        return 1.0 - np.tanh(z) ** 2
     if kind == "sech":
-        return -np.tanh(z) / np.cosh(z)
+        return -np.tanh(z) * _h_base("sech", z)
     if kind == "sin":
         return np.cos(z)
     if kind == "cos":
@@ -395,7 +390,11 @@ class PerturbationTerm:
 
 @dataclass
 class HistoryPerturbation:
-    """Bounded perturbation built from finitely many delayed evaluations."""
+    """Bounded perturbation built from finitely many delayed evaluations.
+
+    ``kernel_orthogonal`` carries the problem file's declaration that ``h``
+    misses the kernel directions; it is stored and written back, not checked.
+    """
 
     terms: list = field(default_factory=list)
     kernel_orthogonal: bool = False
@@ -415,36 +414,26 @@ class HistoryPerturbation:
         return any(t.tmod_harmonic != 0 or t.tmod_phase != 0.0 for t in self.terms)
 
     def tap_signals(self, u: TrigPoly, M: int) -> dict:
-        """Grid samples of every distinct delayed component read."""
+        """Grid samples of every distinct delayed component read, each of
+        shape ``(..., M)`` over the batch axes of ``u``."""
         out = {}
         for term in self.terms:
             for tap in term.taps:
                 key = (tap.component, tap.delay)
                 if key not in out:
-                    out[key] = eval_grid(u.shift(-tap.delay), M)[:, tap.component]
+                    col = TrigPoly(u.coeffs[..., [tap.component]]).shift(-tap.delay)
+                    out[key] = eval_grid(col, M)[..., 0]
         return out
 
     def eval(self, u: TrigPoly, M: int) -> np.ndarray:
-        """Samples of ``h(t, u_t)`` on the uniform grid; shape ``(M, n_u)``."""
+        """Samples of ``h(t, u_t)`` on the uniform grid; shape ``(..., M, n_u)``."""
         t = 2.0 * np.pi * np.arange(M) / M
         taps = self.tap_signals(u, M)
-        out = np.zeros((M, u.n))
+        out = np.zeros(u.coeffs.shape[:-2] + (M, u.n))
         for term in self.terms:
-            z = np.zeros(M)
-            for tap in term.taps:
-                z += tap.weight * taps[(tap.component, tap.delay)]
-            out[:, term.component] += term.amp * term.tmod(t) * _h_base(term.profile, z)
+            z = sum(tap.weight * taps[(tap.component, tap.delay)] for tap in term.taps)
+            out[..., term.component] += term.amp * term.tmod(t) * _h_base(term.profile, z)
         return out
-
-    def check_kernel_orthogonal(self, kernel_vectors, tol: float = 1e-12) -> bool:
-        """True when every target component misses every kernel direction."""
-        targets = {t.component for t in self.terms}
-        for theta in kernel_vectors:
-            th = np.atleast_2d(np.asarray(theta).T).T  # (n, nu)
-            for c in targets:
-                if np.any(np.abs(th[c]) > tol):
-                    return False
-        return True
 
     def to_dict(self) -> dict:
         return {"terms": [t.to_dict() for t in self.terms],
@@ -471,13 +460,15 @@ def nemytskii_eval(prob, u: TrigPoly, M: int) -> TrigPoly:
 
     Evaluated pseudospectrally: sample on ``M`` points, apply the
     nonlinearities pointwise, re-analyze.  ``M`` must oversample the band
-    (``M >= 4 kmax``) to keep aliasing below the solver tolerances.
+    (``M >= 4 kmax``) to keep aliasing below the solver tolerances.  A batch
+    of ``u`` gives the batch of results.
     """
     kmax = u.kmax
     if M < max(2 * kmax + 1, 4 * kmax):
         raise DimensionMismatch(f"M={M} undersamples kmax={kmax}; need >= {4 * kmax}")
-    y = eval_grid(apply_deviation(prob.Psi, u), M)
-    total = eval_grid(prob.p, M) - prob.g(y)
-    if prob.h is not None and prob.h.terms:
-        total = total - prob.h.eval(u, M)
+    # h first and the rest in place: a batch makes every grid array large
+    h = prob.h.eval(u, M) if prob.h is not None and prob.h.terms else 0.0
+    total = prob.g(eval_grid(apply_deviation(prob.Psi, u), M))
+    np.subtract(eval_grid(prob.p, M), total, out=total)
+    total -= h
     return analyze_grid(total, kmax)

@@ -13,6 +13,7 @@ reports are reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -112,6 +113,19 @@ class ResonanceReport:
         """Ordered ``(k, j)`` labels for the positive-frequency kernel basis."""
         return [(k, j) for k in sorted(self.modes) if k > 0
                 for j in range(self.modes[k].nu)]
+
+    @cached_property
+    def kernel_basis(self) -> np.ndarray:
+        """Read-only coefficients of the kernel basis signals,
+        ``(nu, kb+1, n)``: slot ``(k, j)`` holds ``theta_{k,j}`` at mode
+        ``k``, and ``kb`` is the top slot frequency (0 without slots)."""
+        slots = self.kernel_slots()
+        kb = max((k for k, _ in slots), default=0)
+        out = np.zeros((len(slots), kb + 1, self.P.n), dtype=complex)
+        for s, (k, j) in enumerate(slots):
+            out[s, k] = self.modes[k].theta[:, j]
+        out.flags.writeable = False
+        return out
 
     def theta(self, k: int) -> np.ndarray:
         """Kernel basis at signed ``k`` (conjugate for negative k)."""
@@ -248,7 +262,9 @@ class KernelElement:
     ``amps[i]`` is the complex amplitude of slot ``(k, j)`` from
     ``report.kernel_slots()``; the induced real signal is
     ``w(t) = sum 2 Re(amps[i] e^{ikt} theta_{k,j})`` with
-    ``||w||_L2^2 = 2 sum |amps|^2``.
+    ``||w||_L2^2 = 2 sum |amps|^2``.  Amplitudes of shape ``(..., nu)``
+    describe a batch of elements; :meth:`to_poly` and :meth:`from_poly`
+    carry the batch axes, the norms and :meth:`to_dict` take one element.
     """
 
     report: ResonanceReport
@@ -256,7 +272,7 @@ class KernelElement:
 
     def __post_init__(self):
         self.amps = np.atleast_1d(np.asarray(self.amps, dtype=complex))
-        if self.amps.size != self.report.nu:
+        if self.amps.shape[-1] != self.report.nu:
             raise DimensionMismatch("amplitude count differs from kernel dimension")
 
     def norm_l2(self) -> float:
@@ -272,23 +288,23 @@ class KernelElement:
         return np.concatenate([c.real, c.imag])
 
     def to_poly(self, kmax: int | None = None) -> TrigPoly:
-        ks = [k for k, _ in self.report.kernel_slots()]
-        top = max(ks) if ks else 0
+        basis = self.report.kernel_basis
+        top = basis.shape[1] - 1
         if kmax is None:
             kmax = top
         if kmax < top:
             raise DimensionMismatch("kmax below the top resonant frequency")
-        n = self.report.P.n
-        c = np.zeros((kmax + 1, n), dtype=complex)
-        for a, (k, j) in zip(self.amps, self.report.kernel_slots()):
-            c[k] += a * self.report.modes[k].theta[:, j]
+        c = np.zeros(self.amps.shape[:-1] + (kmax + 1, basis.shape[2]), dtype=complex)
+        c[..., :top + 1, :] = np.einsum("...s,skn->...kn", self.amps, basis)
         return TrigPoly(c)
 
     @staticmethod
     def from_poly(report: ResonanceReport, u: TrigPoly) -> "KernelElement":
-        amps = [np.vdot(report.modes[k].theta[:, j], u.coeff(k))
-                for k, j in report.kernel_slots()]
-        return KernelElement(report, np.asarray(amps, dtype=complex))
+        """Kernel coordinates of ``u`` (of each ``u`` in a batch)."""
+        basis = report.kernel_basis
+        m = min(basis.shape[1], u.kmax + 1)
+        return KernelElement(report, np.einsum("skn,...kn->...s", basis[:, :m].conj(),
+                                               u.coeffs[..., :m, :]))
 
     def __mul__(self, s) -> "KernelElement":
         return KernelElement(self.report, self.amps * s)

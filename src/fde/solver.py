@@ -39,7 +39,7 @@ from .measures import MeasureMatrix, ScalarMeasure, apply_deviation
 from .nonlinearity import _h_base_deriv, nemytskii_eval
 from .problem import SolveConfig
 from .resonance import (KernelElement, ResonanceReport, resonant_set, symbol)
-from .sampling import coords_to_amps, sphere_points
+from .sampling import coords_to_amps, phase_circle, sphere_points
 from .trigpoly import TrigPoly, differentiate, eval_grid
 
 TWO_PI = 2.0 * np.pi
@@ -167,16 +167,6 @@ def coefficient_jacobian(prob, u: TrigPoly, config: SolveConfig | None = None,
 # -- seeding -----------------------------------------------------------
 
 
-def _kernel_samples(report: ResonanceReport, count: int) -> list:
-    """Deterministic unit kernel elements, problem independent."""
-    if report.nu == 1:
-        phis = TWO_PI * np.arange(count) / count
-        return [KernelElement(report, np.array([np.exp(-1j * p) / np.sqrt(2.0)]))
-                for p in phis]
-    pts = sphere_points(2 * report.nu, count, seed=0)
-    return [KernelElement(report, coords_to_amps(x)) for x in pts]
-
-
 def seed_kernel(prob, report: ResonanceReport | None = None,
                 n_samples: int = 64, radii=None, M: int = 2048,
                 threshold: float | None = None) -> list:
@@ -192,30 +182,32 @@ def seed_kernel(prob, report: ResonanceReport | None = None,
     report = resonant_set(prob.P, prob.Lam) if report is None else report
     if report.nu == 0:
         return []
-    if radii is None:
-        radii = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
-    radii = [float(r) for r in radii]
-    samples = _kernel_samples(report, n_samples)
+    radii = np.asarray((0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0) if radii is None
+                       else radii, dtype=float)
+    # deterministic unit kernel elements, problem independent
+    if report.nu == 1:
+        amps = np.exp(-1j * phase_circle(n_samples))[:, None] / np.sqrt(2.0)
+    else:
+        amps = coords_to_amps(sphere_points(2 * report.nu, n_samples, seed=0))
 
-    def objective(u: TrigPoly) -> float:
+    def objective(u: TrigPoly) -> np.ndarray:
         N = nemytskii_eval(prob, u, M)
-        return float(KernelElement.from_poly(report, N).coord_norm())
+        return np.linalg.norm(KernelElement.from_poly(report, N).amps, axis=-1)
 
     kb = max(k for k, _ in report.kernel_slots())
-    base = objective(TrigPoly.zero(prob.n, kb))
+    base = float(objective(TrigPoly.zero(prob.n, kb)))
     if threshold is None:
         threshold = max(1e-6, 0.5 * base)
 
-    cands = []
-    for w in samples:
-        objs = [objective((r * w).to_poly()) for r in radii]
-        for i, val in enumerate(objs):
-            left_ok = i == 0 or objs[i - 1] >= val
-            right_ok = i == len(objs) - 1 or objs[i + 1] >= val
-            if left_ok and right_ok and val < threshold:
-                cands.append((val, radii[i], w))
-    cands.sort(key=lambda c: c[0])
-    return [KernelElement(report, r * w.amps) for _, r, w in cands[:16]]
+    # objs[i, j]: sample i at radius j, one batched evaluation per radius
+    objs = np.stack([objective(KernelElement(report, r * amps).to_poly())
+                     for r in radii], axis=1)
+    edge = np.full((objs.shape[0], 1), np.inf)
+    left_ok = np.hstack([edge, objs[:, :-1]]) >= objs
+    right_ok = np.hstack([objs[:, 1:], edge]) >= objs
+    i, j = np.nonzero(left_ok & right_ok & (objs < threshold))
+    order = np.argsort(objs[i, j], kind="stable")[:16]
+    return [KernelElement(report, radii[j[c]] * amps[i[c]]) for c in order]
 
 
 # -- result ------------------------------------------------------------

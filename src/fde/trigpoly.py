@@ -28,30 +28,32 @@ class TrigPoly:
 
     Parameters
     ----------
-    coeffs : ndarray, shape (kmax+1, n)
+    coeffs : ndarray, shape (..., kmax+1, n)
         Coefficients ``c_0 .. c_kmax``; ``c_0`` must be (numerically) real.
-        Treated as immutable after construction.
+        Leading axes, when present, index a batch of polynomials that share
+        ``kmax`` and ``n``; ``eval``, the norms and ``to_dict`` read a single
+        polynomial.  Treated as immutable after construction.
     """
 
     coeffs: np.ndarray = field()
 
     def __post_init__(self):
         c = np.atleast_2d(np.asarray(self.coeffs, dtype=complex))
-        if c.ndim != 2:
-            raise DimensionMismatch("coefficient array must be 2-d (kmax+1, n)")
-        drift = np.max(np.abs(c[0].imag)) if c.size else 0.0
-        if drift > _C0_DRIFT * (1.0 + np.max(np.abs(c[0]))):
-            raise ValueError(f"mean coefficient has imaginary drift {drift:.3e}")
-        c[0] = c[0].real
+        c0 = c[..., 0, :]
+        scale = 1.0 + np.max(np.abs(c0), axis=-1, keepdims=True, initial=0.0)
+        if np.any(np.abs(c0.imag) > _C0_DRIFT * scale):
+            raise ValueError("mean coefficient has imaginary drift "
+                             f"{np.max(np.abs(c0.imag)):.3e}")
+        c[..., 0, :] = c0.real
         self.coeffs = c
 
     @property
     def n(self) -> int:
-        return self.coeffs.shape[1]
+        return self.coeffs.shape[-1]
 
     @property
     def kmax(self) -> int:
-        return self.coeffs.shape[0] - 1
+        return self.coeffs.shape[-2] - 1
 
     # -- constructors -------------------------------------------------
 
@@ -84,20 +86,21 @@ class TrigPoly:
     def coeff(self, k: int) -> np.ndarray:
         """Coefficient ``c_k`` for signed ``k`` (zero outside the band)."""
         if abs(k) > self.kmax:
-            return np.zeros(self.n, dtype=complex)
-        return self.coeffs[k].copy() if k >= 0 else np.conj(self.coeffs[-k])
+            return np.zeros(self.coeffs.shape[:-2] + (self.n,), dtype=complex)
+        c = self.coeffs[..., abs(k), :]
+        return c.copy() if k >= 0 else np.conj(c)
 
     def pad(self, kmax: int) -> "TrigPoly":
         if kmax < self.kmax:
             raise DimensionMismatch("pad target below current bandwidth")
-        c = np.zeros((kmax + 1, self.n), dtype=complex)
-        c[: self.kmax + 1] = self.coeffs
+        c = np.zeros(self.coeffs.shape[:-2] + (kmax + 1, self.n), dtype=complex)
+        c[..., : self.kmax + 1, :] = self.coeffs
         return TrigPoly(c)
 
     def truncate(self, kmax: int) -> "TrigPoly":
         if kmax >= self.kmax:
             return self.pad(kmax)
-        return TrigPoly(self.coeffs[: kmax + 1].copy())
+        return TrigPoly(self.coeffs[..., : kmax + 1, :].copy())
 
     # -- arithmetic ----------------------------------------------------
 
@@ -180,31 +183,26 @@ def eval_grid(u: TrigPoly, M: int) -> np.ndarray:
     """Sample ``u`` on the uniform grid ``t_j = 2 pi j / M``.
 
     Requires ``M >= 2 kmax + 1`` so the samples determine ``u``.
-    Returns shape ``(M, n)``.
+    Returns shape ``(..., M, n)``.
     """
     if M < 2 * u.kmax + 1:
         raise GridTooSmall(f"M={M} cannot carry bandwidth kmax={u.kmax}")
-    spec = np.zeros((M, u.n), dtype=complex)
-    spec[: u.kmax + 1] = u.coeffs
-    if u.kmax > 0:
-        spec[M - u.kmax:] = np.conj(u.coeffs[1:][::-1])
-    return np.real(np.fft.ifft(spec, axis=0)) * M
+    return np.fft.irfft(u.coeffs, M, axis=-2, norm="forward")
 
 
 def analyze_grid(samples: np.ndarray, kmax: int) -> TrigPoly:
     """Trigonometric interpolation coefficients from uniform samples.
 
-    ``samples`` has shape ``(M,)`` or ``(M, n)`` with ``M >= 2 kmax + 1``;
+    ``samples`` has shape ``(M,)`` or ``(..., M, n)`` with ``M >= 2 kmax + 1``;
     exact for band-limited data, otherwise the usual aliased projection.
     """
     s = np.asarray(samples, dtype=float)
     if s.ndim == 1:
         s = s[:, None]
-    M = s.shape[0]
+    M = s.shape[-2]
     if M < 2 * kmax + 1:
         raise GridTooSmall(f"M={M} cannot resolve kmax={kmax}")
-    spec = np.fft.fft(s, axis=0) / M
-    return TrigPoly(spec[: kmax + 1])
+    return TrigPoly(np.fft.rfft(s, axis=-2)[..., :kmax + 1, :] / M)
 
 
 def l2_inner(u: TrigPoly, v: TrigPoly) -> complex:

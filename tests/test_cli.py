@@ -1,10 +1,14 @@
 """Command line interface: exit codes, report formats, error paths."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fde
 from fde import EXAMPLE_IDS, TrigPoly, build_example, parse_problem
 from fde.cli import main
 
@@ -246,6 +250,18 @@ def test_reports_byte_identical(capsys, cmd):
     _, first, _ = run(capsys, cmd, "weakly-coupled")
     _, second, _ = run(capsys, cmd, "weakly-coupled")
     assert first == second and first
+
+
+def test_import_loads_no_scipy():
+    # importing scipy costs about a second; the package loads it only when
+    # it first samples a kernel sphere
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fde.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import fde, sys; assert 'scipy' not in sys.modules"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_out_file_matches_stdout(capsys, tmp_path):

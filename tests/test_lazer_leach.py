@@ -63,6 +63,17 @@ def test_gamma_tilde_lies_in_kernel():
         assert (u - project_kernel(u, rep)).norm_l2() < 1e-12
 
 
+@pytest.mark.parametrize("ex", ["duffing-delay", "weakly-coupled", "beam"])
+def test_gamma_tilde_batch_matches_single_samples(ex):
+    prob = build_example(ex)
+    rep = scalar_report(prob)
+    samples = sphere_samples(rep, 12, seed=2)
+    batch = SphereSample(rep, np.array([w.amps for w in samples]).reshape(3, 4, -1))
+    got = gamma_tilde(prob, batch).amps.reshape(12, -1)
+    want = np.array([gamma_tilde(prob, w).amps for w in samples])
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
 def test_antipodal_symmetry():
     # odd g, p = 0: the projected field is odd in w
     prob = build_example("duffing-delay", c=0.0)

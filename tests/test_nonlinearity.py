@@ -7,7 +7,7 @@ from fde import (BoundedNonlinearity, ComponentProfile, DelayTap,
                  HistoryPerturbation, MatrixPolynomial, MeasureMatrix,
                  PerturbationTerm, ProblemSpec, ScalarMeasure, TrigPoly,
                  build_example, eval_grid, saturating)
-from fde.nonlinearity import nemytskii_eval
+from fde.nonlinearity import _base_deriv, _h_base, _h_base_deriv, nemytskii_eval
 
 import oracles
 
@@ -124,6 +124,22 @@ def test_large_amplitude_first_coefficient():
     out = nemytskii_eval(prob, u.pad(32), 4096)
     target = -oracles.square_wave_coefficient() * np.exp(-1j * np.pi / 2)
     assert abs(out.coeff(1)[0] - target) < 2e-3
+
+
+def test_profiles_do_not_overflow_far_out():
+    z = np.array([800.0, -800.0])
+    with np.errstate(all="raise"):
+        values = [_base_deriv("tanh", z), _h_base_deriv("tanh", z),
+                  _h_base_deriv("sech", z), _h_base("sech", z)]
+    for v in values:
+        assert np.all(v == 0.0)
+    # the overflow-free forms agree with the textbook ones where both work
+    z = np.linspace(-30.0, 30.0, 601)
+    sech = 1.0 / np.cosh(z)
+    assert np.max(np.abs(_base_deriv("tanh", z) - sech ** 2)) < 1e-15
+    assert np.max(np.abs(_h_base_deriv("tanh", z) - sech ** 2)) < 1e-15
+    assert np.max(np.abs(_h_base_deriv("sech", z) + np.tanh(z) * sech)) < 1e-15
+    assert np.max(np.abs(_h_base("sech", z) - sech)) < 1e-15
 
 
 def test_history_perturbation_tap_evaluation():

@@ -11,6 +11,7 @@ from fde import (BoundedNonlinearity, ConstProfile, DelayTap, Density,
                  solve_best, solve_periodic, time_shift_gauge,
                  verify_pointwise)
 from fde.errors import GridTooSmall
+from fde.nonlinearity import nemytskii_eval
 from fde.resonance import KernelElement, symbol
 from fde.solver import pack_coeffs, pack_residual, unpack_coeffs
 
@@ -177,6 +178,18 @@ def test_shift_equivariance_without_forcing():
 
 
 # -- seeding -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("ex", ["gompertz-system", "radial-two-tap"])
+def test_nemytskii_batch_matches_single_calls(ex):
+    # h taps (gompertz-system) and a radial g through a coupled Psi
+    prob = radial_two_tap() if ex == "radial-two-tap" else build_example(ex)
+    rng = np.random.default_rng(6)
+    coeffs = rng.standard_normal((5, 9, prob.n)) + 1j * rng.standard_normal((5, 9, prob.n))
+    coeffs[:, 0] = coeffs[:, 0].real
+    got = nemytskii_eval(prob, TrigPoly(coeffs), 64).coeffs
+    want = np.stack([nemytskii_eval(prob, TrigPoly(c), 64).coeffs for c in coeffs])
+    assert np.max(np.abs(got - want)) <= 1e-14
 
 
 def test_seed_kernel_duffing():

@@ -33,6 +33,21 @@ def test_grid_round_trip():
         assert np.max(np.abs(v.coeffs - u.coeffs)) < 1e-12
 
 
+@pytest.mark.parametrize("M", [2 * 11 + 1, 2 * 11 + 2, 64, 301])
+def test_batch_grid_matches_single_calls(M):
+    # a (2, 3) batch of polynomials against the stack of single calls
+    rng = np.random.default_rng(5)
+    polys = [random_poly(rng, n=2, kmax=11) for _ in range(6)]
+    batch = TrigPoly(np.stack([u.coeffs for u in polys]).reshape(2, 3, 12, 2))
+    assert (batch.kmax, batch.n) == (11, 2)
+    vals = eval_grid(batch, M)
+    single = np.stack([eval_grid(u, M) for u in polys]).reshape(2, 3, M, 2)
+    assert np.max(np.abs(vals - single)) <= 1e-14 * np.max(np.abs(single))
+    coeffs = analyze_grid(vals, 11).coeffs
+    single = np.stack([analyze_grid(v, 11).coeffs for v in vals.reshape(6, M, 2)])
+    assert np.max(np.abs(coeffs.reshape(6, 12, 2) - single)) <= 1e-14
+
+
 def test_analyze_grid_needs_resolution():
     with pytest.raises(GridTooSmall):
         analyze_grid(np.zeros((8, 1)), 4)
