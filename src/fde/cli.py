@@ -8,8 +8,9 @@ Commands
     fde example   ID         emit a built-in problem file
 
 ``PROBLEM`` is a path to a problem JSON file, or the name of a built-in
-example.  Exit codes: 0 success / conditions hold, 2 existence conditions
-fail, 3 solver did not converge, 4 input or runtime error.
+example.  Each command takes only the flags it reads.  Exit codes: 0
+success / conditions hold, 2 existence conditions fail, 3 solver did not
+converge, 4 usage, input or runtime error.
 
 Reports are JSON with sorted keys and stable float formatting, so
 identical inputs produce byte-identical output.
@@ -166,17 +167,20 @@ def _write(text: str, out: str | None):
 # -- commands ----------------------------------------------------------
 
 
-def cmd_analyze(prob: ProblemSpec, args) -> tuple[dict, int]:
-    report = resonant_set(prob.P, prob.Lam, tol=args.tol or 1e-9)
+def _report(prob: ProblemSpec, args):
+    report = resonant_set(prob.P, prob.Lam, tol=1e-9 if args.tol is None else args.tol)
     report.flags = check_linear_conditions(report, prob.Psi)
-    doc = report.to_dict()
-    return doc, 0 if report.flags.all_pass else 2
+    return report
+
+
+def cmd_analyze(prob: ProblemSpec, args) -> tuple[dict, int]:
+    report = _report(prob, args)
+    return report.to_dict(), 0 if report.flags.all_pass else 2
 
 
 def cmd_check_ll(prob: ProblemSpec, args) -> tuple[dict, int]:
-    report = resonant_set(prob.P, prob.Lam, tol=args.tol or 1e-9)
-    report.flags = check_linear_conditions(report, prob.Psi)
-    scan = sphere_scan(prob, report, n_samples=args.samples or 32)
+    report = _report(prob, args)
+    scan = sphere_scan(prob, report, n_samples=32 if args.samples is None else args.samples)
     doc = scan.to_dict()
     doc["linear"] = report.flags.to_dict()
 
@@ -222,12 +226,12 @@ def _solution_csv(u: TrigPoly, M: int) -> str:
 
 def cmd_solve(prob: ProblemSpec, args) -> tuple[object, int]:
     config = prob.solve if prob.solve is not None else SolveConfig()
-    if args.kmax or args.tol:
+    if args.kmax is not None or args.tol is not None:
         d = config.to_dict()
-        if args.kmax:
+        if args.kmax is not None:
             d["kmax"] = args.kmax
             d["M"] = None
-        if args.tol:
+        if args.tol is not None:
             d["tol_residual"] = args.tol
         config = SolveConfig.from_dict(d)
     result = solve_best(prob, config)
@@ -256,15 +260,13 @@ def _load_solution(path: str, kmax_flag: int | None) -> TrigPoly:
     if np.max(np.abs(t - expected)) > 1e-9:
         raise ProblemFormatError("solution CSV must sample the uniform grid "
                                  "t_j = 2 pi j / M")
-    kmax = kmax_flag or (M - 1) // 2
+    kmax = (M - 1) // 2 if kmax_flag is None else kmax_flag
     return analyze_grid(data[:, 1:], min(kmax, (M - 1) // 2))
 
 
 def cmd_verify(prob: ProblemSpec, args) -> tuple[dict, int]:
-    if not args.solution:
-        raise ProblemFormatError("verify needs --solution FILE")
     u = _load_solution(args.solution, args.kmax)
-    tol = args.tol or VERIFY_TOL
+    tol = VERIFY_TOL if args.tol is None else args.tol
     resid = verify_pointwise(prob, u, max(8 * u.kmax, 64))
     doc = {"pointwise_residual": resid, "tol": tol, "kmax": u.kmax,
            "pass": bool(resid <= tol)}
@@ -295,6 +297,26 @@ def cmd_example(args) -> tuple[dict, int]:
 # -- entry point -------------------------------------------------------
 
 
+def _positive(kind):
+    def parse(text):
+        value = kind(text)
+        if value <= 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__      # argparse names it in "invalid int value"
+    return parse
+
+
+_FLAGS = {
+    "kmax": dict(type=_positive(int), default=None),
+    "samples": dict(type=_positive(int), default=None),
+    "tol": dict(type=_positive(float), default=None),
+    "format": dict(choices=("json", "csv"), default="json"),
+    "solution": dict(required=True, help="solution file (.json report or .csv grid)"),
+    "param": dict(action="append", default=[], metavar="KEY=VALUE"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fde",
@@ -302,31 +324,28 @@ def build_parser() -> argparse.ArgumentParser:
                     "harmonic-balance solving for periodic "
                     "functional-differential systems with measure delays.")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-            ("analyze", "resonant frequencies, kernels, structural checks"),
-            ("check-ll", "existence condition certificates"),
-            ("solve", "compute a periodic solution"),
-            ("verify", "pointwise defect of a stored solution"),
-            ("example", "emit a built-in problem file")):
+    for name, helptext, flags in (
+            ("analyze", "resonant frequencies, kernels, structural checks", ("tol",)),
+            ("check-ll", "existence condition certificates", ("samples", "tol")),
+            ("solve", "compute a periodic solution", ("kmax", "tol", "format")),
+            ("verify", "pointwise defect of a stored solution", ("solution", "kmax", "tol")),
+            ("example", "emit a built-in problem file", ("param",))):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("problem",
                        help="problem JSON path or built-in example id")
-        p.add_argument("--kmax", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
         p.add_argument("--out", default=None, help="write report here")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        if name == "verify":
-            p.add_argument("--solution", default=None,
-                           help="solution file (.json report or .csv grid)")
-        if name == "example":
-            p.add_argument("--param", action="append", default=[],
-                           metavar="KEY=VALUE")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, a code that means a failed
+        # condition here; --help exits 0
+        return 4 if exc.code else 0
     try:
         if args.command == "example":
             doc, code = cmd_example(args)
@@ -340,10 +359,7 @@ def main(argv=None) -> int:
                 doc, code = cmd_solve(prob, args)
             else:
                 doc, code = cmd_verify(prob, args)
-    except FdeError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
-    except (OSError, ValueError) as exc:
+    except (FdeError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 4
 

@@ -49,7 +49,3 @@ class RefinementError(FdeError):
 
 class BlockStructureError(FdeError):
     """Kernel does not decompose into per-component blocks."""
-
-
-class NullDirectionError(FdeError, ValueError):
-    """Radial limit requested along a direction with a vanishing component."""

@@ -29,8 +29,9 @@ import numpy as np
 
 from .errors import (BlockStructureError, DimensionMismatch, R2ViolationError,
                      RefinementError)
-from .measures import apply_deviation, matrix_transform
-from .resonance import KernelElement, ResonanceReport, resonant_set
+from .measures import apply_deviation
+from .resonance import (KernelElement, ResonanceReport, deviation_eigenvalues,
+                        resonant_set)
 from .sampling import coords_to_amps, phase_circle, sphere_points
 from .trigpoly import analyze_grid, eval_grid
 
@@ -75,30 +76,6 @@ def _ensure_report(prob, report):
     return resonant_set(prob.P, prob.Lam) if report is None else report
 
 
-def limit_field_on_samples(g, y: np.ndarray) -> np.ndarray:
-    """Vectorized radial limit at each row of ``y`` (shape ``(..., n)``);
-    zero rows (and zero components, for componentwise fields) fall back to
-    ``g(0)``."""
-    if g.kind == "componentwise":
-        hi = np.array([p.hi for p in g.components])
-        lo = np.array([p.lo for p in g.components])
-        g0 = g.value_at_zero()
-        out = np.where(y < 0, lo, g0)
-        np.copyto(out, hi, where=y > 0)
-        return out
-    if g.kind == "radial":
-        r = np.linalg.norm(y, axis=-1)
-        safe = np.where(r > 0, r, 1.0)
-        out = (y / safe[..., None]) @ g.A.T + g.b
-        out[r == 0.0] = g.value_at_zero()
-        return out
-    out = g(np.sign(y))
-    null = np.any(y == 0.0, axis=-1)
-    if np.any(null):
-        out[null] = g.value_at_zero()
-    return out
-
-
 def gamma_tilde(prob, w: KernelElement, M: int = 4096) -> KernelElement:
     """Projected limit field ``Proj_ker (g_w - p)`` in kernel coordinates,
     with ``g_w`` sampled along the deviated kernel element ``Psi w``; a
@@ -107,7 +84,7 @@ def gamma_tilde(prob, w: KernelElement, M: int = 4096) -> KernelElement:
     kb = max(report.kernel_basis.shape[1] - 1, 1, prob.p.kmax)
     if M < max(2 * kb + 1, 64):
         raise DimensionMismatch("grid too small for the resonant band")
-    vals = limit_field_on_samples(prob.g, eval_grid(apply_deviation(prob.Psi, w.to_poly()), M))
+    vals = prob.g.limit(eval_grid(apply_deviation(prob.Psi, w.to_poly()), M))
     vals -= eval_grid(prob.p, M)
     return KernelElement.from_poly(report, analyze_grid(vals, kb))
 
@@ -144,7 +121,6 @@ class SphereScan:
 
     r2: dict
     n2: dict
-    gamma_coords: list
 
     def to_dict(self):
         return {"R2": self.r2, "N2": self.n2}
@@ -153,14 +129,6 @@ class SphereScan:
 def sphere_samples(report: ResonanceReport, count: int, seed: int) -> list:
     amps = coords_to_amps(sphere_points(2 * report.nu, count, seed=seed))
     return [SphereSample(report, a) for a in amps]
-
-
-def deviation_eigenvalues(report: ResonanceReport, Psi) -> np.ndarray:
-    """Per-slot action of the deviation on the kernel: the eigenvalue of
-    ``psihat(-k)`` on each kernel direction (exact under the eigenvector
-    condition, the Rayleigh quotient otherwise)."""
-    basis = report.kernel_basis
-    return np.einsum("skn,knm,skm->s", basis.conj(), Psi.stack(basis.shape[1] - 1), basis)
 
 
 def sphere_scan(prob, report: ResonanceReport | None = None,
@@ -209,12 +177,7 @@ def sphere_scan(prob, report: ResonanceReport | None = None,
     n2_cert = certificate("N2", n2, samples=n_samples,
                           witness=n2_wit.to_dict(), holds=bool(n2 > gate),
                           h_budget=float(budget), seed=int(seed))
-    return SphereScan(r2=r2_cert, n2=n2_cert,
-                      gamma_coords=[[_pair(z) for z in a] for a in gammas])
-
-
-def _pair(z):
-    return [float(np.real(z)), float(np.imag(z))]
+    return SphereScan(r2=r2_cert, n2=n2_cert)
 
 
 # -- degree ------------------------------------------------------------
@@ -297,14 +260,25 @@ def _component_blocks(prob, report: ResonanceReport, tol: float = 1e-9) -> dict:
     return blocks
 
 
+def _block_margin(prob, c: int, k: int) -> float:
+    """Classical margin ``|jump_c| / pi - |phat_c(k)|`` of one kernel block."""
+    return abs(prob.g.jump(c)) / np.pi - abs(prob.p.coeff(k)[c])
+
+
 def degree_product(prob, report: ResonanceReport | None = None,
-                   n_grid: int = 256, M: int = 2048,
-                   coupling_tol: float = 1e-8) -> int:
+                   M: int = 2048, coupling_tol: float = 1e-8) -> int:
     """Degree as a product of per-component winding numbers.
 
     Valid when the kernel splits into per-component two-dimensional blocks,
     the field is componentwise with positive classical margins, and the
     sampled projected field does not couple the blocks; refuses otherwise.
+
+    Each block's winding is known in closed form.  On its phase loop the
+    block coordinate is ``(jump / pi) e^{-i(phi + arg psihat)} - phat(k)``:
+    a circle of radius ``|jump| / pi`` about ``-phat(k)``, run clockwise
+    once.  A positive block margin ``|jump| / pi - |phat(k)|`` puts the
+    origin inside it, so every block winds ``-1`` and the degree is
+    ``(-1)^blocks``.
     """
     report = _ensure_report(prob, report)
     blocks = _component_blocks(prob, report)
@@ -324,19 +298,12 @@ def degree_product(prob, report: ResonanceReport | None = None,
                 f"coupled response detected (off-block mass {off:.2e}); "
                 "fall back to the sphere_scan report")
 
-    deg = 1
-    for c, (k, idx) in sorted(blocks.items()):
-        jump = prob.g.jump(c)
-        pk = prob.p.coeff(k)[c]
-        margin = abs(jump) / np.pi - abs(pk)
+    for c, (k, _) in sorted(blocks.items()):
+        margin = _block_margin(prob, c, k)
         if margin <= 0:
             raise BlockStructureError(
                 f"component {c}: block margin {margin:.3e} is not positive")
-        theta_psi = float(np.angle(matrix_transform(prob.Psi, k)[c, c]))
-        phis = phase_circle(n_grid)
-        vals = (jump / np.pi) * np.exp(-1j * (phis + theta_psi)) - pk
-        deg *= int(np.round(accumulated_winding(vals)))
-    return deg
+    return (-1) ** len(blocks)
 
 
 # -- classical margin --------------------------------------------------
@@ -351,7 +318,7 @@ def ll_margin(prob, report: ResonanceReport | None = None) -> dict:
     per = {}
     worst = np.inf
     for c, (k, _) in sorted(blocks.items()):
-        m = abs(prob.g.jump(c)) / np.pi - abs(prob.p.coeff(k)[c])
+        m = _block_margin(prob, c, k)
         per[c] = {"k": k, "margin": float(m)}
         worst = min(worst, m)
     return {"margin": float(worst), "per_component": per,
@@ -391,7 +358,7 @@ def gamma_convergence(prob, w: KernelElement, s_values,
         sizes = [M] * s_values.size
     M_max = max(sizes)
     y = eval_grid(apply_deviation(prob.Psi, w.to_poly()), M_max)
-    limit = limit_field_on_samples(prob.g, y)
+    limit = prob.g.limit(y)
     out = []
     for s, Ms in zip(s_values, sizes):
         ys = y[::M_max // Ms]

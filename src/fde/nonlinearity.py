@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NullDirectionError
+from .errors import DimensionMismatch
 from .measures import apply_deviation
 from .trigpoly import TrigPoly, analyze_grid, eval_grid
 
@@ -97,18 +97,6 @@ class ComponentProfile:
     def from_dict(d):
         return ComponentProfile(d["profile"], float(d["lo"]), float(d["hi"]),
                                 float(d.get("scale", 1.0)), float(d.get("shift", 0.0)))
-
-
-def _sign_key(sigma) -> str:
-    out = []
-    for s in sigma:
-        if s in ("+", 1, +1):
-            out.append("+")
-        elif s in ("-", -1):
-            out.append("-")
-        else:
-            raise DimensionMismatch(f"invalid sign entry {s!r}")
-    return "".join(out)
 
 
 @dataclass
@@ -231,33 +219,24 @@ class BoundedNonlinearity:
 
     # -- limits --------------------------------------------------------
 
-    def limit_sigma(self, sigma) -> np.ndarray:
-        """Limit over an open orthant given as a sign pattern."""
-        key = _sign_key(sigma)
-        if len(key) != self.n:
-            raise DimensionMismatch("sign pattern length differs from field size")
+    def limit(self, y: np.ndarray) -> np.ndarray:
+        """Radial limit ``lim_{s -> inf} g(s y)`` at each row of ``y``
+        (shape ``(..., n)``); zero rows (and zero components, for
+        componentwise and sign-table fields) fall back to ``g(0)``."""
         if self.kind == "componentwise":
-            return np.array([p.hi if s == "+" else p.lo
-                             for s, p in zip(key, self.components)])
-        if self.kind == "sign_table":
-            return self.table[key].copy()
-        v = np.array([1.0 if s == "+" else -1.0 for s in key]) / np.sqrt(self.n)
-        return v @ self.A.T + self.b
-
-    def limit_direction(self, v: np.ndarray) -> np.ndarray:
-        """Radial limit along a nonzero direction (componentwise: all
-        components must be nonzero, otherwise :class:`NullDirectionError`)."""
-        v = np.asarray(v, dtype=float)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            raise NullDirectionError("zero direction has no radial limit")
-        v = v / nv
+            hi = np.array([p.hi for p in self.components])
+            lo = np.array([p.lo for p in self.components])
+            out = np.where(y < 0, lo, self.value_at_zero())
+            np.copyto(out, hi, where=y > 0)
+            return out
         if self.kind == "radial":
-            return v @ self.A.T + self.b
-        if np.any(v == 0.0):
-            raise NullDirectionError(
-                "direction has a vanishing component; limit only exists off a null set")
-        return self.limit_sigma(np.sign(v).astype(int))
+            r = np.linalg.norm(y, axis=-1)
+            safe = np.where(r > 0, r, 1.0)
+            out = (y / safe[..., None]) @ self.A.T + self.b
+            out[r == 0.0] = self.value_at_zero()
+            return out
+        # the table is constant on each orthant and g(0) on its boundary
+        return self(np.sign(y))
 
     def value_at_zero(self) -> np.ndarray:
         if self.kind == "componentwise":
@@ -394,16 +373,15 @@ class HistoryPerturbation:
 
     ``kernel_orthogonal`` carries the problem file's declaration that ``h``
     misses the kernel directions; it is stored and written back, not checked.
+    A ``sup`` key in a problem file is ignored: the bound always comes from
+    the terms.
     """
 
     terms: list = field(default_factory=list)
     kernel_orthogonal: bool = False
-    declared_sup: float | None = None
 
     def sup_norm(self) -> float:
         """Bound on ``sup |h|`` (profiles are bounded by one)."""
-        if self.declared_sup is not None:
-            return float(self.declared_sup)
         comps: dict[int, float] = {}
         for term in self.terms:
             comps[term.component] = comps.get(term.component, 0.0) + abs(term.amp)
@@ -437,8 +415,7 @@ class HistoryPerturbation:
 
     def to_dict(self) -> dict:
         return {"terms": [t.to_dict() for t in self.terms],
-                "kernel_orthogonal": self.kernel_orthogonal,
-                "sup": self.declared_sup}
+                "kernel_orthogonal": self.kernel_orthogonal}
 
     @staticmethod
     def from_dict(d: dict) -> "HistoryPerturbation":
@@ -451,8 +428,7 @@ class HistoryPerturbation:
                           float(tp.get("weight", 1.0))) for tp in t["taps"]],
                 int(tmod.get("harmonic", 0)), float(tmod.get("phase", 0.0))))
         return HistoryPerturbation(terms,
-                                   kernel_orthogonal=bool(d.get("kernel_orthogonal", False)),
-                                   declared_sup=d.get("sup"))
+                                   kernel_orthogonal=bool(d.get("kernel_orthogonal", False)))
 
 
 def nemytskii_eval(prob, u: TrigPoly, M: int) -> TrigPoly:

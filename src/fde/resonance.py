@@ -127,13 +127,6 @@ class ResonanceReport:
         out.flags.writeable = False
         return out
 
-    def theta(self, k: int) -> np.ndarray:
-        """Kernel basis at signed ``k`` (conjugate for negative k)."""
-        if abs(k) not in self.modes:
-            raise DimensionMismatch(f"k={k} is not resonant")
-        th = self.modes[abs(k)].theta
-        return th if k >= 0 else np.conj(th)
-
     def symbol(self, k: int) -> np.ndarray:
         return symbol(self.P, self.Lam, k)
 
@@ -204,48 +197,47 @@ def check_linear_conditions(report: ResonanceReport, Psi: MeasureMatrix,
     l1 = bool(sig0[-1] >= report.tol * (1.0 + sig0[0]))
     wit["L1"] = {"det_L0": _c2pair(np.linalg.det(L0)), "sigma_min_L0": float(sig0[-1])}
 
-    l2 = True
+    ks = [k for k in sorted(report.modes) if k > 0]
     worst_angle = 0.0
-    for k, mode in report.modes.items():
-        if k == 0:
-            continue
+    for k in ks:
+        mode = report.modes[k]
         U, sigma, _ = np.linalg.svd(mode.L)
         left = U[:, len(sigma) - mode.nu:]
         # sin of the largest principal angle between the two kernels
         defect = np.linalg.norm(mode.theta - left @ (left.conj().T @ mode.theta), 2)
         worst_angle = max(worst_angle, float(defect))
-        if defect >= angle_tol:
-            l2 = False
+    l2 = worst_angle < angle_tol
     wit["L2"] = {"max_angle_sin": worst_angle}
 
-    l3 = True
-    l4 = True
-    c_psi = None
-    min_det = None
+    l3 = l4 = True
+    c_psi = min_det = None
     worst_eig = 0.0
-    for k, mode in report.modes.items():
-        if k == 0:
-            continue
-        psik = matrix_transform(Psi, k)
-        sig = np.linalg.svd(psik, compute_uv=False)
-        det = abs(np.linalg.det(psik))
-        min_det = det if min_det is None else min(min_det, det)
-        c_psi = float(sig[-1]) if c_psi is None else min(c_psi, float(sig[-1]))
-        if sig[-1] < report.tol * (1.0 + sig[0]):
-            l3 = False
-        psim = matrix_transform(Psi, -k)
-        for j in range(mode.nu):
-            th = mode.theta[:, j]
-            v = psim @ th
-            mu = np.vdot(th, v)
-            defect = float(np.linalg.norm(v - mu * th))
-            worst_eig = max(worst_eig, defect)
-            if defect >= eig_tol:
-                l4 = False
+    if ks:
+        # psihat(k) = conj psihat(-k) for real measures; conjugation keeps
+        # the singular values and |det| (hypot rounds like the scalar abs)
+        psi = Psi.stack(ks[-1])
+        sig = np.linalg.svd(psi[ks], compute_uv=False)
+        l3 = bool(np.all(sig[:, -1] >= report.tol * (1.0 + sig[:, 0])))
+        c_psi = float(np.min(sig[:, -1]))
+        det = np.linalg.det(psi[ks])
+        min_det = float(np.min(np.hypot(det.real, det.imag)))
+        basis = report.kernel_basis
+        mus = deviation_eigenvalues(report, Psi)
+        resid = np.einsum("knm,skm->skn", psi, basis) - mus[:, None, None] * basis
+        worst_eig = float(np.max(np.linalg.norm(resid, axis=(1, 2))))
+        l4 = worst_eig < eig_tol
     wit["L3"] = {"min_abs_det_psi": min_det}
     wit["L4"] = {"max_eigen_defect": worst_eig}
 
     return ConditionFlags(l1, l2, l3, l4, c_psi, wit)
+
+
+def deviation_eigenvalues(report: ResonanceReport, Psi: MeasureMatrix) -> np.ndarray:
+    """Per-slot action of the deviation on the kernel: the eigenvalue of
+    ``psihat(-k)`` on each kernel direction (exact under the eigenvector
+    condition, the Rayleigh quotient otherwise)."""
+    basis = report.kernel_basis
+    return np.einsum("skn,knm,skm->s", basis.conj(), Psi.stack(basis.shape[1] - 1), basis)
 
 
 def _c2pair(z):
@@ -347,6 +339,18 @@ def apply_symbol(u: TrigPoly, report: ResonanceReport) -> TrigPoly:
     return TrigPoly(np.einsum("kij,kj->ki", Ls, u.coeffs))
 
 
+def _symbol_svd(report: ResonanceReport, ks: np.ndarray):
+    """SVD ``U, inv, Vh`` of ``L_k`` over the modes ``ks``, with ``inv``
+    the inverted singular values.  Resonant modes invert through the
+    pseudoinverse, which cuts singular values at or below
+    ``10 tol sigma_max``: their inverse is 0."""
+    U, sig, Vh = np.linalg.svd(report.symbol(ks))
+    resonant = np.isin(ks, list(report.modes))[:, None]
+    keep = ~(resonant & (sig <= 10 * report.tol * sig[:, :1]))
+    inv = np.divide(1.0, sig, out=np.zeros_like(sig), where=keep)
+    return U, inv, Vh
+
+
 def right_inverse(phi: TrigPoly, report: ResonanceReport,
                   kmax: int | None = None, image_tol: float = 1e-10) -> TrigPoly:
     """Solve ``L u = phi`` with zero kernel component.
@@ -359,30 +363,19 @@ def right_inverse(phi: TrigPoly, report: ResonanceReport,
     if kmax is None:
         kmax = phi.kmax
     scale = 1.0 + phi.norm_l2()
-    out = np.zeros((kmax + 1, phi.n), dtype=complex)
-    for k in range(kmax + 1):
-        rhs = phi.coeff(k)
-        if k in report.modes:
-            th = report.modes[k].theta
-            defect = np.linalg.norm(th.conj().T @ rhs)
-            if defect > image_tol * scale:
-                raise NotInImageError(
-                    f"mode {k} carries kernel mass {defect:.3e}")
-            out[k] = np.linalg.pinv(report.modes[k].L,
-                                    rcond=10 * report.tol) @ rhs
-        else:
-            out[k] = np.linalg.solve(report.symbol(k), rhs)
-    return TrigPoly(out)
+    for k, mode in sorted(report.modes.items()):
+        defect = np.linalg.norm(mode.theta.conj().T @ phi.coeff(k))
+        if k <= kmax and defect > image_tol * scale:
+            raise NotInImageError(f"mode {k} carries kernel mass {defect:.3e}")
+    U, inv, Vh = _symbol_svd(report, np.arange(kmax + 1))
+    rhs = inv * np.einsum("kji,kj->ki", U.conj(), phi.truncate(kmax).coeffs)
+    return TrigPoly(np.einsum("kji,kj->ki", Vh.conj(), rhs))
 
 
 def right_inverse_gain(report: ResonanceReport, kmax: int) -> float:
     """Reported bound ``kappa`` with ``|(K phi)'|_inf <= kappa |phi|_inf``
     on the ``kmax`` truncation."""
     ks = np.arange(1, kmax + 1)
-    sig = np.linalg.svd(report.symbol(ks), compute_uv=False)
-    # resonant modes invert through the pseudoinverse: drop its cut-off
-    # singular values, so the gain is one over the smallest kept one
-    resonant = np.isin(ks, list(report.modes))[:, None]
-    cut = resonant & (sig <= 10 * report.tol * sig[:, :1])
-    gain = 1.0 / np.min(np.where(cut, np.inf, sig), axis=1)
-    return float(np.sum(2.0 * ks * gain))
+    # the gain of each mode is its largest inverted singular value
+    _, inv, _ = _symbol_svd(report, ks)
+    return float(np.sum(2.0 * ks * np.max(inv, axis=1)))

@@ -206,7 +206,10 @@ def seed_kernel(prob, report: ResonanceReport | None = None,
     left_ok = np.hstack([edge, objs[:, :-1]]) >= objs
     right_ok = np.hstack([objs[:, 1:], edge]) >= objs
     i, j = np.nonzero(left_ok & right_ok & (objs < threshold))
-    order = np.argsort(objs[i, j], kind="stable")[:16]
+    # mirror-image samples tie in exact arithmetic: compare objectives
+    # rounded to 1e-12 relative, so ties keep sample order (i ascends)
+    mant, expo = np.frexp(objs[i, j])
+    order = np.argsort(np.ldexp(np.round(mant, 12), expo), kind="stable")[:16]
     return [KernelElement(report, radii[j[c]] * amps[i[c]]) for c in order]
 
 

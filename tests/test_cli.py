@@ -225,6 +225,24 @@ def test_legacy_jacobian_keys_load_and_sign_table_solve_fails(capsys, tmp_path):
     assert "not differentiable" in err
 
 
+def test_declared_h_sup_is_ignored(capsys, tmp_path):
+    # the N2 budget comes from the perturbation's own terms; a "sup" key in
+    # the file cannot shrink it
+    _, out, _ = run(capsys, "example", "gompertz-system", "--param", "h_amp=0.9")
+    doc = json.loads(out)
+    doc["h"].pop("sup", None)
+    reports = []
+    for name, sup in (("plain", None), ("declared", 0.0)):
+        if sup is not None:
+            doc["h"]["sup"] = sup
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        _, out, _ = run(capsys, "check-ll", str(path))
+        reports.append(json.loads(out)["N2"])
+    assert reports[1]["margin"] == reports[0]["margin"]
+    assert reports[1]["h_budget"] == reports[0]["h_budget"] > 0.0
+
+
 def test_singular_leading_coefficient_rejected(capsys, tmp_path):
     _, out, _ = run(capsys, "example", "duffing-delay")
     doc = json.loads(out)
@@ -240,6 +258,24 @@ def test_bad_param_exits_4(capsys):
     code, _, err = run(capsys, "example", "duffing-delay", "--param", "c=abc")
     assert code == 4
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-ll", "duffing-delay", "--samples", "abc"),
+    ("analyze", "duffing-delay", "--kmax", "999", "--format", "csv"),
+    ("check-ll", "duffing-delay", "--samples", "0"),
+])
+def test_usage_errors_exit_4(capsys, argv):
+    # exit 2 is a failed condition; a command line the command cannot
+    # read (bad value, flag it does not take) is a usage error
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert out == "" and "error:" in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run(capsys, "check-ll", "--help")
+    assert code == 0 and "--samples" in out and "--kmax" not in out
 
 
 # -- determinism -------------------------------------------------------

@@ -55,7 +55,7 @@ def test_radial_kind():
     limit = (np.array([3.0, 4.0]) / 5.0) @ A.T + b
     phi = 5.0 / np.sqrt(26.0)
     assert np.max(np.abs(g(y)[0] - phi * limit)) < 1e-12
-    d = g.limit_direction(np.array([0.6, 0.8]))
+    d = g.limit(np.array([[0.6, 0.8]]))[0]
     assert np.max(np.abs(d - limit)) < 1e-12
     # large radius approaches the limit field
     big = g(1e8 * y)[0]

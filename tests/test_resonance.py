@@ -218,3 +218,73 @@ def test_right_inverse_of_zero():
     rep = resonant_set(prob.P, prob.Lam)
     u = right_inverse(TrigPoly.zero(1, 8), rep)
     assert u.norm_l2() == 0.0
+
+
+# -- failing structural conditions ---------------------------------------
+
+
+def _image_round_trip(rep, n, kmax, seed):
+    # a random real signal with its kernel part removed lies in the image
+    # when the defect is normal (L2); right_inverse then undoes apply_symbol
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal((kmax + 1, n)) + 1j * rng.standard_normal((kmax + 1, n))
+    coeffs[0] = coeffs[0].real
+    phi = TrigPoly(coeffs)
+    phi = phi - project_kernel(phi, rep)
+    u = right_inverse(phi, rep)
+    assert (apply_symbol(u, rep) - phi).norm_l2() < 1e-12
+    assert max(image_defect(u, rep).values()) < 1e-12
+
+
+def test_resonant_mean_mode_fails_l1():
+    # u' = ...: L_k = ik, singular at k = 0 only
+    P = MatrixPolynomial(np.array([[[0.0]], [[1.0]]]))
+    rep = resonant_set(P, MeasureMatrix.zero(1))
+    assert rep.K == [0] and rep.nu == 0
+    flags = check_linear_conditions(rep, MeasureMatrix.constant_matrix([[1.0]]))
+    assert not flags.l1
+    assert flags.l2 and flags.l3 and flags.l4
+    assert flags.witnesses["L1"] == {"det_L0": [0.0, 0.0], "sigma_min_L0": 0.0}
+    assert flags.c_psi is None and flags.witnesses["L3"]["min_abs_det_psi"] is None
+    _image_round_trip(rep, 1, 5, seed=4)
+
+
+def test_nilpotent_defect_fails_l2():
+    # L_1 = [[0, 1], [0, 0]]: its kernel e1 is orthogonal to the kernel e2
+    # of its adjoint
+    P = MatrixPolynomial(np.stack([np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)]))
+    Lam = MeasureMatrix.diagonal([ScalarMeasure.point_delay(np.pi / 2)] * 2)
+    rep = resonant_set(P, Lam)
+    assert rep.K == [-1, 1] and rep.modes[1].nu == 1
+    flags = check_linear_conditions(rep, MeasureMatrix.constant_matrix(np.eye(2)))
+    assert not flags.l2
+    assert flags.l1 and flags.l3 and flags.l4
+    assert flags.witnesses["L2"]["max_angle_sin"] == pytest.approx(1.0, abs=1e-12)
+    # at k = 1 the image (e1) meets the complement of the kernel (e2) only
+    # in 0, so the round trip takes a right-hand side without a k = 1 mode
+    rng = np.random.default_rng(5)
+    coeffs = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+    coeffs[0] = coeffs[0].real
+    coeffs[1] = 0.0
+    phi = TrigPoly(coeffs)
+    u = right_inverse(phi, rep)
+    assert (apply_symbol(u, rep) - phi).norm_l2() < 1e-12
+    with pytest.raises(NotInImageError):
+        right_inverse(TrigPoly(np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)), rep)
+
+
+def test_kernel_off_deviation_eigenvectors_fails_l4():
+    # u'' + u with Psi = [[d, d], [0, d]], d a pi/4 delay: e2 is not an
+    # eigenvector of psihat(-1) = e^{-i pi/4} [[1, 1], [0, 1]]
+    P = MatrixPolynomial(np.stack([np.eye(2), np.zeros((2, 2)), np.eye(2)]))
+    rep = resonant_set(P, MeasureMatrix.zero(2))
+    assert rep.K == [-1, 1] and rep.nu == 2
+    d = ScalarMeasure.point_delay(np.pi / 4)
+    Psi = MeasureMatrix(2, [[d, d], [ScalarMeasure.zero(), d]])
+    flags = check_linear_conditions(rep, Psi)
+    assert not flags.l4
+    assert flags.l1 and flags.l2 and flags.l3
+    assert flags.witnesses["L4"]["max_eigen_defect"] == pytest.approx(1.0, abs=1e-12)
+    assert flags.witnesses["L3"]["min_abs_det_psi"] == pytest.approx(1.0, abs=1e-12)
+    assert flags.c_psi == pytest.approx((np.sqrt(5.0) - 1.0) / 2.0, abs=1e-12)
+    _image_round_trip(rep, 2, 6, seed=6)

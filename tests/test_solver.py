@@ -200,6 +200,25 @@ def test_seed_kernel_duffing():
     # objective sorted ascending, so the leading seed drives solve_best
 
 
+@pytest.mark.parametrize("example", ["duffing-delay", "distributed-uniform"])
+def test_seed_kernel_ties_follow_sample_index(example):
+    # mirror-image samples about the best seed tie in exact arithmetic;
+    # they must come out in sample order, not in last-bit rounding order
+    prob = build_example(example)
+    rep = resonant_set(prob.P, prob.Lam)
+    seeds = seed_kernel(prob, rep)
+    amps = np.array([s.amps[0] for s in seeds])
+    index = np.round(-np.angle(amps) / (TWO_PI / 64)).astype(int) % 64
+    objs = np.array([np.linalg.norm(KernelElement.from_poly(
+        rep, nemytskii_eval(prob, s.to_poly(), 2048)).amps) for s in seeds])
+    ties = 0
+    for c in range(len(seeds) - 1):
+        if abs(objs[c + 1] - objs[c]) <= 1e-12 * max(objs[c], objs[c + 1]):
+            ties += 1
+            assert index[c] < index[c + 1], (c, index[c], index[c + 1])
+    assert ties > 0
+
+
 def test_seed_kernel_unforced_odd_gives_zero_route():
     prob = build_example("duffing-delay", c=0.0)
     seeds = seed_kernel(prob)
