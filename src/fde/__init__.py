@@ -28,8 +28,12 @@ from .lazer_leach import (SphereSample, SphereScan, degree_product,
 from .solver import (SolveResult, assemble_residual, coefficient_jacobian,
                      seed_kernel, solve_best, solve_periodic,
                      time_shift_gauge, verify_pointwise)
-from .catalog import EXAMPLE_IDS, build_example, emit_example
-from .cli import load_problem, parse_problem
+from .catalog import (EXAMPLE_IDS, build_example, emit_example, load_problem,
+                      parse_problem)
+# loaded with the package: perfbench's tracer wraps ``fde.cli.main`` right
+# after ``import fde``.  ``fde.cli`` is a package, so ``python -m fde.cli``
+# runs its ``__main__`` rather than re-running an already imported module.
+from . import cli  # noqa: F401
 
 __version__ = "0.1.0"
 

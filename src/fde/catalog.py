@@ -1,9 +1,11 @@
-"""Built-in example problems.
+"""Built-in example problems and problem files.
 
 Each builder returns a complete :class:`ProblemSpec`; ``emit_example``
-serializes it to the problem-file dictionary.  Parameters can be overridden
-by keyword (``m=2``, ``tau=1.0``, ...), with every default chosen so the
-stock example is resonant and certifiable as shipped.
+serializes it to the problem-file dictionary, ``parse_problem`` validates
+one against :data:`PROBLEM_SCHEMA` and ``load_problem`` takes a file path
+or an example name.  Parameters can be overridden by keyword (``m=2``,
+``tau=1.0``, ...), with every default chosen so the stock example is
+resonant and certifiable as shipped.
 
 A note on ``distributed-uniform``: the uniform density with weight ``m/2``
 ships verbatim, but its first-order symbol ``ik + (m/2) int e^{iks} ds``
@@ -13,9 +15,12 @@ is and is not resonant.
 
 from __future__ import annotations
 
+import json
+import os
+
 import numpy as np
 
-from .errors import ProblemFormatError
+from .errors import FdeError, ProblemFormatError
 from .measures import (ConstProfile, Density, MeasureMatrix, ScalarMeasure,
                        SinProfile)
 from .nonlinearity import (ComponentProfile, BoundedNonlinearity, DelayTap,
@@ -187,3 +192,99 @@ def build_example(example_id: str, **params) -> ProblemSpec:
 def emit_example(example_id: str, **params) -> dict:
     """Problem-file dictionary for a named example."""
     return build_example(example_id, **params).to_dict()
+
+
+# -- problem files ------------------------------------------------------
+
+_MEASURE_SCHEMA = {
+    "type": "object",
+    "required": ["atoms", "densities"],
+    "properties": {
+        "atoms": {"type": "array",
+                  "items": {"type": "object",
+                            "required": ["theta", "weight"],
+                            "properties": {"theta": {"type": "number"},
+                                           "weight": {"type": "number"}}}},
+        "densities": {"type": "array",
+                      "items": {"type": "object",
+                                "required": ["a", "b", "profile"],
+                                "properties": {
+                                    "a": {"type": "number"},
+                                    "b": {"type": "number"},
+                                    "profile": {"type": "object",
+                                                "required": ["kind"]}}}}},
+}
+
+_MATRIX_SCHEMA = {
+    "type": "object",
+    "required": ["n", "entries"],
+    "properties": {"n": {"type": "integer", "minimum": 1},
+                   "entries": {"type": "array",
+                               "items": {"type": "array",
+                                         "items": _MEASURE_SCHEMA}}},
+}
+
+PROBLEM_SCHEMA = {
+    "type": "object",
+    "required": ["n", "P", "Lambda", "Psi", "g", "p"],
+    "properties": {
+        "n": {"type": "integer", "minimum": 1},
+        "P": {"type": "array", "minItems": 1,
+              "items": {"type": "array", "items": {"type": "array",
+                                                   "items": {"type": "number"}}}},
+        "Lambda": _MATRIX_SCHEMA,
+        "Psi": _MATRIX_SCHEMA,
+        "g": {"type": "object", "required": ["kind"],
+              "properties": {"kind": {"enum": ["componentwise", "radial",
+                                               "sign_table"]}}},
+        "h": {"type": ["object", "null"]},
+        "p": {"type": "object", "required": ["n", "kmax", "coeffs"]},
+        "solve": {"type": ["object", "null"]},
+    },
+}
+
+
+def parse_problem(text: str) -> ProblemSpec:
+    """Validated problem from JSON text.
+
+    Schema violations and semantic rejections (singular leading
+    coefficient, missing asymptotic limits, dimension mismatches) raise
+    :class:`ProblemFormatError` locating the offending entry.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ProblemFormatError(f"not valid JSON: {exc}", path="$") from None
+    import jsonschema   # on first parse: a library import does not pay for it
+    try:
+        jsonschema.validate(doc, PROBLEM_SCHEMA)
+    except jsonschema.ValidationError as exc:
+        raise ProblemFormatError(exc.message, path=exc.json_path) from None
+
+    g = doc.get("g", {})
+    if g.get("kind") == "componentwise":
+        for i, comp in enumerate(g.get("components", [])):
+            if "lo" not in comp or "hi" not in comp:
+                raise ProblemFormatError(
+                    "saturating component must declare both asymptotic "
+                    "limits lo and hi (condition R1); evaluation-only "
+                    "nonlinearities are not accepted",
+                    path=f"$.g.components[{i}]")
+    try:
+        return ProblemSpec.from_dict(doc)
+    except ProblemFormatError:
+        raise
+    except FdeError as exc:
+        raise ProblemFormatError(str(exc), path="$") from None
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ProblemFormatError(f"malformed field: {exc}", path="$") from None
+
+
+def load_problem(ref: str) -> ProblemSpec:
+    """Problem from a file path or a built-in example name."""
+    if os.path.exists(ref):
+        with open(ref, "r", encoding="utf-8") as fh:
+            return parse_problem(fh.read())
+    if ref in EXAMPLE_IDS:
+        return build_example(ref)
+    raise ProblemFormatError(f"no such file or example: {ref}")

@@ -1,4 +1,4 @@
-"""Command line front end: problem ingestion, dispatch, report emission.
+"""Command line front end: dispatch and report emission.
 
 Commands
     fde analyze   PROBLEM    resonant set, kernel bases, structural checks
@@ -8,9 +8,10 @@ Commands
     fde example   ID         emit a built-in problem file
 
 ``PROBLEM`` is a path to a problem JSON file, or the name of a built-in
-example.  Each command takes only the flags it reads.  Exit codes: 0
-success / conditions hold, 2 existence conditions fail, 3 solver did not
-converge, 4 usage, input or runtime error.
+example (see :func:`fde.catalog.load_problem`).  Each command takes only
+the flags it reads.  Exit codes: 0 success / conditions hold, 2 existence
+conditions fail, 3 solver did not converge, 4 usage, input or runtime
+error.
 
 Reports are JSON with sorted keys and stable float formatting, so
 identical inputs produce byte-identical output.
@@ -20,114 +21,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
-import jsonschema
 
-from .catalog import EXAMPLE_IDS, build_example, emit_example
-from .errors import BlockStructureError, DimensionMismatch, FdeError, ProblemFormatError
-from .lazer_leach import (certificate, degree_product, degree_winding,
-                          ll_margin, small_set_measure, sphere_samples,
-                          sphere_scan)
-from .problem import ProblemSpec, SolveConfig
-from .resonance import check_linear_conditions, resonant_set
-from .solver import VERIFY_TOL, solve_best, verify_pointwise
-from .trigpoly import TrigPoly, analyze_grid, eval_grid
-
-_MEASURE_SCHEMA = {
-    "type": "object",
-    "required": ["atoms", "densities"],
-    "properties": {
-        "atoms": {"type": "array",
-                  "items": {"type": "object",
-                            "required": ["theta", "weight"],
-                            "properties": {"theta": {"type": "number"},
-                                           "weight": {"type": "number"}}}},
-        "densities": {"type": "array",
-                      "items": {"type": "object",
-                                "required": ["a", "b", "profile"],
-                                "properties": {
-                                    "a": {"type": "number"},
-                                    "b": {"type": "number"},
-                                    "profile": {"type": "object",
-                                                "required": ["kind"]}}}}},
-}
-
-_MATRIX_SCHEMA = {
-    "type": "object",
-    "required": ["n", "entries"],
-    "properties": {"n": {"type": "integer", "minimum": 1},
-                   "entries": {"type": "array",
-                               "items": {"type": "array",
-                                         "items": _MEASURE_SCHEMA}}},
-}
-
-PROBLEM_SCHEMA = {
-    "type": "object",
-    "required": ["n", "P", "Lambda", "Psi", "g", "p"],
-    "properties": {
-        "n": {"type": "integer", "minimum": 1},
-        "P": {"type": "array", "minItems": 1,
-              "items": {"type": "array", "items": {"type": "array",
-                                                   "items": {"type": "number"}}}},
-        "Lambda": _MATRIX_SCHEMA,
-        "Psi": _MATRIX_SCHEMA,
-        "g": {"type": "object", "required": ["kind"],
-              "properties": {"kind": {"enum": ["componentwise", "radial",
-                                               "sign_table"]}}},
-        "h": {"type": ["object", "null"]},
-        "p": {"type": "object", "required": ["n", "kmax", "coeffs"]},
-        "solve": {"type": ["object", "null"]},
-    },
-}
-
-
-def parse_problem(text: str) -> ProblemSpec:
-    """Validated problem from JSON text.
-
-    Schema violations and semantic rejections (singular leading
-    coefficient, missing asymptotic limits, dimension mismatches) raise
-    :class:`ProblemFormatError` locating the offending entry.
-    """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProblemFormatError(f"not valid JSON: {exc}", path="$") from None
-    try:
-        jsonschema.validate(doc, PROBLEM_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ProblemFormatError(exc.message, path=exc.json_path) from None
-
-    g = doc.get("g", {})
-    if g.get("kind") == "componentwise":
-        for i, comp in enumerate(g.get("components", [])):
-            if "lo" not in comp or "hi" not in comp:
-                raise ProblemFormatError(
-                    "saturating component must declare both asymptotic "
-                    "limits lo and hi (condition R1); evaluation-only "
-                    "nonlinearities are not accepted",
-                    path=f"$.g.components[{i}]")
-    try:
-        return ProblemSpec.from_dict(doc)
-    except ProblemFormatError:
-        raise
-    except FdeError as exc:
-        raise ProblemFormatError(str(exc), path="$") from None
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ProblemFormatError(f"malformed field: {exc}", path="$") from None
-
-
-def load_problem(ref: str) -> ProblemSpec:
-    """Problem from a file path or a built-in example name."""
-    if os.path.exists(ref):
-        with open(ref, "r", encoding="utf-8") as fh:
-            return parse_problem(fh.read())
-    if ref in EXAMPLE_IDS:
-        return build_example(ref)
-    raise ProblemFormatError(f"no such file or example: {ref}")
-
+from ..catalog import emit_example, load_problem
+from ..errors import BlockStructureError, DimensionMismatch, FdeError, ProblemFormatError
+from ..lazer_leach import (certificate, degree_product, degree_winding,
+                           ll_margin, small_set_measure, sphere_samples,
+                           sphere_scan)
+from ..problem import ProblemSpec, SolveConfig
+from ..resonance import check_linear_conditions, resonant_set
+from ..solver import VERIFY_TOL, solve_best, verify_pointwise
+from ..trigpoly import TrigPoly, analyze_grid, eval_grid
 
 # -- float-stable JSON -------------------------------------------------
 
@@ -366,7 +272,3 @@ def main(argv=None) -> int:
     text = doc if isinstance(doc, str) else emit_json(doc)
     _write(text, args.out)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -183,17 +183,6 @@ def sphere_scan(prob, report: ResonanceReport | None = None,
 # -- degree ------------------------------------------------------------
 
 
-def accumulated_winding(values: np.ndarray) -> float:
-    """Winding of a closed loop of nonzero complex values around 0.
-
-    The loop is ``values[0], ..., values[-1], values[0]``; each angular
-    step is wrapped to ``(-pi, pi]`` and counterclockwise counts positive.
-    """
-    v = np.asarray(values, dtype=complex)
-    ang = np.angle(np.roll(v, -1) / v)
-    return float(np.sum(ang) / TWO_PI)
-
-
 def degree_winding(prob, report: ResonanceReport | None = None,
                    n_grid: int = 64, M: int = 4096,
                    max_points: int = 4096, tol: float = 1e-9) -> int:

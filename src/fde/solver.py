@@ -20,12 +20,16 @@ delay phase ``e^{-ik tau}``.  One FFT of ``A`` turns each product into a
 Toeplitz block ``Ahat_{k-j} B_j`` plus a Hankel block
 ``Ahat_{k+j} conj(B_j)``, with indices mod ``M`` so the grid aliasing of
 the residual carries over exactly; the symbol adds ``L_k`` on the
-diagonal.
+diagonal.  The full Newton step is an LU solve of that square system;
+least squares (minimum norm) runs only when it is exactly singular.
 
 A run counts as converged when the coefficient residual meets
 ``tol_residual``, the residual does not move when the grid doubles, and
 the pointwise defect meets :data:`VERIFY_TOL`, the tolerance ``fde
-verify`` applies.
+verify`` applies.  :func:`verify_pointwise` evaluates every atom of the
+measures directly, as ``u(t + theta)`` from one batched
+:meth:`TrigPoly.eval` of the shifted polynomials, so it shares no FFT or
+:func:`apply_deviation` step for atoms with the solver.
 """
 
 from __future__ import annotations
@@ -293,8 +297,12 @@ def solve_periodic(prob, seed=None, config: SolveConfig | None = None,
     diverged = False
     while res > config.tol_residual and it < config.max_iter:
         J = coefficient_jacobian(prob, unpack_coeffs(x, kmax, n), config, stack)
-        # full Gauss-Newton step first; damp only when it fails to descend
-        step = np.linalg.lstsq(J, -F, rcond=None)[0]
+        # full Gauss-Newton step first (LU; least squares only when J is
+        # exactly singular); damp only when it fails to descend
+        try:
+            step = np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(J, -F, rcond=None)[0]
         x_try = x + step
         F_try = fvec(x_try)
         res_try = float(np.linalg.norm(F_try))
@@ -390,21 +398,18 @@ def solve_best(prob, config: SolveConfig | None = None,
 # -- verification ------------------------------------------------------
 
 
-def _apply_measure_grid(mat: MeasureMatrix, u: TrigPoly, M: int) -> np.ndarray:
-    """Measure term on the grid by direct application: atoms evaluate the
-    trig polynomial exactly at shifted points, densities go through their
+def _apply_measure_grid(mat: MeasureMatrix, u: TrigPoly, shifted: dict,
+                        M: int) -> np.ndarray:
+    """Measure term on the grid by direct application: atoms read the exact
+    values ``u(t + theta)`` from ``shifted``, densities go through their
     closed-form mode transforms."""
-    t = TWO_PI * np.arange(M) / M
     out = np.zeros((M, mat.n))
-    shifted: dict = {}
     dens = MeasureMatrix.zero(mat.n)
     any_dens = False
     for i in range(mat.n):
         for j in range(mat.n):
             m = mat.entries[i][j]
             for theta, wgt in m.atoms:
-                if theta not in shifted:
-                    shifted[theta] = u.eval(t + theta)
                 out[:, i] += wgt * shifted[theta][:, j]
             if m.densities:
                 dens.entries[i][j] = ScalarMeasure(densities=list(m.densities))
@@ -429,8 +434,12 @@ def verify_pointwise(prob, u: TrigPoly, M_fine: int | None = None) -> float:
     acc = np.zeros((M_fine, u.n))
     for j in range(prob.P.degree + 1):
         acc += eval_grid(differentiate(u, j), M_fine) @ prob.P.coeffs[j].T
-    acc += _apply_measure_grid(prob.Lam, u, M_fine)
-    acc += prob.g(_apply_measure_grid(prob.Psi, u, M_fine))
+    # one table of u(t + theta) for every atom position of Lam and Psi
+    thetas = sorted({theta for mat in (prob.Lam, prob.Psi) for row in mat.entries
+                     for m in row for theta, _ in m.atoms})
+    shifted = dict(zip(thetas, u.shift(np.array(thetas)).eval(t)))
+    acc += _apply_measure_grid(prob.Lam, u, shifted, M_fine)
+    acc += prob.g(_apply_measure_grid(prob.Psi, u, shifted, M_fine))
     if prob.h is not None and prob.h.terms:
         acc += prob.h.eval(u, M_fine)
     acc -= prob.p.eval(t)

@@ -31,7 +31,7 @@ class TrigPoly:
     coeffs : ndarray, shape (..., kmax+1, n)
         Coefficients ``c_0 .. c_kmax``; ``c_0`` must be (numerically) real.
         Leading axes, when present, index a batch of polynomials that share
-        ``kmax`` and ``n``; ``eval``, the norms and ``to_dict`` read a single
+        ``kmax`` and ``n``; the norms and ``to_dict`` read a single
         polynomial.  Treated as immutable after construction.
     """
 
@@ -126,21 +126,25 @@ class TrigPoly:
     def __neg__(self) -> "TrigPoly":
         return TrigPoly(-self.coeffs)
 
-    def shift(self, c: float) -> "TrigPoly":
-        """Time translate: returns ``t -> u(t + c)``."""
+    def shift(self, c) -> "TrigPoly":
+        """Time translate: returns ``t -> u(t + c)``.  An array ``c``
+        broadcasts against the batch axes, so a single polynomial shifted
+        by ``S`` amounts becomes a batch of ``S``."""
         k = np.arange(self.kmax + 1)
-        return TrigPoly(self.coeffs * np.exp(1j * k * c)[:, None])
+        return TrigPoly(self.coeffs * np.exp(1j * np.multiply.outer(c, k))[..., None])
 
     # -- evaluation ----------------------------------------------------
 
     def eval(self, t) -> np.ndarray:
-        """Evaluate at arbitrary times; shape (len(t), n)."""
+        """Evaluate at arbitrary times; shape (..., len(t), n)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        k = np.arange(1, self.kmax + 1)
-        phases = np.exp(1j * np.outer(t, k))            # (T, kmax)
-        out = np.broadcast_to(self.coeffs[0].real, (t.size, self.n)).copy()
+        x = np.outer(t, np.arange(1, self.kmax + 1))    # (T, kmax)
+        # e^{ix} as cos + i sin, which is faster than a complex np.exp
+        phases = np.cos(x) + 1j * np.sin(x)
+        c = self.coeffs
+        out = np.broadcast_to(c[..., :1, :].real, c.shape[:-2] + (t.size, self.n)).copy()
         if self.kmax > 0:
-            out += 2.0 * np.real(phases @ self.coeffs[1:])
+            out += 2.0 * np.real(phases @ c[..., 1:, :])
         return out
 
     # -- norms ---------------------------------------------------------

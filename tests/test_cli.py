@@ -288,16 +288,28 @@ def test_reports_byte_identical(capsys, cmd):
     assert first == second and first
 
 
-def test_import_loads_no_scipy():
-    # importing scipy costs about a second; the package loads it only when
-    # it first samples a kernel sphere
+def _python(*args):
     src = os.path.dirname(os.path.dirname(os.path.abspath(fde.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run(
-        [sys.executable, "-c", "import fde, sys; assert 'scipy' not in sys.modules"],
-        env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_import_loads_no_scipy():
+    # importing scipy costs about a second; the package loads it only when
+    # it first samples a kernel sphere, and jsonschema only when it first
+    # parses a problem file
+    proc = _python("-c", "import fde, sys; assert 'scipy' not in sys.modules; "
+                         "assert 'jsonschema' not in sys.modules")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_module_entry_point_runs_clean():
+    proc = _python("-m", "fde.cli", "analyze", "duffing-delay")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["nu"] == 1
 
 
 def test_out_file_matches_stdout(capsys, tmp_path):

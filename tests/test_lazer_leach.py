@@ -9,8 +9,7 @@ from fde import (build_example, degree_product, degree_winding,
                  sphere_samples, sphere_scan)
 from fde.errors import (BlockStructureError, DimensionMismatch,
                         R2ViolationError)
-from fde.lazer_leach import (SphereSample, accumulated_winding,
-                             kernel_forcing_coords)
+from fde.lazer_leach import SphereSample, kernel_forcing_coords
 
 import oracles
 
@@ -159,12 +158,6 @@ def test_n2_budget_uses_h_sup():
 
 
 # -- degree ------------------------------------------------------------
-
-
-def test_accumulated_winding_oracle():
-    phis = TWO_PI * np.arange(65) / 64
-    assert accumulated_winding(np.exp(1j * phis)) == pytest.approx(1.0)
-    assert accumulated_winding(np.exp(-2j * phis)) == pytest.approx(-2.0)
 
 
 def test_degree_winding_duffing():

@@ -33,6 +33,18 @@ def linear_gompertz(alpha=0.8, tau=1.0, p_val=0.6) -> ProblemSpec:
         solve=SolveConfig(kmax=8))
 
 
+def linear_duffing() -> ProblemSpec:
+    # u'' + u = cos 2t with g = 0: resonant at k = 1, and solved exactly by
+    # -cos(2t)/3, which has no kernel component
+    return ProblemSpec(
+        P=MatrixPolynomial.from_scalar([1.0, 0.0, 1.0]),
+        Lam=MeasureMatrix.zero(1),
+        Psi=MeasureMatrix.scalar(ScalarMeasure.dirac(0.0)),
+        g=saturating(0.0, 0.0),
+        p=TrigPoly.cosine(2),
+        solve=SolveConfig(kmax=8))
+
+
 def radial_two_tap() -> ProblemSpec:
     # full-matrix g' (radial field through a coupled deviation) and an h
     # term that sums two taps under a time modulation; no catalog example
@@ -298,17 +310,23 @@ def test_verify_pointwise_detects_wrong_solution():
 
 
 def test_linear_duffing_residual_exact():
-    # u'' + u = cos 2t is solved exactly by -cos(2t)/3 off resonance
-    prob = ProblemSpec(
-        P=MatrixPolynomial.from_scalar([1.0, 0.0, 1.0]),
-        Lam=MeasureMatrix.zero(1),
-        Psi=MeasureMatrix.scalar(ScalarMeasure.dirac(0.0)),
-        g=saturating(0.0, 0.0),
-        p=TrigPoly.cosine(2),
-        solve=SolveConfig(kmax=8))
+    prob = linear_duffing()
     u = TrigPoly.cosine(2, amplitude=-1.0 / 3.0, kmax=8)
     assert assemble_residual(prob, u).norm_l2() < 1e-14
     assert verify_pointwise(prob, u, 256) < 1e-14
+
+
+def test_singular_jacobian_falls_back_to_least_squares():
+    # the k = 1 rows of J vanish exactly, so the LU step raises and the
+    # least-squares step lands on the minimum-norm solution
+    prob = linear_duffing()
+    J = coefficient_jacobian(prob, TrigPoly.zero(1, 8))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(J, np.ones(J.shape[0]))
+    res = solve_periodic(prob)
+    assert res.converged and res.iterations == 1
+    expect = TrigPoly.cosine(2, amplitude=-1.0 / 3.0, kmax=8)
+    assert (res.u - expect).norm_l2() < 1e-14
 
 
 def test_residual_zero_at_origin_without_forcing():

@@ -46,6 +46,10 @@ def test_batch_grid_matches_single_calls(M):
     coeffs = analyze_grid(vals, 11).coeffs
     single = np.stack([analyze_grid(v, 11).coeffs for v in vals.reshape(6, M, 2)])
     assert np.max(np.abs(coeffs.reshape(6, 12, 2) - single)) <= 1e-14
+    t = np.linspace(-1.0, 7.0, M)      # off the grid, beyond one period
+    single = np.stack([u.eval(t) for u in polys]).reshape(2, 3, M, 2)
+    assert batch.eval(t).shape == (2, 3, M, 2)
+    assert np.max(np.abs(batch.eval(t) - single)) <= 1e-14 * np.max(np.abs(single))
 
 
 def test_analyze_grid_needs_resolution():
@@ -86,6 +90,10 @@ def test_shift():
     c = 0.9
     t = np.linspace(0, TWO_PI, 29)
     assert np.max(np.abs(u.shift(c).eval(t) - u.eval(t + c))) < 1e-12
+    # an array of shifts gives a batch, one polynomial per shift
+    both = u.shift(np.array([c, -0.4])).coeffs
+    assert np.max(np.abs(both - np.stack([u.shift(c).coeffs,
+                                          u.shift(-0.4).coeffs]))) <= 1e-15
 
 
 def test_norm_inf():
