@@ -8,8 +8,8 @@ over the unit sphere of the kernel.  This module samples that sphere,
 reports quantitative margins for the range condition (the projected field
 never vanishes) and for the inner-product test, computes the Brouwer degree
 of the normalized field through winding numbers, and runs the saturation
-diagnostics (small-set measure, finite-amplitude convergence of the limit
-field).
+diagnostics: the small-set measure, and the finite-amplitude distance
+``||g_w - g(s Psi w)||_L2``.
 
 Margins and gaps are stated in kernel-coordinate norm: a kernel element
 with positive-frequency amplitude vector ``a`` has coordinate norm
@@ -18,7 +18,11 @@ saturating example with limits -+1 and no forcing has range margin
 ``2/pi``, the classical constant.
 
 All certificates are sampling based: a positive verdict is evidence, not a
-proof, while a failure witness is an exact counterexample candidate.
+proof, while a failure witness is an exact counterexample candidate.  The
+finite-amplitude distance is not sampled on a grid: its integrand lives in
+layers of width ``1/s`` around the zeros of ``Psi w``, so it is integrated
+by Gauss-Legendre panels graded from those zeros, found as the roots of one
+companion polynomial per component (:func:`gamma_convergence`).
 """
 
 from __future__ import annotations
@@ -325,32 +329,80 @@ def small_set_measure(w, eps: float, M: int = 2 ** 16) -> float:
     return float(np.count_nonzero(mag < eps) / M)
 
 
+def _layer_centres(y) -> np.ndarray:
+    """Sorted angles of every root of every component's companion
+    polynomial ``z^d y_c(z)`` (``d`` its degree), with 0 and 2 pi.
+
+    A root on the unit circle is a zero of ``y_c``; one just off it marks a
+    near-tangent minimum of ``|y_c|``, which at large amplitude is as thin a
+    layer as a zero.  No root is filtered out: one far from the circle
+    costs a few panels, and no tolerance can tell "near" from "far" for
+    every ``s``.
+    """
+    angles = [np.array([0.0, TWO_PI])]
+    for c in y.coeffs.T:
+        top = np.flatnonzero(c[1:])
+        if top.size:
+            d = top[-1] + 1
+            # highest power first: c_d .. c_1, c_0, c_-1 .. c_-d
+            poly = np.concatenate([c[d:0:-1], c[:1], np.conj(c[1:d + 1])])
+            angles.append(np.angle(np.roots(poly)) % TWO_PI)
+    return np.unique(np.concatenate(angles))
+
+
+def _panels(centres: np.ndarray, s: float, M: int | None):
+    """Edges graded geometrically from ``1/s`` away from each centre up to
+    the midpoints between centres; with ``M``, no wider than ``2 pi / M``."""
+    a, b = centres[:-1], centres[1:]
+    half = 0.5 * (b - a)
+    d = np.exp2(np.arange(max(int(np.ceil(np.log2(s * half.max()))), 0) + 1)) / s
+    inner = d < half[:, None]
+    edges = np.unique(np.concatenate([centres, a + half, (a[:, None] + d)[inner],
+                                      (b[:, None] - d)[inner]]))
+    if M is not None:
+        parts = np.ceil(np.diff(edges) * (M / TWO_PI)).astype(int)
+        edges = np.concatenate(
+            [np.linspace(lo, hi, p, endpoint=False)
+             for lo, hi, p in zip(edges[:-1], edges[1:], parts)] + [edges[-1:]])
+    return edges[:-1], edges[1:]
+
+
+# 16-point Gauss-Legendre rule on [-1, 1], shared by every panel
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
 def gamma_convergence(prob, w: KernelElement, s_values,
                       M: int | None = None) -> np.ndarray:
     """L2 distance between the limit field and the finite-amplitude field.
 
     Returns ``||g_w - g(s Psi w)||_L2`` per ``s``: the quantity whose decay
     certifies that sphere margins survive at large finite amplitude.  The
-    grid must resolve the saturation layers around the zeros of ``Psi w``,
-    whose width shrinks like ``1/s``, so it scales with ``s`` unless ``M``
-    is pinned explicitly.  The grids are nested powers of two, so ``Psi w``
-    is sampled once on the largest and each ``s`` reads every
-    ``M_max / M_s``-th sample.
+    integrand is concentrated in saturation layers of width ``1/s`` around
+    the zeros of ``y = Psi w``, so it is integrated by composite 16-point
+    Gauss-Legendre quadrature on panels that start at width ``1/s`` at
+    every root angle of the components of ``y`` (:func:`_layer_centres`)
+    and double away from it up to the midpoint between neighbouring roots.
+    That is ``O(log s)`` nodes per ``s``.  ``M``, when given, caps every
+    panel at width ``2 pi / M``.
     """
     s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
+    if np.any(~np.isfinite(s_values) | (s_values <= 0.0)):
+        raise ValueError(f"amplitudes must be positive and finite: {s_values}")
     if not s_values.size:
         return np.zeros(0)
-    if M is None:
-        sizes = [min(1 << int(np.ceil(np.log2(max(4096.0, 128.0 * s)))), 2 ** 22)
-                 for s in s_values]
-    else:
-        sizes = [M] * s_values.size
-    M_max = max(sizes)
-    y = eval_grid(apply_deviation(prob.Psi, w.to_poly()), M_max)
-    limit = prob.g.limit(y)
-    out = []
-    for s, Ms in zip(s_values, sizes):
-        ys = y[::M_max // Ms]
-        diff = limit[::M_max // Ms] - prob.g(s * ys)
-        out.append(float(np.sqrt(np.mean(np.sum(diff * diff, axis=1)))))
-    return np.asarray(out)
+    y = apply_deviation(prob.Psi, w.to_poly())
+    centres = _layer_centres(y)
+    nodes, weights, counts = [], [], []
+    for s in s_values:
+        lo, hi = _panels(centres, s, M)
+        half = 0.5 * (hi - lo)[:, None]
+        # offsets from the left edge: a rounded panel midpoint would shift
+        # all of a panel's nodes together
+        nodes.append((lo[:, None] + half * (1.0 + _GL_NODES)).ravel())
+        weights.append((half * _GL_WEIGHTS).ravel())
+        counts.append(nodes[-1].size)
+    vals = y.eval(np.concatenate(nodes))
+    diff = prob.g.limit(vals) - prob.g(np.repeat(s_values, counts)[:, None] * vals)
+    sq = np.concatenate(weights) * np.sum(diff * diff, axis=-1)
+    sums = np.add.reduceat(sq, np.cumsum(counts) - counts)
+    return np.sqrt(sums / TWO_PI)

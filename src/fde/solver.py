@@ -146,12 +146,20 @@ def _jacobian_analytic(prob, u: TrigPoly, stack: np.ndarray, M: int) -> np.ndarr
     # split c_j = a_j + i b_j into real columns
     Da, Db = T + H, 1j * (T - H)
 
-    # rows (k, re/im, i) and columns (j, a/b, l), then drop Im of mode 0
-    # and the b-column of the real mean coefficient
-    full = np.array([[Da.real, Db.real], [Da.imag, Db.imag]])
-    full = full.transpose(4, 0, 2, 5, 1, 3).reshape(2 * n * (kmax + 1), -1)
-    keep = np.r_[0:n, 2 * n:2 * n * (kmax + 1)]
-    J = full[np.ix_(keep, keep)]
+    # rows (k, re/im, i) and columns (j, a/b, l), without Im of mode 0 and
+    # the b-column of the real mean coefficient: the mean row and column
+    # are n wide, every other mode 2n, and each block is written in place
+    J = np.empty((n * (2 * kmax + 1),) * 2)
+    J[:n, :n] = Da.real[:, :, 0, 0]
+    top = J[:n, n:].reshape(n, kmax, 2, n)
+    left = J[n:, :n].reshape(kmax, 2, n, n)
+    body = J[n:, n:].reshape(kmax, 2, n, kmax, 2, n)
+    left[:, 0] = Da.real[:, :, 1:, 0].transpose(2, 0, 1)
+    left[:, 1] = Da.imag[:, :, 1:, 0].transpose(2, 0, 1)
+    for c, D in enumerate((Da, Db)):
+        top[:, :, c] = D.real[:, :, 0, 1:].transpose(0, 2, 1)
+        body[:, 0, :, :, c] = D.real[:, :, 1:, 1:].transpose(2, 0, 3, 1)
+        body[:, 1, :, :, c] = D.imag[:, :, 1:, 1:].transpose(2, 0, 3, 1)
     J[n:] *= np.sqrt(2.0)
     return J
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 
 TWO_PI = 2.0 * np.pi
 
@@ -111,6 +112,59 @@ def dde_second_order(alpha0: float, tau: float, gfun, pfun, history,
         return out
 
     return u_of_t
+
+
+# -- saturation layers -------------------------------------------------
+
+
+def gamma_convergence_quad(g, y, s: float, grid: int = 2 ** 16) -> float:
+    """Adaptive quadrature value of ``||g_w - g(s y)||_L2`` for one ``s``.
+
+    ``y`` is a single real trigonometric polynomial (``Psi w``), summed
+    term by term here.  The period is split at every component zero
+    (``brentq`` on each sign change of a ``grid``-point sampling), at every
+    grid-local minimum of ``|y_c|`` (a near-tangent layer has no sign
+    change), and at offsets ``10^-8 .. 10^-1`` on both sides of each, so
+    every saturation layer lies across pieces that ``quad`` resolves.
+    """
+    c = np.asarray(y.coeffs)
+    k = np.arange(c.shape[0])
+
+    def y_of(t):
+        return c[0].real + 2.0 * np.real(np.exp(1j * np.multiply.outer(t, k[1:]))
+                                         @ c[1:])
+
+    tg = TWO_PI * np.arange(grid + 1) / grid
+    vals = y_of(tg)
+    cuts = [0.0, TWO_PI]
+    for j in range(c.shape[1]):
+        v = vals[:, j]
+        if not np.any(v):
+            continue
+        for i in np.flatnonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0):
+            cuts.append(brentq(lambda t: y_of(t)[j], tg[i], tg[i + 1],
+                               xtol=1e-16, rtol=4 * np.finfo(float).eps))
+        a = np.abs(v[:-1])
+        is_min = (a <= np.roll(a, 1)) & (a <= np.roll(a, -1))
+        cuts.extend(tg[np.flatnonzero(is_min)])
+    centres = np.array(cuts)
+    offsets = 10.0 ** -np.arange(1, 9)
+    cuts = np.concatenate([centres, np.add.outer(centres, offsets).ravel(),
+                           np.add.outer(centres, -offsets).ravel()])
+    cuts = np.unique(np.clip(cuts, 0.0, TWO_PI))
+
+    def integrand(t):
+        yt = y_of(t)[None, :]
+        d = g.limit(yt) - g(s * yt)
+        return float(np.sum(d * d))
+
+    # full_output keeps quad quiet where a touching zero leaves only the
+    # rounding noise of y (relative s * eps) above the requested tolerance
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        total += quad(integrand, lo, hi, epsabs=1e-13 / s, epsrel=1e-12,
+                      limit=200, full_output=1)[0]
+    return float(np.sqrt(total / TWO_PI))
 
 
 # -- closed-form scalars -----------------------------------------------

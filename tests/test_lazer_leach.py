@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from fde import (build_example, degree_product, degree_winding,
-                 gamma_convergence, gamma_tilde, gamma_unit, ll_margin,
-                 project_kernel, resonant_set, small_set_measure,
-                 sphere_samples, sphere_scan)
+from fde import (KernelElement, apply_deviation, build_example,
+                 degree_product, degree_winding, gamma_convergence,
+                 gamma_tilde, gamma_unit, ll_margin, project_kernel,
+                 resonant_set, small_set_measure, sphere_samples, sphere_scan)
 from fde.errors import (BlockStructureError, DimensionMismatch,
                         R2ViolationError)
 from fde.lazer_leach import SphereSample, kernel_forcing_coords
@@ -242,6 +242,74 @@ def test_gamma_convergence_nonincreasing():
     w = sphere_samples(rep, 3, seed=1)[2]
     E = gamma_convergence(prob, w, [10.0, 100.0, 1000.0])
     assert E[0] >= E[1] >= E[2]
+
+
+def assert_matches_quad(prob, w, s_values, rel):
+    y = apply_deviation(prob.Psi, w.to_poly())
+    E = gamma_convergence(prob, w, s_values)
+    for s, e in zip(s_values, E):
+        assert e == pytest.approx(oracles.gamma_convergence_quad(prob.g, y, s),
+                                  rel=rel)
+
+
+@pytest.mark.parametrize("kind", ["tanh", "atan", "alg"])
+def test_gamma_convergence_quad_profiles(kind):
+    import dataclasses
+    from fde import saturating
+    prob = dataclasses.replace(build_example("duffing-delay"),
+                               g=saturating(-1.0, 1.0, kind=kind))
+    w = sphere_samples(scalar_report(prob), 1, seed=0)[0]
+    assert_matches_quad(prob, w, [1e2, 1e4, 1e6], rel=1e-9)
+
+
+def test_gamma_convergence_quad_radial():
+    # a layer where |Psi w| vanishes (gompertz: second component is zero)
+    # and none at all, only a near-tangent minimum of |Psi w| (weakly-coupled)
+    import dataclasses
+    from fde import BoundedNonlinearity
+    g = BoundedNonlinearity("radial", A=[[1.0, 0.3], [-0.2, 0.8]],
+                            b=[0.1, -0.05])
+    for name, s_values in (("gompertz-system", [1e2, 1e4, 1e6]),
+                           ("weakly-coupled", [1e2, 1e3])):
+        prob = dataclasses.replace(build_example(name), g=g)
+        w = sphere_samples(scalar_report(prob), 1, seed=0)[0]
+        assert_matches_quad(prob, w, s_values, rel=1e-9)
+
+
+def test_gamma_convergence_quad_zero_component():
+    prob = build_example("gompertz-system")
+    rep = scalar_report(prob)
+    w = sphere_samples(rep, 1, seed=0)[0]
+    assert not np.any(apply_deviation(prob.Psi, w.to_poly()).coeffs[:, 1])
+    assert_matches_quad(prob, w, [1e2, 1e4, 1e6], rel=1e-9)
+
+
+def test_gamma_convergence_tail_law_large_amplitude():
+    prob = build_example("duffing-delay")
+    w = sphere_samples(scalar_report(prob), 1, seed=0)[0]
+    s = np.array([1e6, 1e9])
+    E = gamma_convergence(prob, w, s)
+    np.testing.assert_allclose(E, np.sqrt(TAIL_CONSTANT / s), rtol=1e-6)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 0.0, -1e-6])
+def test_gamma_convergence_near_tangent_zero(eps):
+    # y = cos t + (1 - eps) cos 2t: at t = pi a maximum just below zero
+    # (eps > 0), touching it, or just above it.  Only a root of the
+    # companion polynomial off the unit circle marks the first layer.
+    prob = build_example("beam")
+    w = KernelElement(scalar_report(prob), [0.5, 0.5 * (1.0 - eps)])
+    y = apply_deviation(prob.Psi, w.to_poly())
+    assert y.eval(np.pi)[0, 0] == pytest.approx(-eps, abs=1e-15)
+    assert_matches_quad(prob, w, [1e6], rel=1e-6)
+
+
+@pytest.mark.parametrize("s", [0.0, -10.0, np.inf, np.nan])
+def test_gamma_convergence_rejects_bad_amplitude(s):
+    prob = build_example("duffing-delay")
+    w = sphere_samples(scalar_report(prob), 1, seed=0)[0]
+    with pytest.raises(ValueError, match="positive and finite"):
+        gamma_convergence(prob, w, [1e3, s])
 
 
 # -- additional contract examples --------------------------------------
