@@ -15,6 +15,7 @@ is and is not resonant.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 
@@ -244,6 +245,18 @@ PROBLEM_SCHEMA = {
 }
 
 
+@functools.cache
+def _problem_validator():
+    """Validator of :data:`PROBLEM_SCHEMA`, built once per process.
+
+    ``jsonschema.validate`` would re-check the schema itself on every
+    call; the test suite checks it once instead.  jsonschema is imported
+    on first parse, so a library import does not pay for it.
+    """
+    from jsonschema.validators import validator_for
+    return validator_for(PROBLEM_SCHEMA)(PROBLEM_SCHEMA)
+
+
 def parse_problem(text: str) -> ProblemSpec:
     """Validated problem from JSON text.
 
@@ -255,11 +268,10 @@ def parse_problem(text: str) -> ProblemSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"not valid JSON: {exc}", path="$") from None
-    import jsonschema   # on first parse: a library import does not pay for it
-    try:
-        jsonschema.validate(doc, PROBLEM_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ProblemFormatError(exc.message, path=exc.json_path) from None
+    from jsonschema.exceptions import best_match
+    error = best_match(_problem_validator().iter_errors(doc))
+    if error is not None:
+        raise ProblemFormatError(error.message, path=error.json_path)
 
     g = doc.get("g", {})
     if g.get("kind") == "componentwise":

@@ -383,7 +383,9 @@ def gamma_convergence(prob, w: KernelElement, s_values,
     every root angle of the components of ``y`` (:func:`_layer_centres`)
     and double away from it up to the midpoint between neighbouring roots.
     That is ``O(log s)`` nodes per ``s``.  ``M``, when given, caps every
-    panel at width ``2 pi / M``.
+    panel at width ``2 pi / M``.  The integrand comes from
+    :meth:`BoundedNonlinearity.limit_gap`, whose tail forms keep their
+    relative accuracy where ``s |y|`` is large.
     """
     s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
     if np.any(~np.isfinite(s_values) | (s_values <= 0.0)):
@@ -402,7 +404,7 @@ def gamma_convergence(prob, w: KernelElement, s_values,
         weights.append((half * _GL_WEIGHTS).ravel())
         counts.append(nodes[-1].size)
     vals = y.eval(np.concatenate(nodes))
-    diff = prob.g.limit(vals) - prob.g(np.repeat(s_values, counts)[:, None] * vals)
+    diff = prob.g.limit_gap(vals, np.repeat(s_values, counts))
     sq = np.concatenate(weights) * np.sum(diff * diff, axis=-1)
     sums = np.add.reduceat(sq, np.cumsum(counts) - counts)
     return np.sqrt(sums / TWO_PI)

@@ -32,6 +32,23 @@ def _base(kind: str, z):
     raise DimensionMismatch(f"unknown saturation profile {kind!r}")
 
 
+def _base_gap(kind: str, z):
+    """``1 - base(z)`` without the cancellation of the difference: tail
+    forms that keep full relative accuracy as ``z -> +inf``."""
+    if kind == "tanh":
+        # 2 / (1 + e^{2z}), written with e^{-2|z|} so nothing overflows
+        with np.errstate(under="ignore"):
+            e = np.exp(-2.0 * np.abs(z))
+        return 2.0 * np.where(z > 0, e, 1.0) / (1.0 + e)
+    if kind == "atan":
+        # pi/2 - atan z = atan(1/z) for z > 0, and atan2 covers every z
+        return (2.0 / np.pi) * np.arctan2(1.0, z)
+    if kind == "alg":
+        q = np.hypot(1.0, z)
+        return np.where(z > 0, 1.0 / (q * (q + np.abs(z))), 1.0 - z / q)
+    raise DimensionMismatch(f"unknown saturation profile {kind!r}")
+
+
 def _base_deriv(kind: str, z):
     if kind == "tanh":
         return 1.0 - np.tanh(z) ** 2
@@ -237,6 +254,27 @@ class BoundedNonlinearity:
             return out
         # the table is constant on each orthant and g(0) on its boundary
         return self(np.sign(y))
+
+    def limit_gap(self, y: np.ndarray, s) -> np.ndarray:
+        """``limit(y) - g(s y)`` at each row of ``y`` (``s`` broadcasts
+        against the rows), in tail form: the gap of a saturating profile or
+        of ``phi`` is computed directly, not as the difference of two
+        numbers that agree to ``1/(s |y|)``."""
+        y = np.asarray(y, dtype=float)
+        x = np.asarray(s, dtype=float)[..., None] * y
+        if self.kind == "componentwise":
+            sgn = np.sign(y)
+            # hi - value(x) is half (1 - base(z)), lo - value(x) is
+            # -half (1 - base(-z)), and the gap is 0 where y is
+            return np.stack([sgn[..., j] * p.half * _base_gap(
+                p.kind, sgn[..., j] * p.scale * (x[..., j] - p.shift))
+                for j, p in enumerate(self.components)], axis=-1)
+        if self.kind == "radial":
+            # 1 - phi(r) = 1 / (sqrt(1 + r^2) (sqrt(1 + r^2) + r))
+            r = np.linalg.norm(x, axis=-1, keepdims=True)
+            q = np.hypot(1.0, r)
+            return self.limit(y) / (q * (q + r))
+        return self.limit(y) - self(x)
 
     def value_at_zero(self) -> np.ndarray:
         if self.kind == "componentwise":

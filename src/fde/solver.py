@@ -57,8 +57,10 @@ def symbol_stack(prob, kmax: int) -> np.ndarray:
     return symbol(prob.P, prob.Lam, np.arange(kmax + 1))
 
 
-def _grid_size(u: TrigPoly, config: SolveConfig | None, prob) -> int:
-    M = 4 * u.kmax
+def _grid_size(u: TrigPoly | int, config: SolveConfig | None, prob) -> int:
+    """Nemytskii grid of a solve at bandwidth ``u`` (an int, or the
+    ``kmax`` of a polynomial)."""
+    M = 4 * (u.kmax if isinstance(u, TrigPoly) else u)
     if config is not None and config.M:
         M = max(config.M, M)
     return max(M, 2 * prob.p.kmax + 1, 16)
@@ -180,8 +182,9 @@ def coefficient_jacobian(prob, u: TrigPoly, config: SolveConfig | None = None,
 
 
 def seed_kernel(prob, report: ResonanceReport | None = None,
-                n_samples: int = 64, radii=None, M: int = 2048,
-                threshold: float | None = None) -> list:
+                n_samples: int = 64, radii=None, M: int | None = None,
+                threshold: float | None = None,
+                config: SolveConfig | None = None) -> list:
     """Candidate kernel components for the resonant coordinates.
 
     Scans ``radius x direction`` over vertical scalings of unit kernel
@@ -190,6 +193,12 @@ def seed_kernel(prob, report: ResonanceReport | None = None,
     reduced bifurcation equation.  Candidates are returned sorted by that
     objective; those not meaningfully below the zero-element baseline are
     dropped, so the list is empty when the zero seed is already as good.
+
+    ``M`` defaults to the grid :func:`solve_periodic` uses under ``config``
+    (the problem's own settings when ``None``).  The objective is the
+    kernel projection of the same Nemytskii map whose residual Newton must
+    resolve on that grid, so the grid that serves the solve serves the
+    ranking of its seeds.
     """
     report = resonant_set(prob.P, prob.Lam) if report is None else report
     if report.nu == 0:
@@ -202,11 +211,17 @@ def seed_kernel(prob, report: ResonanceReport | None = None,
     else:
         amps = coords_to_amps(sphere_points(2 * report.nu, n_samples, seed=0))
 
+    kb = max(k for k, _ in report.kernel_slots())
+    if M is None:
+        if config is None:
+            config = prob.solve if prob.solve is not None else SolveConfig()
+        # a kernel band above kmax fails in the solve, not here
+        M = _grid_size(max(config.kmax, kb), config, prob)
+
     def objective(u: TrigPoly) -> np.ndarray:
         N = nemytskii_eval(prob, u, M)
         return np.linalg.norm(KernelElement.from_poly(report, N).amps, axis=-1)
 
-    kb = max(k for k, _ in report.kernel_slots())
     base = float(objective(TrigPoly.zero(prob.n, kb)))
     if threshold is None:
         threshold = max(1e-6, 0.5 * base)
@@ -392,7 +407,7 @@ def solve_best(prob, config: SolveConfig | None = None,
         config = prob.solve if prob.solve is not None else SolveConfig()
     report = resonant_set(prob.P, prob.Lam) if report is None else report
     seeds = seed_kernel(prob, report, n_samples=config.seed_samples,
-                        radii=config.seed_radii)
+                        radii=config.seed_radii, config=config)
     best = None
     for seed in seeds[:4] + [None]:
         result = solve_periodic(prob, seed, config, report)

@@ -197,6 +197,24 @@ def test_schema_violation_reports_path(capsys, tmp_path):
     assert "'g' is a required property" in err
 
 
+def test_problem_schema_is_valid():
+    # parse_problem builds its validator once and no longer re-checks the
+    # schema itself on every load
+    from jsonschema.validators import validator_for
+    from fde.catalog import PROBLEM_SCHEMA
+    validator_for(PROBLEM_SCHEMA).check_schema(PROBLEM_SCHEMA)
+
+
+def test_missing_g_raises_at_document_root():
+    from fde.errors import ProblemFormatError
+    doc = fde.emit_example("duffing-delay")
+    del doc["g"]
+    with pytest.raises(ProblemFormatError,
+                       match=r"^\$: 'g' is a required property$") as info:
+        parse_problem(json.dumps(doc))
+    assert info.value.path == "$"
+
+
 def test_missing_saturation_limits_rejected(capsys, tmp_path):
     _, out, _ = run(capsys, "example", "duffing-delay")
     doc = json.loads(out)

@@ -276,6 +276,24 @@ def test_gamma_convergence_quad_radial():
         assert_matches_quad(prob, w, s_values, rel=1e-9)
 
 
+def test_gamma_convergence_radial_tail_without_zeros():
+    # |Psi w| has no zero on weakly-coupled sample 0, so 1 - phi(s|y|)
+    # ~ 1/(2 s^2 |y|^2) everywhere and E(s) s^2 -> ||G(v) / (2|y|^2)||_L2,
+    # which a plain difference limit - g(s y) loses once s|y| ~ 1e8
+    import dataclasses
+    from fde import BoundedNonlinearity
+    g = BoundedNonlinearity("radial", A=[[1.0, 0.3], [-0.2, 0.8]],
+                            b=[0.1, -0.05])
+    prob = dataclasses.replace(build_example("weakly-coupled"), g=g)
+    w = sphere_samples(scalar_report(prob), 1, seed=0)[0]
+    y = apply_deviation(prob.Psi, w.to_poly()).eval(TWO_PI * np.arange(4096) / 4096)
+    r2 = np.sum(y * y, axis=1, keepdims=True)
+    want = np.sqrt(np.mean(np.sum((g.limit(y) / (2.0 * r2)) ** 2, axis=1)))
+    assert want == pytest.approx(16.6305543, abs=1e-7)
+    E = gamma_convergence(prob, w, [1e9])
+    assert E[0] * 1e18 == pytest.approx(want, rel=1e-6)
+
+
 def test_gamma_convergence_quad_zero_component():
     prob = build_example("gompertz-system")
     rep = scalar_report(prob)

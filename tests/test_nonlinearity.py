@@ -62,6 +62,42 @@ def test_radial_kind():
     assert np.max(np.abs(big - limit)) < 1e-12
 
 
+# leading terms of 1 - base(z) as z -> +inf; the next term is smaller by
+# e^{-2z} (tanh) or z^{-4} (atan, alg)
+TAILS = {"tanh": lambda z: 2.0 * np.exp(-2.0 * z) * (1.0 - np.exp(-2.0 * z)),
+         "atan": lambda z: (2.0 / np.pi) * (1.0 / z - 1.0 / (3.0 * z ** 3)),
+         "alg": lambda z: 1.0 / (2.0 * z ** 2) - 3.0 / (8.0 * z ** 4)}
+
+
+@pytest.mark.parametrize("kind", ["tanh", "atan", "alg"])
+def test_limit_gap_keeps_the_tail(kind):
+    p = ComponentProfile(kind, -0.5, 2.0, scale=0.7, shift=0.3)
+    g = BoundedNonlinearity("componentwise", components=[p])
+    y = np.array([[-2.0], [-1.0], [0.0], [1.0], [2.0]])
+    # moderate amplitude: the plain difference is accurate
+    np.testing.assert_allclose(g.limit_gap(y, 0.5), g.limit(y) - g(0.5 * y),
+                               rtol=0.0, atol=1e-15)
+    # far out the difference has cancelled; the gap is half the tail,
+    # signed toward the limit, and 0 where y is
+    s = 20.0 if kind == "tanh" else 1e5
+    z = p.scale * (s * np.abs(y[:, 0]) - np.sign(y[:, 0]) * p.shift)
+    want = np.sign(y[:, 0]) * p.half * TAILS[kind](np.where(y[:, 0], z, 1.0))
+    np.testing.assert_allclose(g.limit_gap(y, s)[:, 0], want, rtol=1e-13)
+
+
+def test_limit_gap_radial_keeps_the_tail():
+    # 1 - phi(x) = 1/(2 x^2) - 3/(8 x^4) + ... for phi(x) = x / sqrt(1 + x^2)
+    g = BoundedNonlinearity("radial", A=[[1.0, 0.5], [0.0, 1.0]], b=[0.1, -0.2])
+    y = np.array([[3.0, 4.0], [0.0, 0.0], [-0.06, 0.08]])
+    s = np.array([0.5, 1e9, 1e9])
+    np.testing.assert_allclose(g.limit_gap(y[:1], s[:1]),
+                               g.limit(y[:1]) - g(0.5 * y[:1]), atol=1e-15)
+    x = s[2] * 0.1
+    want = g.limit(y[2:]) * (1.0 / (2.0 * x * x) - 3.0 / (8.0 * x ** 4))
+    np.testing.assert_allclose(g.limit_gap(y[2:], s[2:]), want, rtol=1e-13)
+    assert np.all(g.limit_gap(y, s)[1] == 0.0)
+
+
 def test_sign_table_kind():
     table = {"+": [0.7], "-": [-0.3]}
     g = BoundedNonlinearity("sign_table", table=table, zero_value=[0.2])

@@ -231,6 +231,28 @@ def test_seed_kernel_ties_follow_sample_index(example):
     assert ties > 0
 
 
+@pytest.mark.parametrize("example, kmax", [(ex, None) for ex in ALL_EXAMPLES]
+                         + [("duffing-delay", 8), ("weakly-coupled", 8)])
+def test_seed_kernel_on_solve_grid_matches_fine_grid(example, kmax, monkeypatch):
+    # by default the scan runs on the grid of the solve it seeds (4 kmax);
+    # the seeds and their order are those of a 2048-point grid, bit for bit
+    from fde import solver
+    prob = build_example(example)
+    config = None if kmax is None else SolveConfig(kmax=kmax)
+    grids = []
+    eval_nemytskii = solver.nemytskii_eval
+
+    def recording(p, u, M):
+        grids.append(M)
+        return eval_nemytskii(p, u, M)
+
+    monkeypatch.setattr(solver, "nemytskii_eval", recording)
+    coarse = seed_kernel(prob, config=config)
+    assert set(grids) == {(config or prob.solve).M}
+    fine = seed_kernel(prob, M=2048)
+    assert [s.amps.tobytes() for s in coarse] == [s.amps.tobytes() for s in fine]
+
+
 def test_seed_kernel_unforced_odd_gives_zero_route():
     prob = build_example("duffing-delay", c=0.0)
     seeds = seed_kernel(prob)
