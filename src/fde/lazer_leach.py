@@ -17,12 +17,18 @@ with positive-frequency amplitude vector ``a`` has coordinate norm
 saturating example with limits -+1 and no forcing has range margin
 ``2/pi``, the classical constant.
 
-All certificates are sampling based: a positive verdict is evidence, not a
-proof, while a failure witness is an exact counterexample candidate.  The
-finite-amplitude distance is not sampled on a grid: its integrand lives in
-layers of width ``1/s`` around the zeros of ``Psi w``, so it is integrated
-by Gauss-Legendre panels graded from those zeros, found as the roots of one
-companion polynomial per component (:func:`gamma_convergence`).
+The sphere certificates are sampling based: a positive verdict is
+evidence, not a proof, while a failure witness is an exact counterexample
+candidate.  Only the covering of the sphere is sampled.  At each sample
+the projected field is exact up to rounding for componentwise and
+sign-table fields: their ``g_w`` is constant between the zeros of the
+components of ``Psi w``, which are the unit-circle roots of one companion
+polynomial per component (:func:`_root_angles`), so its kernel
+coordinates are a finite sum of arc integrals.  Radial fields have a
+continuous ``g_w``, which the trapezoid rule on ``M`` points resolves
+spectrally.  The finite-amplitude distance lives in layers of width
+``1/s`` around the same roots, so it is integrated by Gauss-Legendre
+panels graded from them (:func:`gamma_convergence`).
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from .measures import apply_deviation
 from .resonance import (KernelElement, ResonanceReport, deviation_eigenvalues,
                         resonant_set)
 from .sampling import coords_to_amps, phase_circle, sphere_points
-from .trigpoly import analyze_grid, eval_grid
+from .trigpoly import TrigPoly, analyze_grid, eval_grid
 
 TWO_PI = 2.0 * np.pi
 
@@ -80,15 +86,87 @@ def _ensure_report(prob, report):
     return resonant_set(prob.P, prob.Lam) if report is None else report
 
 
+def _root_angles(coeffs) -> np.ndarray:
+    """Angles in ``[0, 2 pi)`` of every root of each component's companion
+    polynomial ``z^d y_c(z)`` (``d`` its degree) for the coefficients
+    ``(..., kb+1, n)`` of a batch of ``y``; shape ``(..., n, 2 kb)``.
+
+    A root on the unit circle is a zero of ``y_c``; one off it is a
+    spurious breakpoint, kept because no tolerance can tell "near" from
+    "far" for every use.  A component of degree ``d < kb`` fills its last
+    ``2 (kb - d)`` slots, and a constant one all of them, with the angle 0,
+    which repeats the breakpoint every caller has anyway.  The companion
+    matrices of each degree go through one ``np.linalg.eigvals`` call.
+    """
+    c = np.moveaxis(np.asarray(coeffs, dtype=complex), -1, -2)  # (..., n, kb+1)
+    kb = c.shape[-1] - 1
+    out = np.zeros(c.shape[:-1] + (2 * kb,))
+    nonzero = c[..., 1:] != 0
+    deg = np.where(nonzero.any(axis=-1),
+                   kb - np.argmax(nonzero[..., ::-1], axis=-1), 0)
+    for d in np.unique(deg[deg > 0]).tolist():
+        pick = deg == d
+        cd = c[pick]
+        # highest power first: c_d .. c_1, c_0, c_-1 .. c_-d
+        poly = np.concatenate([cd[:, d:0:-1], cd[:, :1], np.conj(cd[:, 1:d + 1])],
+                              axis=1)
+        # the companion matrix np.roots builds
+        comp = np.zeros((len(cd), 2 * d, 2 * d), dtype=complex)
+        comp[:, 0] = -poly[:, 1:] / poly[:, :1]
+        comp[:, np.arange(1, 2 * d), np.arange(2 * d - 1)] = 1.0
+        out[..., :2 * d][pick] = np.angle(np.linalg.eigvals(comp)) % TWO_PI
+    return out
+
+
+def _step_coefficients(g, y) -> np.ndarray:
+    """Coefficients ``c_0 .. c_kb`` of ``g.limit(y)`` for a field that is
+    constant while no component of ``y`` changes sign (componentwise and
+    sign-table ``g``), as exact arc integrals; shape ``(..., kb+1, n)``.
+
+    Each arc between sorted breakpoints (every root angle of
+    :func:`_root_angles`, with 0 and 2 pi) takes the value at its midpoint
+    and adds ``value (e^{-ika} - e^{-ikb}) / (2 pi i k)``, or
+    ``value (b - a) / 2 pi`` at ``k = 0``.  A spurious breakpoint only
+    splits an arc, and a zero component gets ``g(0)``.
+    """
+    c = y.coeffs
+    batch = c.shape[:-2]
+    cuts = np.concatenate([np.zeros(batch + (1,)),
+                           _root_angles(c).reshape(batch + (-1,)),
+                           np.full(batch + (1,), TWO_PI)], axis=-1)
+    cuts.sort(axis=-1)
+    k = np.arange(1, y.kmax + 1)
+    mid = 0.5 * (cuts[..., :-1] + cuts[..., 1:])
+    ymid = c[..., :1, :].real + 2.0 * np.real(
+        np.exp(1j * mid[..., None] * k) @ c[..., 1:, :])
+    edge = np.exp(-1j * cuts[..., None] * k)
+    weights = np.concatenate([np.diff(cuts)[..., None],
+                              (edge[..., :-1, :] - edge[..., 1:, :]) / (1j * k)],
+                             axis=-1) / TWO_PI
+    return np.einsum("...jk,...jn->...kn", weights, g.limit(ymid))
+
+
 def gamma_tilde(prob, w: KernelElement, M: int = 4096) -> KernelElement:
-    """Projected limit field ``Proj_ker (g_w - p)`` in kernel coordinates,
-    with ``g_w`` sampled along the deviated kernel element ``Psi w``; a
-    batch of ``w`` gives the batch of fields."""
+    """Projected limit field ``Proj_ker (g_w - p)`` in kernel coordinates
+    along the deviated kernel element ``Psi w``; a batch of ``w`` gives the
+    batch of fields.
+
+    Componentwise and sign-table fields make ``g_w`` a step function with
+    jumps at the zeros of ``Psi w`` only, so its coordinates are summed
+    exactly over the arcs between them (:func:`_step_coefficients`).  A
+    radial field is continuous and is sampled on ``M`` grid points, where
+    the trapezoid rule is spectrally accurate; ``M`` is read for radial
+    fields only.
+    """
     report = w.report
+    y = apply_deviation(prob.Psi, w.to_poly())
+    if prob.g.kind != "radial":
+        coeffs = _step_coefficients(prob.g, y) - prob.p.truncate(y.kmax).coeffs
+        return KernelElement.from_poly(report, TrigPoly(coeffs))
     kb = max(report.kernel_basis.shape[1] - 1, 1, prob.p.kmax)
     if M < max(2 * kb + 1, 64):
         raise DimensionMismatch("grid too small for the resonant band")
-    vals = prob.g.limit(eval_grid(apply_deviation(prob.Psi, w.to_poly()), M))
+    vals = prob.g.limit(eval_grid(y, M))
     vals -= eval_grid(prob.p, M)
     return KernelElement.from_poly(report, analyze_grid(vals, kb))
 
@@ -130,9 +208,13 @@ class SphereScan:
         return {"R2": self.r2, "N2": self.n2}
 
 
+def _sphere_batch(report: ResonanceReport, count: int, seed: int) -> SphereSample:
+    return SphereSample(report, coords_to_amps(sphere_points(2 * report.nu, count,
+                                                             seed=seed)))
+
+
 def sphere_samples(report: ResonanceReport, count: int, seed: int) -> list:
-    amps = coords_to_amps(sphere_points(2 * report.nu, count, seed=seed))
-    return [SphereSample(report, a) for a in amps]
+    return [SphereSample(report, a) for a in _sphere_batch(report, count, seed).amps]
 
 
 def sphere_scan(prob, report: ResonanceReport | None = None,
@@ -156,13 +238,13 @@ def sphere_scan(prob, report: ResonanceReport | None = None,
         # h only shifts the N2 budget; keep samples h-independent so the
         # R2 margin does not move when the perturbation is toggled
         seed = prob.content_hash(include_h=False) % (2 ** 32)
-    samples = sphere_samples(report, n_samples, int(seed))
+    samples = _sphere_batch(report, n_samples, int(seed))
     h_sup = prob.h.sup_norm() if prob.h is not None else 0.0
     budget = h_sup / np.sqrt(2.0)
     mus = deviation_eigenvalues(report, prob.Psi)
 
-    amps = np.array([w.amps for w in samples])
-    gammas = gamma_tilde(prob, KernelElement(report, amps), M).amps
+    amps = samples.amps
+    gammas = gamma_tilde(prob, samples, M).amps
     mags = np.linalg.norm(gammas, axis=-1)
     d = mus * amps
     dn = np.linalg.norm(d, axis=-1)
@@ -172,8 +254,8 @@ def sphere_scan(prob, report: ResonanceReport | None = None,
                     np.real(np.sum(d.conj() * gammas, axis=-1)) - budget)
     # argmin keeps the first sample among ties
     i_r2, i_n2 = int(np.argmin(mags)), int(np.argmin(gaps))
-    r2, r2_wit = float(mags[i_r2]), samples[i_r2]
-    n2, n2_wit = float(gaps[i_n2]), samples[i_n2]
+    r2, r2_wit = float(mags[i_r2]), KernelElement(report, amps[i_r2])
+    n2, n2_wit = float(gaps[i_n2]), KernelElement(report, amps[i_n2])
 
     r2_cert = certificate("R2", r2, samples=n_samples,
                           witness=r2_wit.to_dict(), holds=bool(r2 > gate),
@@ -259,7 +341,7 @@ def _block_margin(prob, c: int, k: int) -> float:
 
 
 def degree_product(prob, report: ResonanceReport | None = None,
-                   M: int = 2048, coupling_tol: float = 1e-8) -> int:
+                   coupling_tol: float = 1e-8) -> int:
     """Degree as a product of per-component winding numbers.
 
     Valid when the kernel splits into per-component two-dimensional blocks,
@@ -283,7 +365,7 @@ def degree_product(prob, report: ResonanceReport | None = None,
     idxs = [idx for c, (k, idx) in sorted(blocks.items())]
     amps = np.zeros((len(idxs), nslots), dtype=complex)
     amps[np.arange(len(idxs)), idxs] = 1.0 / np.sqrt(2.0)
-    responses = gamma_tilde(prob, SphereSample(report, amps), M).amps + a_p
+    responses = gamma_tilde(prob, SphereSample(report, amps)).amps + a_p
     for idx, a_g in zip(idxs, responses):
         off = float(np.linalg.norm(np.delete(a_g, idx)))
         if off > coupling_tol * (1.0 + np.linalg.norm(a_g)):
@@ -331,23 +413,14 @@ def small_set_measure(w, eps: float, M: int = 2 ** 16) -> float:
 
 def _layer_centres(y) -> np.ndarray:
     """Sorted angles of every root of every component's companion
-    polynomial ``z^d y_c(z)`` (``d`` its degree), with 0 and 2 pi.
+    polynomial (:func:`_root_angles`), with 0 and 2 pi.
 
-    A root on the unit circle is a zero of ``y_c``; one just off it marks a
-    near-tangent minimum of ``|y_c|``, which at large amplitude is as thin a
-    layer as a zero.  No root is filtered out: one far from the circle
-    costs a few panels, and no tolerance can tell "near" from "far" for
-    every ``s``.
+    A root just off the unit circle marks a near-tangent minimum of
+    ``|y_c|``, which at large amplitude is as thin a layer as a zero.  No
+    root is filtered out: one far from the circle costs a few panels, and
+    no tolerance can tell "near" from "far" for every ``s``.
     """
-    angles = [np.array([0.0, TWO_PI])]
-    for c in y.coeffs.T:
-        top = np.flatnonzero(c[1:])
-        if top.size:
-            d = top[-1] + 1
-            # highest power first: c_d .. c_1, c_0, c_-1 .. c_-d
-            poly = np.concatenate([c[d:0:-1], c[:1], np.conj(c[1:d + 1])])
-            angles.append(np.angle(np.roots(poly)) % TWO_PI)
-    return np.unique(np.concatenate(angles))
+    return np.unique(np.concatenate([[0.0, TWO_PI], _root_angles(y.coeffs).ravel()]))
 
 
 def _panels(centres: np.ndarray, s: float, M: int | None):

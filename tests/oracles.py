@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad, quad_vec, solve_ivp
 from scipy.optimize import brentq
+from scipy.special import expit
 
 TWO_PI = 2.0 * np.pi
 
@@ -117,6 +118,96 @@ def dde_second_order(alpha0: float, tau: float, gfun, pfun, history,
 # -- saturation layers -------------------------------------------------
 
 
+def _trig_poly(y):
+    """Evaluator ``t -> y(t)`` of a single real trigonometric polynomial,
+    summed term by term, and its coefficients."""
+    c = np.asarray(y.coeffs)
+    k = np.arange(c.shape[0])
+
+    def y_of(t):
+        return c[0].real + 2.0 * np.real(np.exp(1j * np.multiply.outer(t, k[1:]))
+                                         @ c[1:])
+
+    return y_of, c
+
+
+def _sign_changes(y_of, n: int, grid: int):
+    """``brentq`` zeros of every component at the sign changes of a
+    ``grid``-point sampling, plus that sampling ``(t, y(t))``."""
+    tg = TWO_PI * np.arange(grid + 1) / grid
+    vals = y_of(tg)
+    zeros = []
+    for j in range(n):
+        v = vals[:, j]
+        for i in np.flatnonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0):
+            zeros.append(brentq(lambda t: y_of(t)[j], tg[i], tg[i + 1],
+                                xtol=1e-16, rtol=4 * np.finfo(float).eps))
+    return zeros, tg, vals
+
+
+def gamma_tilde_quad(g, y, kmax: int, grid: int = 2 ** 16) -> np.ndarray:
+    """Adaptive quadrature values of the coefficients
+    ``(1/2pi) int g.limit(y(t)) e^{-ikt} dt``, ``k = 0 .. kmax``, shape
+    ``(kmax+1, n)``, for a single ``y`` (``Psi w``).
+
+    The period is split at every component zero (``brentq`` on each sign
+    change of a ``grid``-point sampling), so the limit field is constant on
+    each piece, and each piece is integrated by ``quad_vec``.
+    """
+    y_of, c = _trig_poly(y)
+    n = c.shape[1]
+    k = np.arange(kmax + 1)
+    zeros, _, _ = _sign_changes(y_of, n, grid)
+    cuts = np.unique(np.concatenate([[0.0, TWO_PI], zeros]))
+
+    def integrand(t):
+        z = np.outer(np.exp(-1j * k * t), g.limit(y_of(t)[None, :])[0])
+        return np.concatenate([z.real.ravel(), z.imag.ravel()])
+
+    total = sum(quad_vec(integrand, lo, hi, epsabs=1e-15, epsrel=1e-14)[0]
+                for lo, hi in zip(cuts[:-1], cuts[1:]))
+    half = total.size // 2
+    return (total[:half] + 1j * total[half:]).reshape(kmax + 1, n) / TWO_PI
+
+
+def _one_minus_base(kind: str, z):
+    """``1 - base(z)`` for the saturating profiles (``tanh``,
+    ``(2/pi) atan``, ``z / sqrt(1 + z^2)``), in forms that keep their
+    relative accuracy as ``z -> +inf``: ``2 expit(-2z)``,
+    ``(2/pi) atan(1/z)`` and ``-expm1(-log1p(1/z^2) / 2)``."""
+    z = np.asarray(z, dtype=float)
+    if kind == "tanh":
+        return 2.0 * expit(-2.0 * z)
+    far = z > 1.0
+    inv = 1.0 / np.where(far, z, 1.0)
+    if kind == "atan":
+        return np.where(far, (2.0 / np.pi) * np.arctan(inv),
+                        1.0 - (2.0 / np.pi) * np.arctan(z))
+    return np.where(far, -np.expm1(-0.5 * np.log1p(inv * inv)),
+                    1.0 - z / np.sqrt(1.0 + z * z))
+
+
+def _limit_gap(g, y, s: float) -> np.ndarray:
+    """``g.limit(y) - g(s y)`` at one point ``y`` (shape ``(n,)``).
+
+    A saturating profile ``mid + half base(scale (x - shift))`` has the gap
+    ``sgn(y) half (1 - base(sgn(y) scale (s y - shift)))``; a radial field
+    ``phi(r) G(v)`` the gap ``G(v) (1 - phi(s |y|))``, with ``phi`` the
+    ``alg`` base; a sign table none.
+    """
+    if g.kind == "componentwise":
+        out = np.zeros(y.size)
+        for j, p in enumerate(g.components):
+            sg = np.sign(y[j])
+            if sg:
+                out[j] = sg * 0.5 * (p.hi - p.lo) * _one_minus_base(
+                    p.kind, sg * p.scale * (s * y[j] - p.shift))
+        return out
+    if g.kind == "radial":
+        return g.limit(y[None, :])[0] * _one_minus_base("alg", s * np.linalg.norm(y))
+    return g.limit(y[None, :])[0] - g(s * y[None, :])[0]
+
+
 def gamma_convergence_quad(g, y, s: float, grid: int = 2 ** 16) -> float:
     """Adaptive quadrature value of ``||g_w - g(s y)||_L2`` for one ``s``.
 
@@ -125,28 +216,18 @@ def gamma_convergence_quad(g, y, s: float, grid: int = 2 ** 16) -> float:
     (``brentq`` on each sign change of a ``grid``-point sampling), at every
     grid-local minimum of ``|y_c|`` (a near-tangent layer has no sign
     change), and at offsets ``10^-8 .. 10^-1`` on both sides of each, so
-    every saturation layer lies across pieces that ``quad`` resolves.
+    every saturation layer lies across pieces that ``quad`` resolves.  The
+    integrand is this module's own tail form of the gap
+    (:func:`_limit_gap`), not a difference of two nearly equal values.
     """
-    c = np.asarray(y.coeffs)
-    k = np.arange(c.shape[0])
-
-    def y_of(t):
-        return c[0].real + 2.0 * np.real(np.exp(1j * np.multiply.outer(t, k[1:]))
-                                         @ c[1:])
-
-    tg = TWO_PI * np.arange(grid + 1) / grid
-    vals = y_of(tg)
-    cuts = [0.0, TWO_PI]
+    y_of, c = _trig_poly(y)
+    zeros, tg, vals = _sign_changes(y_of, c.shape[1], grid)
+    cuts = [0.0, TWO_PI] + zeros
     for j in range(c.shape[1]):
-        v = vals[:, j]
-        if not np.any(v):
-            continue
-        for i in np.flatnonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0):
-            cuts.append(brentq(lambda t: y_of(t)[j], tg[i], tg[i + 1],
-                               xtol=1e-16, rtol=4 * np.finfo(float).eps))
-        a = np.abs(v[:-1])
-        is_min = (a <= np.roll(a, 1)) & (a <= np.roll(a, -1))
-        cuts.extend(tg[np.flatnonzero(is_min)])
+        a = np.abs(vals[:-1, j])
+        if np.any(a):
+            is_min = (a <= np.roll(a, 1)) & (a <= np.roll(a, -1))
+            cuts.extend(tg[np.flatnonzero(is_min)])
     centres = np.array(cuts)
     offsets = 10.0 ** -np.arange(1, 9)
     cuts = np.concatenate([centres, np.add.outer(centres, offsets).ravel(),
@@ -154,8 +235,7 @@ def gamma_convergence_quad(g, y, s: float, grid: int = 2 ** 16) -> float:
     cuts = np.unique(np.clip(cuts, 0.0, TWO_PI))
 
     def integrand(t):
-        yt = y_of(t)[None, :]
-        d = g.limit(yt) - g(s * yt)
+        d = _limit_gap(g, y_of(t), s)
         return float(np.sum(d * d))
 
     # full_output keeps quad quiet where a touching zero leaves only the

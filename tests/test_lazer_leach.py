@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from fde import (KernelElement, apply_deviation, build_example,
+from fde import (KernelElement, TrigPoly, apply_deviation, build_example,
                  degree_product, degree_winding, gamma_convergence,
                  gamma_tilde, gamma_unit, ll_margin, project_kernel,
                  resonant_set, small_set_measure, sphere_samples, sphere_scan)
+from fde.catalog import EXAMPLE_IDS
 from fde.errors import (BlockStructureError, DimensionMismatch,
                         R2ViolationError)
 from fde.lazer_leach import SphereSample, kernel_forcing_coords
@@ -39,7 +40,7 @@ def test_projection_formula_plain():
         w = SphereSample.single_phase(rep, phi)
         gt = gamma_tilde(prob, w)
         target = TWO_OVER_PI * np.exp(-1j * phi)
-        assert abs(gt.amps[0] - target) < 2e-3
+        assert abs(gt.amps[0] - target) < 1e-12
 
 
 def test_projection_formula_delay_shift():
@@ -50,7 +51,145 @@ def test_projection_formula_delay_shift():
         w = SphereSample.single_phase(rep, phi)
         gt = gamma_tilde(prob, w)
         target = TWO_OVER_PI * np.exp(-1j * (phi + tau))
-        assert abs(gt.amps[0] - target) < 2e-3
+        assert abs(gt.amps[0] - target) < 1e-12
+
+
+def quad_gamma_tilde(prob, w):
+    """Kernel coordinates of ``limit(Psi w) - p`` from the quad oracle."""
+    y = apply_deviation(prob.Psi, w.to_poly())
+    c = oracles.gamma_tilde_quad(prob.g, y, y.kmax) - prob.p.truncate(y.kmax).coeffs
+    return KernelElement.from_poly(w.report, TrigPoly(c)).amps
+
+
+def assert_gamma_tilde_matches_quad(prob, amps, tol=1e-12):
+    rep = scalar_report(prob)
+    got = gamma_tilde(prob, KernelElement(rep, amps)).amps
+    for a, gt in zip(amps, got):
+        want = quad_gamma_tilde(prob, KernelElement(rep, a))
+        assert np.max(np.abs(gt - want)) < tol
+
+
+@pytest.mark.parametrize("ex", EXAMPLE_IDS)
+def test_gamma_tilde_matches_quad(ex):
+    prob = build_example(ex)
+    samples = sphere_samples(scalar_report(prob), 8, seed=5)
+    assert_gamma_tilde_matches_quad(prob, np.array([w.amps for w in samples]))
+
+
+def test_gamma_tilde_matches_quad_sign_table():
+    # a 2-component sign table couples the components: its value on an arc
+    # depends on the signs of both
+    import dataclasses
+    from fde import BoundedNonlinearity
+    g = BoundedNonlinearity("sign_table", table={
+        "++": [1.0, 0.5], "+-": [0.7, -1.2], "-+": [-0.4, 0.9],
+        "--": [-1.1, -0.6]}, zero_value=[0.2, -0.1])
+    prob = dataclasses.replace(build_example("weakly-coupled"), g=g)
+    samples = sphere_samples(scalar_report(prob), 8, seed=5)
+    assert_gamma_tilde_matches_quad(prob, np.array([w.amps for w in samples]))
+
+
+def test_step_coefficients_zero_component():
+    # gompertz-system's second component of Psi w is identically zero and
+    # gets g(0) = value(0) = 0.4 on the whole period
+    import dataclasses
+    from fde import BoundedNonlinearity
+    from fde.nonlinearity import ComponentProfile
+    from fde.lazer_leach import _step_coefficients
+    g = BoundedNonlinearity("componentwise", components=[
+        ComponentProfile("tanh", -1.0, 1.0), ComponentProfile("atan", 0.2, 0.6)])
+    prob = dataclasses.replace(build_example("gompertz-system"), g=g)
+    for w in sphere_samples(scalar_report(prob), 8, seed=5):
+        y = apply_deviation(prob.Psi, w.to_poly())
+        assert not np.any(y.coeffs[:, 1])
+        got = _step_coefficients(prob.g, y)
+        assert got[0, 1] == pytest.approx(0.4, abs=1e-15)
+        assert np.max(np.abs(got - oracles.gamma_tilde_quad(g, y, y.kmax))) < 1e-12
+        assert_gamma_tilde_matches_quad(prob, w.amps[None, :])
+
+
+@pytest.mark.parametrize("ex", ["weakly-coupled", "beam"])
+def test_gamma_tilde_matches_quad_mixed_degree_batch(ex):
+    # coordinate probes like degree_product's zero a whole component
+    # (weakly-coupled: degree patterns (1, 0), (0, 1), (1, 1)) or a whole
+    # frequency (beam: degrees 1 and 2 in one batch)
+    prob = build_example(ex)
+    probes = np.eye(2) / np.sqrt(2.0)
+    samples = sphere_samples(scalar_report(prob), 6, seed=5)
+    amps = np.concatenate([probes[:1], [w.amps for w in samples[:3]],
+                           probes[1:], [w.amps for w in samples[3:]]])
+    assert_gamma_tilde_matches_quad(prob, amps)
+
+
+@pytest.mark.parametrize("eps", [1e-6, -1e-6])
+def test_gamma_tilde_matches_quad_near_tangent(eps):
+    # y = cos t + (1 - eps) cos 2t peaks at -eps at t = pi: two zeros
+    # 1.6e-3 apart (eps < 0), or a root pair just off the circle (eps > 0)
+    prob = build_example("beam")
+    amps = np.array([[0.5, 0.5 * (1.0 - eps)]])
+    assert_gamma_tilde_matches_quad(prob, amps)
+
+
+def test_root_angles_match_np_roots():
+    # the batched companion eigenvalues are np.roots of each component's
+    # z^d y_c(z), bit for bit; the padding slots hold the angle 0
+    from fde.lazer_leach import _root_angles
+    prob = build_example("beam")
+    rep = scalar_report(prob)
+    amps = np.array([[0.5, 0.0], [0.0, 0.5]]
+                    + [w.amps for w in sphere_samples(rep, 6, seed=5)])
+    coeffs = apply_deviation(prob.Psi, KernelElement(rep, amps).to_poly()).coeffs
+    got = _root_angles(coeffs)
+    assert got.shape == (8, 1, 4)
+    for c, angles in zip(coeffs[..., 0], got[:, 0]):
+        d = np.flatnonzero(c[1:])[-1] + 1
+        poly = np.concatenate([c[d:0:-1], c[:1], np.conj(c[1:d + 1])])
+        want = np.angle(np.roots(poly)) % TWO_PI
+        assert angles[:2 * d].tobytes() == want.tobytes()
+        assert not np.any(angles[2 * d:])
+
+
+def test_gamma_tilde_makes_no_grid_call(monkeypatch):
+    import dataclasses
+    import fde.lazer_leach
+    import fde.trigpoly
+    from fde import BoundedNonlinearity
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eval_grid called")
+
+    monkeypatch.setattr(fde.lazer_leach, "eval_grid", forbidden)
+    monkeypatch.setattr(fde.trigpoly, "eval_grid", forbidden)
+    prob = build_example("weakly-coupled")
+    table = BoundedNonlinearity("sign_table", table={
+        "++": [1.0, 1.0], "+-": [1.0, -1.0], "-+": [-1.0, 1.0],
+        "--": [-1.0, -1.0]})
+    for p in (prob, dataclasses.replace(prob, g=table)):
+        scan = sphere_scan(p, n_samples=64)
+        assert scan.r2["holds"]
+        # M names the radial grid only
+        w = sphere_samples(scalar_report(p), 1, seed=0)[0]
+        assert np.array_equal(gamma_tilde(p, w, M=1).amps, gamma_tilde(p, w).amps)
+
+
+@pytest.mark.parametrize("M", [4096, 256])
+def test_gamma_tilde_radial_keeps_the_grid(M):
+    # the radial limit field is continuous: gamma_tilde samples it on the
+    # M-point grid, bit for bit the trapezoid formula below
+    import dataclasses
+    from fde import BoundedNonlinearity
+    from fde.trigpoly import analyze_grid, eval_grid
+    g = BoundedNonlinearity("radial", A=[[1.0, 0.3], [-0.2, 0.8]],
+                            b=[0.1, -0.05])
+    prob = dataclasses.replace(build_example("weakly-coupled"), g=g)
+    rep = scalar_report(prob)
+    w = KernelElement(rep, np.array([s.amps for s in sphere_samples(rep, 16, seed=5)]))
+    vals = g.limit(eval_grid(apply_deviation(prob.Psi, w.to_poly()), M))
+    vals -= eval_grid(prob.p, M)
+    want = KernelElement.from_poly(rep, analyze_grid(vals, 1)).amps
+    assert gamma_tilde(prob, w, M).amps.tobytes() == want.tobytes()
+    with pytest.raises(DimensionMismatch):
+        gamma_tilde(prob, w, M=32)
 
 
 def test_gamma_tilde_lies_in_kernel():
@@ -270,7 +409,7 @@ def test_gamma_convergence_quad_radial():
     g = BoundedNonlinearity("radial", A=[[1.0, 0.3], [-0.2, 0.8]],
                             b=[0.1, -0.05])
     for name, s_values in (("gompertz-system", [1e2, 1e4, 1e6]),
-                           ("weakly-coupled", [1e2, 1e3])):
+                           ("weakly-coupled", [1e2, 1e4, 1e6])):
         prob = dataclasses.replace(build_example(name), g=g)
         w = sphere_samples(scalar_report(prob), 1, seed=0)[0]
         assert_matches_quad(prob, w, s_values, rel=1e-9)
