@@ -3,9 +3,10 @@
 Each builder returns a complete :class:`ProblemSpec`; ``emit_example``
 serializes it to the problem-file dictionary, ``parse_problem`` validates
 one against :data:`PROBLEM_SCHEMA` and ``load_problem`` takes a file path
-or an example name.  Parameters can be overridden by keyword (``m=2``,
-``tau=1.0``, ...), with every default chosen so the stock example is
-resonant and certifiable as shipped.
+or an example name.  The schema is plain data; a direct validator reads it
+and reports jsonschema's messages and JSON paths.  Parameters can be
+overridden by keyword (``m=2``, ``tau=1.0``, ...), with every default
+chosen so the stock example is resonant and certifiable as shipped.
 
 A note on ``distributed-uniform``: the uniform density with weight ``m/2``
 ships verbatim, but its first-order symbol ``ik + (m/2) int e^{iks} ds``
@@ -15,7 +16,6 @@ is and is not resonant.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 
@@ -85,8 +85,7 @@ def gompertz_system(tau: float = PI / 2, c: float = 0.5,
                                         _const_profile()])
     h = HistoryPerturbation(
         terms=[PerturbationTerm(component=1, amp=h_amp, profile="tanh",
-                                taps=[DelayTap(component=0, delay=tau)])],
-        kernel_orthogonal=True)
+                                taps=[DelayTap(component=0, delay=tau)])])
     p = TrigPoly.cosine(1, amplitude=c, n=2, component=0)
     return ProblemSpec(
         P=MatrixPolynomial(np.stack([np.zeros((2, 2)), np.eye(2)])),
@@ -245,16 +244,53 @@ PROBLEM_SCHEMA = {
 }
 
 
-@functools.cache
-def _problem_validator():
-    """Validator of :data:`PROBLEM_SCHEMA`, built once per process.
+_JSON_TYPES = {"object": dict, "array": list, "number": (int, float),
+               "integer": int, "null": type(None)}
 
-    ``jsonschema.validate`` would re-check the schema itself on every
-    call; the test suite checks it once instead.  jsonschema is imported
-    on first parse, so a library import does not pay for it.
-    """
-    from jsonschema.validators import validator_for
-    return validator_for(PROBLEM_SCHEMA)(PROBLEM_SCHEMA)
+
+def _is_type(value, name: str) -> bool:
+    # a bool is neither number nor integer; an integral float is an integer
+    if isinstance(value, float) and name == "integer":
+        return value.is_integer()
+    return isinstance(value, _JSON_TYPES[name]) and not isinstance(value, bool)
+
+
+def _schema_errors(doc, schema: dict, path: str = "$", depth: int = 0):
+    """``(depth, message, json_path)`` of every violation of ``schema`` by
+    ``doc``, in jsonschema's order and wording.  Each of the seven keywords
+    the schema uses applies to its own instance type only."""
+    for key, rule in schema.items():
+        if key == "type":
+            types = [rule] if isinstance(rule, str) else rule
+            if not any(_is_type(doc, t) for t in types):
+                names = ", ".join(map(repr, types))
+                yield depth, f"{doc!r} is not of type {names}", path
+        elif key == "enum" and doc not in rule:    # == is JSON equality on strings
+            yield depth, f"{doc!r} is not one of {rule!r}", path
+        elif key == "minimum" and _is_type(doc, "number") and doc < rule:
+            yield depth, f"{doc!r} is less than the minimum of {rule!r}", path
+        elif key == "minItems" and isinstance(doc, list) and len(doc) < rule:
+            short = "should be non-empty" if rule == 1 else "is too short"
+            yield depth, f"{doc!r} {short}", path
+        elif key == "required" and isinstance(doc, dict):
+            for name in rule:
+                if name not in doc:
+                    yield depth, f"{name!r} is a required property", path
+        elif key == "properties" and isinstance(doc, dict):
+            for name, sub in rule.items():
+                if name in doc:
+                    yield from _schema_errors(doc[name], sub, f"{path}.{name}",
+                                              depth + 1)
+        elif key == "items" and isinstance(doc, list):
+            for i, item in enumerate(doc):
+                yield from _schema_errors(item, rule, f"{path}[{i}]", depth + 1)
+
+
+def _schema_error(doc) -> tuple[str, str] | None:
+    """``(message, json_path)`` of the first of the shallowest violations
+    of :data:`PROBLEM_SCHEMA` (jsonschema's ``best_match``), or ``None``."""
+    error = min(_schema_errors(doc, PROBLEM_SCHEMA), key=lambda e: e[0], default=None)
+    return error and error[1:]
 
 
 def parse_problem(text: str) -> ProblemSpec:
@@ -268,27 +304,27 @@ def parse_problem(text: str) -> ProblemSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"not valid JSON: {exc}", path="$") from None
-    from jsonschema.exceptions import best_match
-    error = best_match(_problem_validator().iter_errors(doc))
+    error = _schema_error(doc)
     if error is not None:
-        raise ProblemFormatError(error.message, path=error.json_path)
+        raise ProblemFormatError(*error)
 
-    g = doc.get("g", {})
-    if g.get("kind") == "componentwise":
-        for i, comp in enumerate(g.get("components", [])):
-            if "lo" not in comp or "hi" not in comp:
-                raise ProblemFormatError(
-                    "saturating component must declare both asymptotic "
-                    "limits lo and hi (condition R1); evaluation-only "
-                    "nonlinearities are not accepted",
-                    path=f"$.g.components[{i}]")
     try:
+        g = doc["g"]
+        if g.get("kind") == "componentwise":
+            for i, comp in enumerate(g.get("components", [])):
+                if "lo" not in comp or "hi" not in comp:
+                    raise ProblemFormatError(
+                        "saturating component must declare both asymptotic "
+                        "limits lo and hi (condition R1); evaluation-only "
+                        "nonlinearities are not accepted",
+                        path=f"$.g.components[{i}]")
         return ProblemSpec.from_dict(doc)
     except ProblemFormatError:
         raise
     except FdeError as exc:
         raise ProblemFormatError(str(exc), path="$") from None
-    except (KeyError, ValueError, TypeError) as exc:
+    except (AttributeError, KeyError, ValueError, TypeError) as exc:
+        # members the schema leaves untyped (g.components, h.terms, ...)
         raise ProblemFormatError(f"malformed field: {exc}", path="$") from None
 
 

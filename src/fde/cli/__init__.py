@@ -20,6 +20,7 @@ identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -132,14 +133,10 @@ def _solution_csv(u: TrigPoly, M: int) -> str:
 
 def cmd_solve(prob: ProblemSpec, args) -> tuple[object, int]:
     config = prob.solve if prob.solve is not None else SolveConfig()
-    if args.kmax is not None or args.tol is not None:
-        d = config.to_dict()
-        if args.kmax is not None:
-            d["kmax"] = args.kmax
-            d["M"] = None
-        if args.tol is not None:
-            d["tol_residual"] = args.tol
-        config = SolveConfig.from_dict(d)
+    if args.kmax is not None:
+        config = dataclasses.replace(config, kmax=args.kmax, M=None)
+    if args.tol is not None:
+        config = dataclasses.replace(config, tol_residual=args.tol)
     result = solve_best(prob, config)
     if args.format == "csv":
         doc = _solution_csv(result.u, max(8 * config.kmax, 64))

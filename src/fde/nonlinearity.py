@@ -409,14 +409,12 @@ class PerturbationTerm:
 class HistoryPerturbation:
     """Bounded perturbation built from finitely many delayed evaluations.
 
-    ``kernel_orthogonal`` carries the problem file's declaration that ``h``
-    misses the kernel directions; it is stored and written back, not checked.
-    A ``sup`` key in a problem file is ignored: the bound always comes from
-    the terms.
+    ``sup`` and ``kernel_orthogonal`` keys in a problem file are ignored:
+    the bound always comes from the terms, and nothing checks a declared
+    orthogonality to the kernel.
     """
 
     terms: list = field(default_factory=list)
-    kernel_orthogonal: bool = False
 
     def sup_norm(self) -> float:
         """Bound on ``sup |h|`` (profiles are bounded by one)."""
@@ -452,8 +450,7 @@ class HistoryPerturbation:
         return out
 
     def to_dict(self) -> dict:
-        return {"terms": [t.to_dict() for t in self.terms],
-                "kernel_orthogonal": self.kernel_orthogonal}
+        return {"terms": [t.to_dict() for t in self.terms]}
 
     @staticmethod
     def from_dict(d: dict) -> "HistoryPerturbation":
@@ -465,8 +462,7 @@ class HistoryPerturbation:
                 [DelayTap(int(tp["component"]), float(tp["delay"]),
                           float(tp.get("weight", 1.0))) for tp in t["taps"]],
                 int(tmod.get("harmonic", 0)), float(tmod.get("phase", 0.0))))
-        return HistoryPerturbation(terms,
-                                   kernel_orthogonal=bool(d.get("kernel_orthogonal", False)))
+        return HistoryPerturbation(terms)
 
 
 def nemytskii_eval(prob, u: TrigPoly, M: int) -> TrigPoly:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -72,21 +72,16 @@ class MatrixPolynomial:
 class SolveConfig:
     """Harmonic balance settings.
 
-    ``M`` defaults to ``4 * kmax`` (anti-aliasing); the damping schedule is
-    the Levenberg-Marquardt triple (initial mu, growth, shrink factors).
-    Problem files written by older versions may carry ``jacobian`` and
-    ``fd_step`` keys; they are ignored.
+    ``M`` defaults to ``4 * kmax`` (anti-aliasing).  Problem files written
+    by older versions may carry ``damping``, ``seed_radii``,
+    ``seed_samples``, ``jacobian`` and ``fd_step`` keys; they are ignored
+    (the damping schedule and the seed scan are fixed in :mod:`fde.solver`).
     """
 
     kmax: int = 64
     M: int | None = None
     tol_residual: float = 1e-10
     max_iter: int = 100
-    mu0: float = 1e-4
-    mu_grow: float = 8.0
-    mu_shrink: float = 0.25
-    seed_radii: tuple = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
-    seed_samples: int = 64
 
     def __post_init__(self):
         if self.kmax < 1:
@@ -97,23 +92,15 @@ class SolveConfig:
             raise DimensionMismatch("M undersamples the chosen bandwidth")
 
     def to_dict(self):
-        return {"kmax": self.kmax, "M": self.M,
-                "tol_residual": self.tol_residual, "max_iter": self.max_iter,
-                "damping": [self.mu0, self.mu_grow, self.mu_shrink],
-                "seed_radii": list(self.seed_radii),
-                "seed_samples": self.seed_samples}
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "SolveConfig":
-        damping = d.get("damping", [1e-4, 8.0, 0.25])
-        return SolveConfig(
-            kmax=int(d.get("kmax", 64)), M=d.get("M"),
-            tol_residual=float(d.get("tol_residual", 1e-10)),
-            max_iter=int(d.get("max_iter", 100)),
-            mu0=float(damping[0]), mu_grow=float(damping[1]),
-            mu_shrink=float(damping[2]),
-            seed_radii=tuple(d.get("seed_radii", (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0))),
-            seed_samples=int(d.get("seed_samples", 64)))
+        # the schema leaves ``solve`` untyped; absent keys keep the defaults
+        casts = {"kmax": int, "M": lambda m: m, "tol_residual": float,
+                 "max_iter": int}
+        return SolveConfig(**{k: cast(d[k]) for k, cast in casts.items()
+                              if k in d})
 
 
 @dataclass

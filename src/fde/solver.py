@@ -51,6 +51,13 @@ TWO_PI = 2.0 * np.pi
 # sup-norm defect in the original equation that a solution must meet
 VERIFY_TOL = 1e-8
 
+# Levenberg-Marquardt damping: initial mu, growth and shrink factors
+MU0, MU_GROW, MU_SHRINK = 1e-4, 8.0, 0.25
+
+# kernel seed scan: radii times unit kernel directions
+SEED_RADII = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+SEED_SAMPLES = 64
+
 
 def symbol_stack(prob, kmax: int) -> np.ndarray:
     """Symbols ``L_0 .. L_kmax`` as one ``(kmax+1, n, n)`` array."""
@@ -182,8 +189,7 @@ def coefficient_jacobian(prob, u: TrigPoly, config: SolveConfig | None = None,
 
 
 def seed_kernel(prob, report: ResonanceReport | None = None,
-                n_samples: int = 64, radii=None, M: int | None = None,
-                threshold: float | None = None,
+                M: int | None = None, threshold: float | None = None,
                 config: SolveConfig | None = None) -> list:
     """Candidate kernel components for the resonant coordinates.
 
@@ -203,13 +209,11 @@ def seed_kernel(prob, report: ResonanceReport | None = None,
     report = resonant_set(prob.P, prob.Lam) if report is None else report
     if report.nu == 0:
         return []
-    radii = np.asarray((0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0) if radii is None
-                       else radii, dtype=float)
     # deterministic unit kernel elements, problem independent
     if report.nu == 1:
-        amps = np.exp(-1j * phase_circle(n_samples))[:, None] / np.sqrt(2.0)
+        amps = np.exp(-1j * phase_circle(SEED_SAMPLES))[:, None] / np.sqrt(2.0)
     else:
-        amps = coords_to_amps(sphere_points(2 * report.nu, n_samples, seed=0))
+        amps = coords_to_amps(sphere_points(2 * report.nu, SEED_SAMPLES, seed=0))
 
     kb = max(k for k, _ in report.kernel_slots())
     if M is None:
@@ -228,7 +232,7 @@ def seed_kernel(prob, report: ResonanceReport | None = None,
 
     # objs[i, j]: sample i at radius j, one batched evaluation per radius
     objs = np.stack([objective(KernelElement(report, r * amps).to_poly())
-                     for r in radii], axis=1)
+                     for r in SEED_RADII], axis=1)
     edge = np.full((objs.shape[0], 1), np.inf)
     left_ok = np.hstack([edge, objs[:, :-1]]) >= objs
     right_ok = np.hstack([objs[:, 1:], edge]) >= objs
@@ -237,7 +241,7 @@ def seed_kernel(prob, report: ResonanceReport | None = None,
     # rounded to 1e-12 relative, so ties keep sample order (i ascends)
     mant, expo = np.frexp(objs[i, j])
     order = np.argsort(np.ldexp(np.round(mant, 12), expo), kind="stable")[:16]
-    return [KernelElement(report, radii[j[c]] * amps[i[c]]) for c in order]
+    return [KernelElement(report, SEED_RADII[j[c]] * amps[i[c]]) for c in order]
 
 
 # -- result ------------------------------------------------------------
@@ -314,7 +318,7 @@ def solve_periodic(prob, seed=None, config: SolveConfig | None = None,
 
     F = fvec(x)
     res = float(np.linalg.norm(F))
-    mu = config.mu0
+    mu = MU0
     trace = [{"iter": 0, "residual": res, "mu": mu}]
     it = 0
     diverged = False
@@ -331,7 +335,7 @@ def solve_periodic(prob, seed=None, config: SolveConfig | None = None,
         res_try = float(np.linalg.norm(F_try))
         if np.isfinite(res_try) and res_try < res:
             x, F, res = x_try, F_try, res_try
-            mu = max(mu * config.mu_shrink, 1e-14)
+            mu = max(mu * MU_SHRINK, 1e-14)
         else:
             JtJ = J.T @ J
             JtF = J.T @ F
@@ -343,10 +347,10 @@ def solve_periodic(prob, seed=None, config: SolveConfig | None = None,
                 res_try = float(np.linalg.norm(F_try))
                 if np.isfinite(res_try) and res_try < res:
                     x, F, res = x + step, F_try, res_try
-                    mu = max(mu * config.mu_shrink, 1e-14)
+                    mu = max(mu * MU_SHRINK, 1e-14)
                     accepted = True
                     break
-                mu *= config.mu_grow
+                mu *= MU_GROW
             if not accepted:
                 diverged = True
                 break
@@ -406,8 +410,7 @@ def solve_best(prob, config: SolveConfig | None = None,
     if config is None:
         config = prob.solve if prob.solve is not None else SolveConfig()
     report = resonant_set(prob.P, prob.Lam) if report is None else report
-    seeds = seed_kernel(prob, report, n_samples=config.seed_samples,
-                        radii=config.seed_radii, config=config)
+    seeds = seed_kernel(prob, report, config=config)
     best = None
     for seed in seeds[:4] + [None]:
         result = solve_periodic(prob, seed, config, report)

@@ -198,8 +198,8 @@ def test_schema_violation_reports_path(capsys, tmp_path):
 
 
 def test_problem_schema_is_valid():
-    # parse_problem builds its validator once and no longer re-checks the
-    # schema itself on every load
+    # the schema is checked once here, not on every load; staying valid
+    # JSON Schema keeps jsonschema usable as the validator's test oracle
     from jsonschema.validators import validator_for
     from fde.catalog import PROBLEM_SCHEMA
     validator_for(PROBLEM_SCHEMA).check_schema(PROBLEM_SCHEMA)
@@ -228,6 +228,21 @@ def test_missing_saturation_limits_rejected(capsys, tmp_path):
     assert "$.g.components[0]" in err
 
 
+@pytest.mark.parametrize("member, value", [
+    ("components", True), ("components", [1.5]), ("terms", ["x"]),
+])
+def test_malformed_untyped_member_exits_4(capsys, tmp_path, member, value):
+    # the schema does not type these members; reading them must still fail
+    # as bad input, not crash
+    doc = fde.emit_example("gompertz-system")
+    doc["g" if member == "components" else "h"][member] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 4 and out == ""
+    assert err.startswith("error: $: malformed field:")
+
+
 def test_legacy_jacobian_keys_load_and_sign_table_solve_fails(capsys, tmp_path):
     # files written when the solver had a finite-difference Jacobian mode
     # still load; a sign-table g still cannot be solved (no derivative)
@@ -241,6 +256,24 @@ def test_legacy_jacobian_keys_load_and_sign_table_solve_fails(capsys, tmp_path):
     code, _, err = run(capsys, "solve", str(path))
     assert code == 4
     assert "not differentiable" in err
+
+
+def test_legacy_format_keys_are_ignored(capsys, tmp_path):
+    # files written before the format dropped the unread orthogonality
+    # flag and the fixed solver settings load and report as without them
+    doc = fde.emit_example("gompertz-system")
+    legacy = json.loads(json.dumps(doc))
+    legacy["h"]["kernel_orthogonal"] = True
+    legacy["solve"].update(damping=[1e-4, 8.0, 0.25], seed_samples=64,
+                           seed_radii=[0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
+    reports = []
+    for name, d in (("current", doc), ("legacy", legacy)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(d))
+        reports.append([run(capsys, cmd, str(path))[:2]
+                        for cmd in ("check-ll", "solve")])
+    assert reports[1] == reports[0]
+    assert [code for code, _ in reports[0]] == [0, 0]
 
 
 def test_declared_h_sup_is_ignored(capsys, tmp_path):
@@ -314,12 +347,15 @@ def _python(*args):
                           text=True, timeout=120)
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(tmp_path):
     # importing scipy costs about a second; the package loads it only when
-    # it first samples a kernel sphere, and jsonschema only when it first
-    # parses a problem file
+    # it first samples a kernel sphere.  Problem files are validated
+    # without jsonschema, which only the tests use
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(fde.emit_example("gompertz-system")))
     proc = _python("-c", "import fde, sys; assert 'scipy' not in sys.modules; "
-                         "assert 'jsonschema' not in sys.modules")
+                         "fde.load_problem(sys.argv[1]); "
+                         "assert 'jsonschema' not in sys.modules", str(path))
     assert proc.returncode == 0, proc.stderr
 
 

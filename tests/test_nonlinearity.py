@@ -207,6 +207,8 @@ def test_time_modulated_term():
 
 
 def test_kernel_orthogonal_declaration():
+    # nothing checked the declared flag, so the format no longer carries it
+    # (tests/test_cli.py loads files that still do)
     prob = build_example("gompertz-system")
-    assert prob.h.kernel_orthogonal
+    assert "kernel_orthogonal" not in prob.h.to_dict()
     assert prob.h.sup_norm() > 0.0
