@@ -22,6 +22,8 @@ Toeplitz block ``Ahat_{k-j} B_j`` plus a Hankel block
 the residual carries over exactly; the symbol adds ``L_k`` on the
 diagonal.  The full Newton step is an LU solve of that square system;
 least squares (minimum norm) runs only when it is exactly singular.
+A wide band iterates on a coarse band first and continues from there on
+the full band (see :func:`solve_periodic`).
 
 A run counts as converged when the coefficient residual meets
 ``tol_residual``, the residual does not move when the grid doubles, and
@@ -34,7 +36,7 @@ measures directly, as ``u(t + theta)`` from one batched
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -57,6 +59,9 @@ MU0, MU_GROW, MU_SHRINK = 1e-4, 8.0, 0.25
 # kernel seed scan: radii times unit kernel directions
 SEED_RADII = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 SEED_SAMPLES = 64
+
+# coarse band: a solve above it runs its Newton iterations there first
+COARSE_KMAX = 64
 
 
 def symbol_stack(prob, kmax: int) -> np.ndarray:
@@ -200,11 +205,12 @@ def seed_kernel(prob, report: ResonanceReport | None = None,
     objective; those not meaningfully below the zero-element baseline are
     dropped, so the list is empty when the zero seed is already as good.
 
-    ``M`` defaults to the grid :func:`solve_periodic` uses under ``config``
-    (the problem's own settings when ``None``).  The objective is the
-    kernel projection of the same Nemytskii map whose residual Newton must
-    resolve on that grid, so the grid that serves the solve serves the
-    ranking of its seeds.
+    ``M`` defaults to the grid of the first Newton stage of
+    :func:`solve_periodic` under ``config`` (the problem's own settings
+    when ``None``), the coarse band's grid when ``config.kmax`` is above
+    it.  The objective is the kernel projection of the same Nemytskii map
+    whose residual Newton must resolve on that grid, so the grid that
+    serves the solve serves the ranking of its seeds.
     """
     report = resonant_set(prob.P, prob.Lam) if report is None else report
     if report.nu == 0:
@@ -219,8 +225,9 @@ def seed_kernel(prob, report: ResonanceReport | None = None,
     if M is None:
         if config is None:
             config = prob.solve if prob.solve is not None else SolveConfig()
+        first = _stages(prob, config, report)[0]
         # a kernel band above kmax fails in the solve, not here
-        M = _grid_size(max(config.kmax, kb), config, prob)
+        M = _grid_size(max(first.kmax, kb), first, prob)
 
     def objective(u: TrigPoly) -> np.ndarray:
         N = nemytskii_eval(prob, u, M)
@@ -281,34 +288,23 @@ def time_shift_gauge(prob) -> bool:
 # -- main iteration ----------------------------------------------------
 
 
-def solve_periodic(prob, seed=None, config: SolveConfig | None = None,
-                   report: ResonanceReport | None = None) -> SolveResult:
-    """Damped Newton on the truncated coefficient vector from one seed.
+def _stages(prob, config: SolveConfig, report: ResonanceReport) -> list:
+    """Settings of each Newton stage of a solve under ``config``, coarse
+    first: the band ``kc = max(COARSE_KMAX, kb, prob.p.kmax)`` on its own
+    ``4 kc`` grid when ``config.kmax`` is above it, then ``config``."""
+    kb = max((k for k, _ in report.kernel_slots()), default=0)
+    kc = max(COARSE_KMAX, kb, prob.p.kmax)
+    if config.kmax <= kc:
+        return [config]
+    return [replace(config, kmax=kc, M=None), config]
 
-    ``seed`` is a :class:`KernelElement`, a :class:`TrigPoly` initial
-    guess, or ``None`` for the zero seed.  A converged run re-evaluates the
-    residual on a doubled grid; when the two disagree by more than
-    ``10 * tol`` the run is not converged and its last trace entry records
-    both (``residual_M``, ``residual_2M``).  The pointwise defect on an 8x
-    oversampled grid must also meet :data:`VERIFY_TOL`.
-    """
-    if config is None:
-        config = prob.solve if prob.solve is not None else SolveConfig()
-    report = resonant_set(prob.P, prob.Lam) if report is None else report
-    kmax, n = config.kmax, prob.n
 
-    seed_el = None
-    if seed is None:
-        u = TrigPoly.zero(n, kmax)
-    elif isinstance(seed, KernelElement):
-        seed_el = seed
-        u = seed.to_poly(kmax)
-    elif isinstance(seed, TrigPoly):
-        u = seed.truncate(kmax) if seed.kmax > kmax else seed.pad(kmax)
-    else:
-        raise DimensionMismatch("seed must be a KernelElement or TrigPoly")
-
-    stack = symbol_stack(prob, kmax)
+def _newton(prob, u: TrigPoly, config: SolveConfig, stack: np.ndarray,
+            mu: float, it: int, trace: list, tag: dict):
+    """Damped Newton on the band of ``u`` until ``tol_residual`` or
+    ``max_iter`` iterations counted from ``it``; appends its trace entries
+    (``tag`` merged in) and returns ``(u, res, mu, it, diverged)``."""
+    kmax, n = u.kmax, u.n
     M = _grid_size(u, config, prob)
     x = pack_coeffs(u)
 
@@ -318,9 +314,7 @@ def solve_periodic(prob, seed=None, config: SolveConfig | None = None,
 
     F = fvec(x)
     res = float(np.linalg.norm(F))
-    mu = MU0
-    trace = [{"iter": 0, "residual": res, "mu": mu}]
-    it = 0
+    trace.append({"iter": it, "residual": res, "mu": mu, **tag})
     diverged = False
     while res > config.tol_residual and it < config.max_iter:
         J = coefficient_jacobian(prob, unpack_coeffs(x, kmax, n), config, stack)
@@ -355,9 +349,54 @@ def solve_periodic(prob, seed=None, config: SolveConfig | None = None,
                 diverged = True
                 break
         it += 1
-        trace.append({"iter": it, "residual": res, "mu": mu})
+        trace.append({"iter": it, "residual": res, "mu": mu, **tag})
+    return unpack_coeffs(x, kmax, n), res, mu, it, diverged
 
-    u = unpack_coeffs(x, kmax, n)
+
+def solve_periodic(prob, seed=None, config: SolveConfig | None = None,
+                   report: ResonanceReport | None = None) -> SolveResult:
+    """Damped Newton on the truncated coefficient vector from one seed.
+
+    ``seed`` is a :class:`KernelElement`, a :class:`TrigPoly` initial
+    guess, or ``None`` for the zero seed.  When ``config.kmax`` is above
+    the coarse band ``kc = max(COARSE_KMAX, kb, prob.p.kmax)`` (``kb`` the
+    highest kernel mode), Newton first runs at ``kc`` on its own ``4 kc``
+    grid; the iterate is then padded to ``kmax`` and Newton continues on
+    the full band.  The two stages share the ``max_iter`` budget, and the
+    trace entries of the coarse stage carry its ``kmax``.  By mesh
+    independence the coarse stage takes the iterations and the full band
+    usually only confirms the result.
+
+    Convergence is decided on the full band only.  A converged run
+    re-evaluates the residual on a doubled grid; when the two disagree by
+    more than ``10 * tol`` the run is not converged and its last trace
+    entry records both (``residual_M``, ``residual_2M``).  The pointwise
+    defect on an 8x oversampled grid must also meet :data:`VERIFY_TOL`.
+    """
+    if config is None:
+        config = prob.solve if prob.solve is not None else SolveConfig()
+    report = resonant_set(prob.P, prob.Lam) if report is None else report
+    stages = _stages(prob, config, report)
+    k0 = stages[0].kmax
+
+    seed_el = None
+    if seed is None:
+        u = TrigPoly.zero(prob.n, k0)
+    elif isinstance(seed, KernelElement):
+        seed_el = seed
+        u = seed.to_poly(k0)
+    elif isinstance(seed, TrigPoly):
+        u = seed.truncate(k0)
+    else:
+        raise DimensionMismatch("seed must be a KernelElement or TrigPoly")
+
+    mu, it, trace = MU0, 0, []
+    for stage in stages:
+        stack = symbol_stack(prob, stage.kmax)
+        tag = {"kmax": stage.kmax} if stage is not config else {}
+        u, res, mu, it, diverged = _newton(
+            prob, u.pad(stage.kmax), stage, stack, mu, it, trace, tag)
+    M = _grid_size(u, config, prob)
     converged = bool(res <= config.tol_residual and not diverged)
 
     gauge = {"time_shift_family": time_shift_gauge(prob), "pinned": False,
@@ -365,9 +404,8 @@ def solve_periodic(prob, seed=None, config: SolveConfig | None = None,
     if converged and gauge["time_shift_family"] and report.nu > 0:
         u, shift = _pin_phase(u, report, seed_el)
         if shift != 0.0:
-            x = pack_coeffs(u)
-            F = fvec(x)
-            res = float(np.linalg.norm(F))
+            res = float(np.linalg.norm(pack_residual(assemble_residual(
+                prob, u, stack=stack, M=M))))
         gauge["pinned"] = True
         gauge["shift"] = float(shift)
 
@@ -378,7 +416,7 @@ def solve_periodic(prob, seed=None, config: SolveConfig | None = None,
             converged = False
             trace[-1].update(residual_M=res, residual_2M=r2)
 
-    pointwise = verify_pointwise(prob, u, max(8 * kmax, 64))
+    pointwise = verify_pointwise(prob, u, max(8 * config.kmax, 64))
     converged = converged and pointwise <= VERIFY_TOL
     return SolveResult(u=u, converged=converged, coeff_residual=res,
                        pointwise_residual=pointwise, iterations=it,
@@ -450,12 +488,16 @@ def verify_pointwise(prob, u: TrigPoly, M_fine: int | None = None) -> float:
 
     Independent of the solver path: derivatives are spectral but every
     measure is applied directly and the nonlinearities are evaluated
-    pointwise without re-projection.
+    pointwise without re-projection.  ``M_fine`` and its check follow the
+    declared ``u.kmax``; the sums run only up to the last nonzero mode.
     """
     if M_fine is None:
         M_fine = max(8 * u.kmax, 64)
     if M_fine < max(8 * u.kmax, 2 * u.kmax + 1):
         raise GridTooSmall(f"verification grid {M_fine} undersamples kmax={u.kmax}")
+    # trailing zero modes add exactly nothing: evaluate the live band only
+    live = np.flatnonzero(np.any(u.coeffs != 0, axis=-1))
+    u = u.truncate(int(live[-1]) if live.size else 0)
     t = TWO_PI * np.arange(M_fine) / M_fine
     acc = np.zeros((M_fine, u.n))
     for j in range(prob.P.degree + 1):

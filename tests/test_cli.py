@@ -164,6 +164,15 @@ def test_solve_exit_3_when_band_too_narrow(capsys, kmax):
         assert doc["trace"][-1]["residual_2M"] > 10 * doc["trace"][-1]["residual_M"]
 
 
+def test_solve_wide_band_traces_the_coarse_stage(capsys):
+    code, out, _ = run(capsys, "solve", "gompertz-system", "--kmax", "256")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["converged"] is True and doc["kmax"] == 256
+    assert {e["kmax"] for e in doc["trace"] if "kmax" in e} == {64}
+    assert "kmax" not in doc["trace"][-1]
+
+
 def test_verify_exit_3_on_wrong_solution(capsys, tmp_path):
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps(TrigPoly.cosine(1, amplitude=0.3).to_dict()))

@@ -1,5 +1,7 @@
 """Harmonic balance solver: residuals, Jacobians, seeding, verification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from fde import (BoundedNonlinearity, ConstProfile, DelayTap, Density,
 from fde.errors import GridTooSmall
 from fde.nonlinearity import nemytskii_eval
 from fde.resonance import KernelElement, symbol
-from fde.solver import pack_coeffs, pack_residual, unpack_coeffs
+from fde.solver import COARSE_KMAX, pack_coeffs, pack_residual, unpack_coeffs
 
 TWO_PI = 2.0 * np.pi
 
@@ -232,10 +234,12 @@ def test_seed_kernel_ties_follow_sample_index(example):
 
 
 @pytest.mark.parametrize("example, kmax", [(ex, None) for ex in ALL_EXAMPLES]
-                         + [("duffing-delay", 8), ("weakly-coupled", 8)])
+                         + [("duffing-delay", 8), ("weakly-coupled", 8),
+                            ("gompertz-system", 256), ("weakly-coupled", 256)])
 def test_seed_kernel_on_solve_grid_matches_fine_grid(example, kmax, monkeypatch):
-    # by default the scan runs on the grid of the solve it seeds (4 kmax);
-    # the seeds and their order are those of a 2048-point grid, bit for bit
+    # by default the scan runs on the grid of the solve it seeds (4 kmax,
+    # or 4 COARSE_KMAX when the solve starts on the coarse band); the seeds
+    # and their order are those of a 2048-point grid, bit for bit
     from fde import solver
     prob = build_example(example)
     config = None if kmax is None else SolveConfig(kmax=kmax)
@@ -248,7 +252,9 @@ def test_seed_kernel_on_solve_grid_matches_fine_grid(example, kmax, monkeypatch)
 
     monkeypatch.setattr(solver, "nemytskii_eval", recording)
     coarse = seed_kernel(prob, config=config)
-    assert set(grids) == {(config or prob.solve).M}
+    settings = config or prob.solve
+    solve_grid = settings.M if settings.kmax <= COARSE_KMAX else 4 * COARSE_KMAX
+    assert set(grids) == {solve_grid}
     fine = seed_kernel(prob, M=2048)
     assert [s.amps.tobytes() for s in coarse] == [s.amps.tobytes() for s in fine]
 
@@ -297,6 +303,45 @@ def test_kmax_doubling_stability():
     assert diff < 1e-7
 
 
+@pytest.mark.parametrize("example", ["gompertz-system", "weakly-coupled"])
+def test_staged_solve_matches_coarse_band_solution(example):
+    # at kmax 256 Newton iterates on the coarse band and the full band
+    # confirms: the solution is the kmax 64 one, padded
+    prob = build_example(example)
+    wide = solve_best(prob, SolveConfig(kmax=256))
+    assert wide.converged and wide.u.kmax == 256
+    assert wide.pointwise_residual <= 1e-8
+    assert {e["kmax"] for e in wide.trace if "kmax" in e} == {COARSE_KMAX}
+    assert "kmax" not in wide.trace[-1]
+    narrow = solve_best(prob, SolveConfig(kmax=64))
+    assert np.max(np.abs(wide.u.coeffs - narrow.u.pad(256).coeffs)) <= 1e-12
+
+
+def test_staged_coarse_band_covers_the_forcing():
+    # a forcing mode above COARSE_KMAX widens the coarse band to reach it
+    prob = build_example("duffing-delay")
+    prob = dataclasses.replace(prob, p=prob.p + TrigPoly.cosine(80, amplitude=0.01))
+    res = solve_best(prob, SolveConfig(kmax=128))
+    assert res.converged and res.pointwise_residual <= 1e-8
+    assert {e["kmax"] for e in res.trace if "kmax" in e} == {80}
+    assert abs(res.u.coeffs[80, 0]) > 1e-7
+
+
+def test_staged_solve_shares_the_iteration_budget():
+    prob = build_example("gompertz-system")
+    full = solve_best(prob, SolveConfig(kmax=256))
+    coarse_iters = max(e["iter"] for e in full.trace if "kmax" in e)
+    assert full.iterations == coarse_iters >= 2    # the full band only confirms
+    exact = solve_periodic(prob, full.seed,
+                           SolveConfig(kmax=256, max_iter=coarse_iters))
+    assert exact.converged and exact.iterations == coarse_iters
+    # one iteration short: the coarse stage stops and the full band gets none
+    short = solve_periodic(prob, full.seed,
+                           SolveConfig(kmax=256, max_iter=coarse_iters - 1))
+    assert not short.converged and short.iterations == coarse_iters - 1
+    assert [e["iter"] for e in short.trace if "kmax" not in e] == [coarse_iters - 1]
+
+
 def test_explicit_seed_forms():
     prob = build_example("duffing-delay")
     rep = resonant_set(prob.P, prob.Lam)
@@ -323,6 +368,18 @@ def test_verify_pointwise_grid_gate():
     u = TrigPoly.zero(1, 64)
     with pytest.raises(GridTooSmall):
         verify_pointwise(prob, u, 100)
+
+
+@pytest.mark.parametrize("example", ["weakly-coupled", "distributed-sine"])
+def test_verify_pointwise_ignores_trailing_zero_modes(example):
+    # the defect reads only the live band; the grid gate reads the declared one
+    prob = build_example(example)
+    u = solve_best(prob).u
+    wide = u.pad(4 * u.kmax)
+    M = 8 * wide.kmax
+    assert abs(verify_pointwise(prob, wide) - verify_pointwise(prob, u, M)) <= 1e-15
+    with pytest.raises(GridTooSmall):
+        verify_pointwise(prob, wide, 8 * u.kmax)
 
 
 def test_verify_pointwise_detects_wrong_solution():
