@@ -170,7 +170,7 @@ def _load_solution(path: str, kmax_flag: int | None) -> TrigPoly:
 def cmd_verify(prob: ProblemSpec, args) -> tuple[dict, int]:
     u = _load_solution(args.solution, args.kmax)
     tol = VERIFY_TOL if args.tol is None else args.tol
-    resid = verify_pointwise(prob, u, max(8 * u.kmax, 64))
+    resid = verify_pointwise(prob, u)
     doc = {"pointwise_residual": resid, "tol": tol, "kmax": u.kmax,
            "pass": bool(resid <= tol)}
     return doc, 0 if doc["pass"] else 3

@@ -8,7 +8,8 @@ over the unit sphere of the kernel.  This module samples that sphere,
 reports quantitative margins for the range condition (the projected field
 never vanishes) and for the inner-product test, computes the Brouwer degree
 of the normalized field through winding numbers, and runs the saturation
-diagnostics: the small-set measure, and the finite-amplitude distance
+diagnostics: the small-set measure, exact from the roots of
+``|w|^2 - eps^2``, and the finite-amplitude distance
 ``||g_w - g(s Psi w)||_L2``.
 
 Margins and gaps are stated in kernel-coordinate norm: a kernel element
@@ -403,12 +404,28 @@ def ll_margin(prob, report: ResonanceReport | None = None) -> dict:
 # -- saturation diagnostics -------------------------------------------
 
 
-def small_set_measure(w, eps: float, M: int = 2 ** 16) -> float:
-    """Normalized measure of ``{t : |w(t)| < eps}`` by grid counting."""
+def small_set_measure(w, eps: float) -> float:
+    """Normalized measure of ``{t : |w(t)| < eps}``, summed exactly over
+    the arcs between the roots of ``|w|^2 - eps^2``.
+
+    That trigonometric polynomial has the self-convolution of each
+    component's two-sided spectrum as coefficients, less ``eps^2`` at mode
+    0; its :func:`_root_angles` cut the circle into arcs on which the sign
+    is constant, read at the midpoint.  Runs of arcs of one sign are merged
+    before their lengths are summed, so a set that is empty or the whole
+    circle measures exactly 0 or 1.
+    """
     poly = w.to_poly() if isinstance(w, KernelElement) else w
-    vals = eval_grid(poly, M)
-    mag = np.sqrt(np.sum(vals * vals, axis=1))
-    return float(np.count_nonzero(mag < eps) / M)
+    c = poly.coeffs
+    two_sided = np.concatenate([np.conj(c[:0:-1]), c])         # modes -K .. K
+    sq = sum(np.convolve(s, s)[2 * poly.kmax:] for s in two_sided.T)
+    sq[0] -= eps * eps
+    cuts = np.sort(np.concatenate([[0.0], _root_angles(sq[:, None]).ravel(), [TWO_PI]]))
+    mid = poly.eval(0.5 * (cuts[:-1] + cuts[1:]))
+    neg = np.sum(mid * mid, axis=-1) < eps * eps
+    # keep only the cuts where the sign flips, and the two ends
+    keep = np.concatenate([[True], neg[1:] != neg[:-1], [True]])
+    return float(np.sum(np.diff(cuts[keep])[neg[keep[:-1]]]) / TWO_PI)
 
 
 def _layer_centres(y) -> np.ndarray:

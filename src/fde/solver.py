@@ -29,13 +29,14 @@ A run counts as converged when the coefficient residual meets
 ``tol_residual``, the residual does not move when the grid doubles, and
 the pointwise defect meets :data:`VERIFY_TOL`, the tolerance ``fde
 verify`` applies.  :func:`verify_pointwise` evaluates every atom of the
-measures directly, as ``u(t + theta)`` from one batched
-:meth:`TrigPoly.eval` of the shifted polynomials, so it shares no FFT or
-:func:`apply_deviation` step for atoms with the solver.
+measures directly, as ``u(t + theta)`` from one roots-of-unity sum of the
+shifted polynomials over the grid (:func:`_grid_sum`), so it shares no
+FFT or :func:`apply_deviation` step for atoms with the solver.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -416,7 +417,7 @@ def solve_periodic(prob, seed=None, config: SolveConfig | None = None,
             converged = False
             trace[-1].update(residual_M=res, residual_2M=r2)
 
-    pointwise = verify_pointwise(prob, u, max(8 * config.kmax, 64))
+    pointwise = verify_pointwise(prob, u)
     converged = converged and pointwise <= VERIFY_TOL
     return SolveResult(u=u, converged=converged, coeff_residual=res,
                        pointwise_residual=pointwise, iterations=it,
@@ -483,13 +484,46 @@ def _apply_measure_grid(mat: MeasureMatrix, u: TrigPoly, shifted: dict,
     return out
 
 
+def _grid_sum(c: np.ndarray, M: int) -> np.ndarray:
+    """``c_0 + 2 Re sum_{k>=1} c_k w^{jk}`` for ``j = 0 .. M-1`` with
+    ``w = e^{2 pi i / M}``: the samples on the uniform grid of the
+    polynomials whose coefficients ``c_0 .. c_K`` run along the first axis
+    of ``c``; shape ``(M,) + c.shape[1:]``.
+
+    A direct sum without an FFT.  The Cooley-Tukey index map ``j = r + L q``
+    (``L`` the largest divisor of ``M`` not above ``sqrt(M)``, ``Q = M / L``)
+    factors ``w^{jk} = w^{rk} w^{Lqk}``, so the sum is one product of an
+    ``(L, K)`` table with the ``(Q, K)`` table times ``c``, and both tables
+    are read from the ``M`` roots of unity by integer index.
+    """
+    K = c.shape[0] - 1
+    out = np.broadcast_to(c[0].real, (M,) + c.shape[1:]).copy()
+    if K == 0:
+        return out
+    L = max(d for d in range(1, math.isqrt(M) + 1) if M % d == 0)
+    Q = M // L
+    t = TWO_PI * np.arange(M) / M
+    roots = np.cos(t) + 1j * np.sin(t)
+    k = np.arange(1, K + 1)
+    A = roots[np.outer(np.arange(L), k) % M]                  # (L, K)
+    B = roots[np.outer(L * np.arange(Q), k) % M]              # (Q, K)
+    cols = c[1:].reshape(K, 1, -1)
+    S = A @ (B.T[:, :, None] * cols).reshape(K, -1)
+    # row r, column (q, col) is grid point j = r + L q
+    out += 2.0 * S.real.reshape(L, Q, -1).transpose(1, 0, 2).reshape(out.shape)
+    return out
+
+
 def verify_pointwise(prob, u: TrigPoly, M_fine: int | None = None) -> float:
     """Sup-norm defect of ``u`` in the original equation on a fine grid.
 
     Independent of the solver path: derivatives are spectral but every
     measure is applied directly and the nonlinearities are evaluated
-    pointwise without re-projection.  ``M_fine`` and its check follow the
-    declared ``u.kmax``; the sums run only up to the last nonzero mode.
+    pointwise without re-projection.  Each atom ``theta`` of ``Lam`` and
+    ``Psi`` reads ``u(t + theta)`` from one direct sum of the shifted
+    coefficients over the grid (:func:`_grid_sum`), and so does the
+    forcing.  ``M_fine`` and its check follow the declared ``u.kmax``; the
+    sums run only up to the last nonzero mode.
     """
     if M_fine is None:
         M_fine = max(8 * u.kmax, 64)
@@ -498,17 +532,19 @@ def verify_pointwise(prob, u: TrigPoly, M_fine: int | None = None) -> float:
     # trailing zero modes add exactly nothing: evaluate the live band only
     live = np.flatnonzero(np.any(u.coeffs != 0, axis=-1))
     u = u.truncate(int(live[-1]) if live.size else 0)
-    t = TWO_PI * np.arange(M_fine) / M_fine
     acc = np.zeros((M_fine, u.n))
     for j in range(prob.P.degree + 1):
         acc += eval_grid(differentiate(u, j), M_fine) @ prob.P.coeffs[j].T
-    # one table of u(t + theta) for every atom position of Lam and Psi
+    # u(t + theta) for every atom position of Lam and Psi
     thetas = sorted({theta for mat in (prob.Lam, prob.Psi) for row in mat.entries
                      for m in row for theta, _ in m.atoms})
-    shifted = dict(zip(thetas, u.shift(np.array(thetas)).eval(t)))
+    shifted = {}
+    if thetas:
+        c = np.moveaxis(u.shift(np.array(thetas)).coeffs, 0, 1)   # (K+1, S, n)
+        shifted = dict(zip(thetas, np.moveaxis(_grid_sum(c, M_fine), 1, 0)))
     acc += _apply_measure_grid(prob.Lam, u, shifted, M_fine)
     acc += prob.g(_apply_measure_grid(prob.Psi, u, shifted, M_fine))
     if prob.h is not None and prob.h.terms:
         acc += prob.h.eval(u, M_fine)
-    acc -= prob.p.eval(t)
+    acc -= _grid_sum(prob.p.coeffs, M_fine)
     return float(np.max(np.sqrt(np.sum(acc * acc, axis=1))))

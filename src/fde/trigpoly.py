@@ -40,11 +40,12 @@ class TrigPoly:
     def __post_init__(self):
         c = np.atleast_2d(np.asarray(self.coeffs, dtype=complex))
         c0 = c[..., 0, :]
-        scale = 1.0 + np.max(np.abs(c0), axis=-1, keepdims=True, initial=0.0)
-        if np.any(np.abs(c0.imag) > _C0_DRIFT * scale):
-            raise ValueError("mean coefficient has imaginary drift "
-                             f"{np.max(np.abs(c0.imag)):.3e}")
-        c[..., 0, :] = c0.real
+        if c0.imag.any():
+            scale = 1.0 + np.max(np.abs(c0), axis=-1, keepdims=True, initial=0.0)
+            if np.any(np.abs(c0.imag) > _C0_DRIFT * scale):
+                raise ValueError("mean coefficient has imaginary drift "
+                                 f"{np.max(np.abs(c0.imag)):.3e}")
+            c[..., 0, :] = c0.real
         self.coeffs = c
 
     @property

@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import fde
-from fde import EXAMPLE_IDS, TrigPoly, build_example, parse_problem
+from fde import (EXAMPLE_IDS, TrigPoly, analyze_grid, build_example, eval_grid,
+                 parse_problem)
 from fde.cli import main
 
 
@@ -171,6 +173,29 @@ def test_solve_wide_band_traces_the_coarse_stage(capsys):
     assert doc["converged"] is True and doc["kmax"] == 256
     assert {e["kmax"] for e in doc["trace"] if "kmax" in e} == {64}
     assert "kmax" not in doc["trace"][-1]
+
+
+def test_verify_dense_csv_stays_small(capsys, tmp_path):
+    # 2048 samples carry kmax 1023, so the defect is read on 8184 points;
+    # a dense (points x modes) phase table there would take about 300 MB
+    prob = build_example("duffing-delay")
+    M = 2048
+    vals = eval_grid(fde.solve_best(prob).u, M)[:, 0]
+    t = 2.0 * np.pi * np.arange(M) / M
+    sol = tmp_path / "dense.csv"
+    sol.write_text("t,u1\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(t, vals)))
+    code, out, _ = run(capsys, "verify", "duffing-delay", "--solution", str(sol))
+    rep = json.loads(out)
+    assert code == 0 and rep["pass"] is True and rep["kmax"] == 1023
+
+    u = analyze_grid(vals[:, None], 1023)
+    tracemalloc.start()
+    try:
+        fde.verify_pointwise(prob, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_verify_exit_3_on_wrong_solution(capsys, tmp_path):

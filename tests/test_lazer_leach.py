@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fde import (KernelElement, TrigPoly, apply_deviation, build_example,
-                 degree_product, degree_winding, gamma_convergence,
+                 degree_product, eval_grid, degree_winding, gamma_convergence,
                  gamma_tilde, gamma_unit, ll_margin, project_kernel,
                  resonant_set, small_set_measure, sphere_samples, sphere_scan)
 from fde.catalog import EXAMPLE_IDS
@@ -349,6 +349,32 @@ def test_small_set_arcsine():
     val = small_set_measure(w, 0.1)
     assert val == pytest.approx(ARCSINE_01, abs=2e-4)
     assert val == pytest.approx(oracles.arcsine_measure(0.1), abs=2e-4)
+
+
+@pytest.mark.parametrize("phase", [0.0, 1.3])
+def test_small_set_arcsine_law_exact(phase):
+    prob = build_example("duffing-delay")
+    w = SphereSample.single_phase(scalar_report(prob), phase)
+    for eps in (0.2, 0.1, 0.05):
+        assert abs(small_set_measure(w, eps) - oracles.arcsine_measure(eps)) <= 1e-12
+
+
+def test_small_set_matches_fine_grid_count_on_four_dimensional_kernel():
+    # the Sobol sample check-ll reports for weakly-coupled; a grid count
+    # is first order, within a few crossings / M of the exact measure
+    prob = build_example("weakly-coupled")
+    w = sphere_samples(scalar_report(prob), 1, seed=0)[0]
+    M = 2 ** 20
+    vals = eval_grid(w.to_poly(), M)
+    count = np.count_nonzero(np.sum(vals * vals, axis=1) < 0.01) / M
+    val = small_set_measure(w, 0.1)
+    assert 0.0 < val < 1.0
+    assert abs(val - count) <= 2e-6
+
+
+def test_small_set_empty_is_exactly_zero():
+    w = TrigPoly(np.array([[1.0], [0.1]]))        # |w| >= 0.8 everywhere
+    assert small_set_measure(w, 0.5) == 0.0
 
 
 def test_small_set_power_bound():

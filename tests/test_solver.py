@@ -15,7 +15,9 @@ from fde import (BoundedNonlinearity, ConstProfile, DelayTap, Density,
 from fde.errors import GridTooSmall
 from fde.nonlinearity import nemytskii_eval
 from fde.resonance import KernelElement, symbol
-from fde.solver import COARSE_KMAX, pack_coeffs, pack_residual, unpack_coeffs
+from fde import solver
+from fde.solver import (COARSE_KMAX, _grid_sum, pack_coeffs, pack_residual,
+                        unpack_coeffs)
 
 TWO_PI = 2.0 * np.pi
 
@@ -380,6 +382,48 @@ def test_verify_pointwise_ignores_trailing_zero_modes(example):
     assert abs(verify_pointwise(prob, wide) - verify_pointwise(prob, u, M)) <= 1e-15
     with pytest.raises(GridTooSmall):
         verify_pointwise(prob, wide, 8 * u.kmax)
+
+
+def eval_sum(c, M):
+    """``_grid_sum`` by the TrigPoly.eval route: a (points x modes) table."""
+    vals = TrigPoly(np.moveaxis(c, 0, -2)).eval(TWO_PI * np.arange(M) / M)
+    return np.moveaxis(vals, -2, 0)
+
+
+@pytest.mark.parametrize("M, K", [(17, 8), (129, 64), (97, 20), (97, 0),
+                                  (384, 40), (2048, 64), (2048, 0)])
+@pytest.mark.parametrize("cols", [(1,), (2, 3)])
+def test_grid_sum_matches_irfft_and_eval(M, K, cols):
+    rng = np.random.default_rng(M + K + len(cols))
+    shape = (K + 1,) + cols
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c[0] = c[0].real
+    got = _grid_sum(c, M)
+    tol = 1e-13 * (1.0 + np.sum(np.abs(c)))
+    assert got.shape == (M,) + cols
+    assert np.max(np.abs(got - np.fft.irfft(c, M, axis=0, norm="forward"))) <= tol
+    assert np.max(np.abs(got - eval_sum(c, M))) <= tol
+
+
+@pytest.mark.parametrize("example", ALL_EXAMPLES)
+def test_verify_pointwise_matches_direct_evaluation(example, monkeypatch):
+    # atoms and forcing are direct sums over the grid without any
+    # TrigPoly.eval table, and agree with the TrigPoly.eval route, on the
+    # solution and on a perturbed one whose defect is large
+    prob = build_example(example)
+    u = solve_best(prob).u
+    wrong = u + TrigPoly.cosine(3, amplitude=0.01, n=u.n, kmax=u.kmax)
+
+    def no_eval(self, t):
+        raise AssertionError("verify_pointwise called TrigPoly.eval")
+
+    with monkeypatch.context() as m:
+        m.setattr(TrigPoly, "eval", no_eval)
+        got = [verify_pointwise(prob, v) for v in (u, wrong)]
+    monkeypatch.setattr(solver, "_grid_sum", eval_sum)
+    want = [verify_pointwise(prob, v) for v in (u, wrong)]
+    assert got[1] > 1e-3
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-14
 
 
 def test_verify_pointwise_detects_wrong_solution():

@@ -25,6 +25,27 @@ def test_cosine_constructor():
     assert u.coeff(-3)[0] == pytest.approx(np.exp(1j * 0.4), abs=1e-14)
 
 
+def test_mean_coefficient_drift_is_zeroed():
+    c = np.array([[1.0 + 1e-13j, -2.0], [0.5 + 0.5j, 0.25j]])
+    u = TrigPoly(c.copy())
+    assert np.array_equal(u.coeffs[0], [1.0, -2.0])
+    assert np.array_equal(u.coeffs[1], c[1])
+
+
+def test_mean_coefficient_drift_raises():
+    with pytest.raises(ValueError, match="imaginary drift"):
+        TrigPoly(np.array([[1.0 + 1e-9j], [0.5]]))
+
+
+def test_real_mean_coefficient_passes_unchanged():
+    c = np.array([[[1.5, -0.0]], [[0.5 - 0.25j, 2.0j]]]).reshape(1, 2, 2)
+    before = c.copy()
+    u = TrigPoly(c)
+    assert u.coeffs.dtype == complex
+    assert np.array_equal(u.coeffs, before)
+    assert np.array_equal(c, before)
+
+
 def test_grid_round_trip():
     rng = np.random.default_rng(0)
     u = random_poly(rng, n=3, kmax=11)
