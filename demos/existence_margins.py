@@ -44,16 +44,17 @@ for c in (0.5, 1.0, 1.2, crit - 0.02, crit + 0.02, 1.5):
 # ---------------------------------------------------------------------
 # 2. Sphere scan for a coupled system.
 #
-# In higher dimensions the margin is taken over samples of the kernel
-# sphere: R2 asks the projected limit field to stay away from zero, N2
-# asks its pairing with the forcing to beat the sup norm of the history
-# perturbation.  Margins are reported in kernel coordinates.
+# R2 asks the projected limit field to stay away from zero on the kernel
+# sphere, N2 asks its pairing with the deviated kernel element to beat the
+# sup norm of the history perturbation.  This system's kernel is two
+# dimensional, so its sphere is one time-shift orbit and both margins are
+# exact; larger kernels are sampled.  Margins are in kernel coordinates.
 # ---------------------------------------------------------------------
 
 banner("kernel sphere scan, two-population system")
 prob = build_example("gompertz-system")
 scan = sphere_scan(prob)
-print(f"samples        {scan.r2['samples']}")
+print(f"certified      {scan.r2['certified']}")
 print(f"R2 margin      {scan.r2['margin']:.6f}  (holds: {scan.r2['holds']})")
 print(f"N2 margin      {scan.n2['margin']:.6f}  (holds: {scan.n2['holds']})")
 print(f"h budget       {scan.n2['h_budget']:.6f}  (sup norm of the")
@@ -62,10 +63,12 @@ print("                perturbation, already subtracted from the margin)")
 # ---------------------------------------------------------------------
 # 3. Degree certificates.
 #
-# For a one-dimensional kernel the winding number of the projected field
-# around the kernel forcing decides existence outright; for kernels that
-# split across components the Brouwer degree factors into a product of
-# per-component windings.
+# On a two-dimensional kernel the projected field runs once around the
+# circle c0 e^{-i phi} - a_p as the phase goes round, so its winding
+# number is closed form: -1 when |c0| > |a_p|, 0 otherwise.  A nonzero
+# winding decides existence outright.  For kernels that split across
+# components the Brouwer degree factors into a product of per-component
+# windings.
 # ---------------------------------------------------------------------
 
 banner("topological degree")

@@ -1,14 +1,15 @@
 """Periodic functional-differential systems with measure-valued delays.
 
 The package analyzes resonance structure of the linear part, certifies
-saturation-type existence conditions by sampling the resonant kernel
-sphere, and computes 2 pi periodic solutions by spectral harmonic
-balance with pointwise defect verification.
+saturation-type existence conditions on the resonant kernel sphere (in
+closed form on two-dimensional kernels, by sampling otherwise), and
+computes 2 pi periodic solutions by spectral harmonic balance with
+pointwise defect verification.
 """
 
 from .errors import (BlockStructureError, DimensionMismatch, FdeError,
                      GridTooSmall, NotInImageError, ProblemFormatError,
-                     R2ViolationError, RefinementError, ScanBoundExceeded)
+                     R2ViolationError, ScanBoundExceeded)
 from .trigpoly import TrigPoly, analyze_grid, eval_grid, differentiate
 from .measures import (ConstProfile, Density, MeasureMatrix, PolyProfile,
                        ScalarMeasure, SinProfile, apply_deviation,
@@ -40,7 +41,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockStructureError", "DimensionMismatch", "FdeError",
     "GridTooSmall", "NotInImageError", "ProblemFormatError",
-    "R2ViolationError", "RefinementError", "ScanBoundExceeded",
+    "R2ViolationError", "ScanBoundExceeded",
     "TrigPoly", "analyze_grid", "eval_grid", "differentiate",
     "ConstProfile", "Density", "MeasureMatrix", "PolyProfile",
     "ScalarMeasure", "SinProfile", "apply_deviation", "matrix_transform",

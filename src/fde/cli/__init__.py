@@ -28,9 +28,9 @@ import numpy as np
 
 from ..catalog import emit_example, load_problem
 from ..errors import BlockStructureError, DimensionMismatch, FdeError, ProblemFormatError
-from ..lazer_leach import (certificate, degree_product, degree_winding,
-                           ll_margin, small_set_measure, sphere_samples,
-                           sphere_scan)
+from ..lazer_leach import (SphereSample, certificate, degree_product,
+                           degree_winding, ll_margin, small_set_measure,
+                           sphere_samples, sphere_scan)
 from ..problem import ProblemSpec, SolveConfig
 from ..resonance import check_linear_conditions, resonant_set
 from ..solver import VERIFY_TOL, solve_best, verify_pointwise
@@ -92,13 +92,10 @@ def cmd_check_ll(prob: ProblemSpec, args) -> tuple[dict, int]:
     doc["linear"] = report.flags.to_dict()
 
     try:
-        if report.nu == 1:
-            deg = degree_winding(prob, report)
-        else:
-            deg = degree_product(prob, report)
+        deg = (degree_winding if report.nu == 1 else degree_product)(prob, report)
         doc["degree"] = certificate("R3", margin=doc["R2"]["margin"],
-                                    degree=deg, samples=None, witness=None)
-    except (BlockStructureError, DimensionMismatch, FdeError) as exc:
+                                    degree=deg, note=doc["R2"]["note"])
+    except FdeError as exc:
         doc["degree"] = None
         doc["degree_note"] = str(exc)
         deg = None
@@ -109,7 +106,9 @@ def cmd_check_ll(prob: ProblemSpec, args) -> tuple[dict, int]:
         doc["ll_margin"] = None
         doc["ll_note"] = str(exc)
 
-    w0 = sphere_samples(report, 1, seed=0)[0]
+    # the small-set measure is the same at every phase of a 2-d kernel
+    w0 = (SphereSample.single_phase(report, 0.0) if report.nu == 1
+          else sphere_samples(report, 1, seed=0)[0])
     doc["diagnostics"] = {
         "c_psi": report.flags.c_psi,
         "small_set": {"eps": 0.1, "value": small_set_measure(w0, 0.1)},

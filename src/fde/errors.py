@@ -43,9 +43,5 @@ class R2ViolationError(FdeError):
         self.witness = witness
 
 
-class RefinementError(FdeError):
-    """Adaptive winding refinement exhausted its budget."""
-
-
 class BlockStructureError(FdeError):
     """Kernel does not decompose into per-component blocks."""

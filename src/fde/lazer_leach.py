@@ -4,10 +4,10 @@ At resonance, solvability hinges on the projected limit field
 
     Gamma_tilde(w) = Proj_ker (g_w - p),    g_w = radial limit of g along Psi w,
 
-over the unit sphere of the kernel.  This module samples that sphere,
-reports quantitative margins for the range condition (the projected field
-never vanishes) and for the inner-product test, computes the Brouwer degree
-of the normalized field through winding numbers, and runs the saturation
+over the unit sphere of the kernel.  This module reports quantitative
+margins for the range condition (the projected field never vanishes) and
+for the inner-product test, computes the Brouwer degree of the
+normalized field through winding numbers, and runs the saturation
 diagnostics: the small-set measure, exact from the roots of
 ``|w|^2 - eps^2``, and the finite-amplitude distance
 ``||g_w - g(s Psi w)||_L2``.
@@ -18,18 +18,19 @@ with positive-frequency amplitude vector ``a`` has coordinate norm
 saturating example with limits -+1 and no forcing has range margin
 ``2/pi``, the classical constant.
 
-The sphere certificates are sampling based: a positive verdict is
-evidence, not a proof, while a failure witness is an exact counterexample
-candidate.  Only the covering of the sphere is sampled.  At each sample
-the projected field is exact up to rounding for componentwise and
-sign-table fields: their ``g_w`` is constant between the zeros of the
-components of ``Psi w``, which are the unit-circle roots of one companion
-polynomial per component (:func:`_root_angles`), so its kernel
-coordinates are a finite sum of arc integrals.  Radial fields have a
-continuous ``g_w``, which the trapezoid rule on ``M`` points resolves
-spectrally.  The finite-amplitude distance lives in layers of width
-``1/s`` around the same roots, so it is integrated by Gauss-Legendre
-panels graded from them (:func:`gamma_convergence`).
+A two-dimensional kernel sphere is one time-shift orbit, on which the
+projected field is exactly ``c0 e^{-i phi} - a_p``, so its margins and
+degree are closed forms (:func:`_phase_orbit`).  Larger spheres are
+sampled: a positive verdict there is evidence, not a proof, while a
+failure witness is an exact counterexample candidate.  At each ``w`` the
+field is exact up to rounding when ``g_w`` is a step function, as for
+componentwise and sign-table fields, and for radial ones along a
+``Psi w`` on one line through the origin: it jumps only at the zeros of
+``Psi w``, the unit-circle roots of one companion polynomial per
+component (:func:`_root_angles`).  Other radial ``g_w`` are continuous
+and sampled on ``M`` points.  The finite-amplitude distance lives in
+layers of width ``1/s`` around the same roots, so it is integrated by
+Gauss-Legendre panels graded from them (:func:`gamma_convergence`).
 """
 
 from __future__ import annotations
@@ -38,17 +39,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BlockStructureError, DimensionMismatch, R2ViolationError,
-                     RefinementError)
+from .errors import BlockStructureError, DimensionMismatch, R2ViolationError
 from .measures import apply_deviation
 from .resonance import (KernelElement, ResonanceReport, deviation_eigenvalues,
                         resonant_set)
-from .sampling import coords_to_amps, phase_circle, sphere_points
+from .sampling import coords_to_amps, sphere_points
 from .trigpoly import TrigPoly, analyze_grid, eval_grid
 
 TWO_PI = 2.0 * np.pi
 
 _NOTE = "sampling-based evidence, not a proof"
+_ORBIT_NOTE = "exact: the kernel sphere is one time-shift orbit"
+# a projected field this close to zero counts as vanishing
+_GATE = 1e-9
 
 
 class SphereSample(KernelElement):
@@ -64,14 +67,6 @@ class SphereSample(KernelElement):
         norms = np.sqrt(2.0) * np.linalg.norm(self.amps, axis=-1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise DimensionMismatch("sphere sample is not L2-normalized")
-
-    @staticmethod
-    def from_amps(report: ResonanceReport, amps) -> "SphereSample":
-        amps = np.atleast_1d(np.asarray(amps, dtype=complex))
-        nrm = np.linalg.norm(amps)
-        if nrm == 0.0:
-            raise DimensionMismatch("cannot normalize the zero element")
-        return SphereSample(report, amps / (np.sqrt(2.0) * nrm))
 
     @staticmethod
     def single_phase(report: ResonanceReport, phase) -> "SphereSample":
@@ -147,6 +142,14 @@ def _step_coefficients(g, y) -> np.ndarray:
     return np.einsum("...jk,...jn->...kn", weights, g.limit(ymid))
 
 
+def _on_one_line(coeffs) -> np.ndarray:
+    """Per ``y`` of a batch ``(m, kb+1, n)``: are all its components real
+    multiples of one trigonometric polynomial (rank one up to rounding)?"""
+    sv = np.linalg.svd(np.concatenate([coeffs.real, coeffs.imag], axis=-2),
+                       compute_uv=False)
+    return sv[:, 1:].max(axis=-1, initial=0.0) <= 1e-12 * sv[:, 0]
+
+
 def gamma_tilde(prob, w: KernelElement, M: int = 4096) -> KernelElement:
     """Projected limit field ``Proj_ker (g_w - p)`` in kernel coordinates
     along the deviated kernel element ``Psi w``; a batch of ``w`` gives the
@@ -154,22 +157,27 @@ def gamma_tilde(prob, w: KernelElement, M: int = 4096) -> KernelElement:
 
     Componentwise and sign-table fields make ``g_w`` a step function with
     jumps at the zeros of ``Psi w`` only, so its coordinates are summed
-    exactly over the arcs between them (:func:`_step_coefficients`).  A
-    radial field is continuous and is sampled on ``M`` grid points, where
-    the trapezoid rule is spectrally accurate; ``M`` is read for radial
-    fields only.
+    exactly over the arcs between them (:func:`_step_coefficients`), as is
+    a radial ``A y/|y| + b`` along a ``Psi w`` on one line
+    (:func:`_on_one_line`).  Other radial ``g_w`` are continuous; they, and
+    only they, are sampled by the trapezoid rule on ``M`` grid points.
     """
     report = w.report
     y = apply_deviation(prob.Psi, w.to_poly())
-    if prob.g.kind != "radial":
-        coeffs = _step_coefficients(prob.g, y) - prob.p.truncate(y.kmax).coeffs
-        return KernelElement.from_poly(report, TrigPoly(coeffs))
-    kb = max(report.kernel_basis.shape[1] - 1, 1, prob.p.kmax)
-    if M < max(2 * kb + 1, 64):
-        raise DimensionMismatch("grid too small for the resonant band")
-    vals = prob.g.limit(eval_grid(y, M))
-    vals -= eval_grid(prob.p, M)
-    return KernelElement.from_poly(report, analyze_grid(vals, kb))
+    c = y.coeffs.reshape((-1,) + y.coeffs.shape[-2:])
+    step = _on_one_line(c) if prob.g.kind == "radial" else np.ones(len(c), bool)
+    amps = np.empty((len(c), report.nu), dtype=complex)
+    if step.any():
+        coeffs = _step_coefficients(prob.g, TrigPoly(c[step])) - prob.p.truncate(y.kmax).coeffs
+        amps[step] = KernelElement.from_poly(report, TrigPoly(coeffs)).amps
+    if not step.all():
+        kb = max(report.kernel_basis.shape[1] - 1, 1, prob.p.kmax)
+        if M < max(2 * kb + 1, 64):
+            raise DimensionMismatch("grid too small for the resonant band")
+        vals = prob.g.limit(eval_grid(TrigPoly(c[~step]), M))
+        vals -= eval_grid(prob.p, M)
+        amps[~step] = KernelElement.from_poly(report, analyze_grid(vals, kb)).amps
+    return KernelElement(report, amps.reshape(y.coeffs.shape[:-2] + (report.nu,)))
 
 
 def gamma_unit(prob, w: KernelElement, M: int = 4096,
@@ -179,7 +187,7 @@ def gamma_unit(prob, w: KernelElement, M: int = 4096,
     if gt.coord_norm() <= tol:
         raise R2ViolationError("projected limit field vanishes at a sample",
                               witness=w)
-    return SphereSample.from_amps(w.report, gt.amps)
+    return SphereSample(w.report, gt.amps / (np.sqrt(2.0) * gt.coord_norm()))
 
 
 def kernel_forcing_coords(prob, report: ResonanceReport) -> np.ndarray:
@@ -190,12 +198,10 @@ def kernel_forcing_coords(prob, report: ResonanceReport) -> np.ndarray:
 # -- sphere certificates ----------------------------------------------
 
 
-def certificate(kind: str, margin: float, samples: int | None = None,
-                degree: int | None = None, witness=None, **extra) -> dict:
-    out = {"kind": kind, "margin": float(margin), "degree": degree,
-           "samples": samples, "witness": witness, "note": _NOTE}
-    out.update(extra)
-    return out
+def certificate(kind: str, margin: float, degree: int | None = None,
+                **fields) -> dict:
+    return {"kind": kind, "margin": float(margin), "degree": degree,
+            "samples": None, "witness": None, "note": _NOTE, **fields}
 
 
 @dataclass
@@ -218,99 +224,97 @@ def sphere_samples(report: ResonanceReport, count: int, seed: int) -> list:
     return [SphereSample(report, a) for a in _sphere_batch(report, count, seed).amps]
 
 
+def _phase_orbit(prob, report: ResonanceReport, M: int = 4096):
+    """``(c0, a_p, mu_hat)`` of a two-dimensional kernel.  ``g`` is
+    autonomous and ``Psi`` commutes with time shifts, so on the phase loop
+    ``w(phi) ~ sqrt(2) cos(k t - phi)`` the projected field is exactly the
+    clockwise circle ``c0 e^{-i phi} - a_p``, with ``a_p`` the kernel
+    forcing; ``mu_hat`` is the unit deviation eigenvalue, 0 when the
+    deviation annihilates the kernel."""
+    a_p = kernel_forcing_coords(prob, report)[0]
+    c0 = gamma_tilde(prob, SphereSample.single_phase(report, 0.0), M).amps[0] + a_p
+    mu = deviation_eigenvalues(report, prob.Psi)[0]
+    return c0, a_p, (mu / abs(mu) if mu else 0j)
+
+
 def sphere_scan(prob, report: ResonanceReport | None = None,
                 n_samples: int = 32, M: int = 4096,
-                seed: int | None = None, gate: float = 1e-9) -> SphereScan:
-    """Deterministic sweep over the kernel sphere.
+                seed: int | None = None, gate: float = _GATE) -> SphereScan:
+    """Range and inner-product margins over the kernel sphere.
 
     The range margin is ``min |Gamma_tilde(w)|`` in coordinate norm; the
-    verdict fails if any sample (nearly) annihilates the projected field.
-    The inner-product test pairs each sample against its own deviated
-    image: with ``d = a(Psi w) / |a(Psi w)|`` the gap is
-    ``Re <d, a(g_w) - a(p)> - |h|_inf / sqrt(2)``, which in the scalar
-    delayed case reduces to the classical margin
-    ``|jump| / pi - |phat(m)| cos(...)`` and is delay independent at its
-    minimum.
+    verdict fails if the projected field (nearly) vanishes.  The
+    inner-product test pairs each ``w`` against its own deviated image:
+    with ``d = a(Psi w) / |a(Psi w)|`` the gap is
+    ``Re <d, a(g_w) - a(p)> - |h|_inf / sqrt(2)``.  On a two-dimensional
+    kernel both minima are exact (``certified``) on the phase orbit
+    (:func:`_phase_orbit`): ``R2 = ||c0| - |a_p||`` and
+    ``N2 = Re(conj(mu_hat) c0) - |a_p| - |h|_inf / sqrt(2)``, at
+    ``phi = arg c0 - arg a_p`` and ``arg mu_hat - arg a_p``.  Larger kernels
+    take the minimum over ``n_samples`` deterministic samples, an upper
+    bound on the margins.
     """
     report = _ensure_report(prob, report)
     if report.nu == 0:
         raise DimensionMismatch("no resonant modes; nothing to certify")
-    if seed is None:
-        # h only shifts the N2 budget; keep samples h-independent so the
-        # R2 margin does not move when the perturbation is toggled
-        seed = prob.content_hash(include_h=False) % (2 ** 32)
-    samples = _sphere_batch(report, n_samples, int(seed))
-    h_sup = prob.h.sup_norm() if prob.h is not None else 0.0
-    budget = h_sup / np.sqrt(2.0)
-    mus = deviation_eigenvalues(report, prob.Psi)
+    budget = (prob.h.sup_norm() if prob.h is not None else 0.0) / np.sqrt(2.0)
 
-    amps = samples.amps
-    gammas = gamma_tilde(prob, samples, M).amps
-    mags = np.linalg.norm(gammas, axis=-1)
-    d = mus * amps
-    dn = np.linalg.norm(d, axis=-1)
-    # a sample the deviation annihilates gets gap -inf
-    d = d / np.where(dn < 1e-14, 1.0, dn)[:, None]
-    gaps = np.where(dn < 1e-14, -np.inf,
-                    np.real(np.sum(d.conj() * gammas, axis=-1)) - budget)
-    # argmin keeps the first sample among ties
-    i_r2, i_n2 = int(np.argmin(mags)), int(np.argmin(gaps))
-    r2, r2_wit = float(mags[i_r2]), KernelElement(report, amps[i_r2])
-    n2, n2_wit = float(gaps[i_n2]), KernelElement(report, amps[i_n2])
+    if report.nu == 1:
+        c0, a_p, mu_hat = _phase_orbit(prob, report, M)
+        r2 = abs(abs(c0) - abs(a_p))
+        n2 = np.real(np.conj(mu_hat) * c0) - abs(a_p) - budget
+        r2_wit, n2_wit = SphereSample.single_phase(
+            report, np.array([np.angle(c0) - np.angle(a_p) if a_p else 0.0,
+                              np.angle(mu_hat) - np.angle(a_p)])).amps
+        common = {"note": _ORBIT_NOTE, "certified": True}
+    else:
+        if seed is None:
+            # h only shifts the N2 budget; keep samples h-independent so the
+            # R2 margin does not move when the perturbation is toggled
+            seed = prob.content_hash(include_h=False) % (2 ** 32)
+        amps = _sphere_batch(report, n_samples, int(seed)).amps
+        mus = deviation_eigenvalues(report, prob.Psi)
+        gammas = gamma_tilde(prob, KernelElement(report, amps), M).amps
+        mags = np.linalg.norm(gammas, axis=-1)
+        d = mus * amps
+        dn = np.linalg.norm(d, axis=-1)
+        # a sample the deviation annihilates gets gap -inf
+        d = d / np.where(dn < 1e-14, 1.0, dn)[:, None]
+        gaps = np.where(dn < 1e-14, -np.inf,
+                        np.real(np.sum(d.conj() * gammas, axis=-1)) - budget)
+        # argmin keeps the first sample among ties
+        i_r2, i_n2 = np.argmin(mags), np.argmin(gaps)
+        r2, n2, r2_wit, n2_wit = mags[i_r2], gaps[i_n2], amps[i_r2], amps[i_n2]
+        common = {"samples": n_samples, "certified": False, "seed": int(seed)}
 
-    r2_cert = certificate("R2", r2, samples=n_samples,
-                          witness=r2_wit.to_dict(), holds=bool(r2 > gate),
-                          seed=int(seed))
-    n2_cert = certificate("N2", n2, samples=n_samples,
-                          witness=n2_wit.to_dict(), holds=bool(n2 > gate),
-                          h_budget=float(budget), seed=int(seed))
+    r2_cert = certificate("R2", r2, witness=KernelElement(report, r2_wit).to_dict(),
+                          holds=bool(r2 > gate), **common)
+    n2_cert = certificate("N2", n2, witness=KernelElement(report, n2_wit).to_dict(),
+                          holds=bool(n2 > gate), h_budget=float(budget), **common)
     return SphereScan(r2=r2_cert, n2=n2_cert)
 
 
 # -- degree ------------------------------------------------------------
 
 
-def degree_winding(prob, report: ResonanceReport | None = None,
-                   n_grid: int = 64, M: int = 4096,
-                   max_points: int = 4096, tol: float = 1e-9) -> int:
-    """Brouwer degree of the normalized projected field, 2-d kernels only.
-
-    Walks the phase loop ``w(phi) ~ sqrt(2) cos(k t - phi)``, accumulating
-    the angle of the coordinate of ``Gamma_tilde(w(phi))`` and bisecting
-    any step of ``pi/2`` or more until the loop is resolved.
-    """
+def degree_winding(prob, report: ResonanceReport | None = None) -> int:
+    """Brouwer degree of the normalized projected field, 2-d kernels only:
+    the phase loop ``c0 e^{-i phi} - a_p`` (:func:`_phase_orbit`) winds
+    ``-1`` when ``|c0| > |a_p|`` and 0 when ``|c0| < |a_p|``.  Raises
+    :class:`R2ViolationError`, with the phase where the field vanishes as
+    witness, when ``||c0| - |a_p||`` is within the gate of
+    :func:`sphere_scan`."""
     report = _ensure_report(prob, report)
     if report.nu != 1:
         raise DimensionMismatch(
             "winding degree needs a 2-dimensional kernel; "
             "use degree_product for block-decoupled systems")
-
-    phis = np.append(phase_circle(n_grid), TWO_PI)
-    vals = np.zeros(phis.size, dtype=complex)
-    fresh = np.ones(phis.size, dtype=bool)      # phases not evaluated yet
-    while True:
-        a = gamma_tilde(prob, SphereSample.single_phase(report, phis[fresh]),
-                        M).amps[:, 0]
-        vanish = np.abs(a) <= tol
-        if np.any(vanish):
-            raise R2ViolationError(
-                "projected field vanishes on the phase circle",
-                witness=float(phis[fresh][np.argmax(vanish)]))
-        vals[fresh] = a
-        steps = np.angle(vals[1:] / vals[:-1])
-        bad = np.flatnonzero(np.abs(steps) >= 0.5 * np.pi)
-        if not bad.size:
-            break
-        if phis.size + bad.size > max_points:
-            raise RefinementError("winding refinement budget exhausted")
-        phis = np.insert(phis, bad + 1, 0.5 * (phis[bad] + phis[bad + 1]))
-        vals = np.insert(vals, bad + 1, 0.0)
-        fresh = np.insert(np.zeros(fresh.size, dtype=bool), bad + 1, True)
-    total = np.sum(steps) / TWO_PI
-    deg = int(np.round(total))
-    if abs(total - deg) > 0.05:
-        raise RefinementError(f"winding sum {total:.4f} is not near an integer")
-    return deg
+    c0, a_p, _ = _phase_orbit(prob, report)
+    gap = abs(c0) - abs(a_p)
+    if abs(gap) <= _GATE:
+        raise R2ViolationError("projected field vanishes on the phase circle",
+                               witness=float(np.angle(c0) - np.angle(a_p)))
+    return -1 if gap > 0 else 0
 
 
 def _component_blocks(prob, report: ResonanceReport, tol: float = 1e-9) -> dict:
@@ -349,22 +353,19 @@ def degree_product(prob, report: ResonanceReport | None = None,
     the field is componentwise with positive classical margins, and the
     sampled projected field does not couple the blocks; refuses otherwise.
 
-    Each block's winding is known in closed form.  On its phase loop the
-    block coordinate is ``(jump / pi) e^{-i(phi + arg psihat)} - phat(k)``:
-    a circle of radius ``|jump| / pi`` about ``-phat(k)``, run clockwise
-    once.  A positive block margin ``|jump| / pi - |phat(k)|`` puts the
-    origin inside it, so every block winds ``-1`` and the degree is
-    ``(-1)^blocks``.
+    Each block's phase loop is a clockwise circle of radius ``|jump| / pi``
+    about ``-phat(k)`` (:func:`_phase_orbit`), so a positive block margin
+    ``|jump| / pi - |phat(k)|`` makes every block wind ``-1`` and the
+    degree ``(-1)^blocks``.
     """
     report = _ensure_report(prob, report)
     blocks = _component_blocks(prob, report)
-    nslots = report.nu
     a_p = kernel_forcing_coords(prob, report)
 
     # coupling probe: the g-response of a pure block sample must stay in its
     # own block (the forcing contributes off-block coordinates regardless)
     idxs = [idx for c, (k, idx) in sorted(blocks.items())]
-    amps = np.zeros((len(idxs), nslots), dtype=complex)
+    amps = np.zeros((len(idxs), report.nu), dtype=complex)
     amps[np.arange(len(idxs)), idxs] = 1.0 / np.sqrt(2.0)
     responses = gamma_tilde(prob, SphereSample(report, amps)).amps + a_p
     for idx, a_g in zip(idxs, responses):

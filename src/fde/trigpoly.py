@@ -45,6 +45,8 @@ class TrigPoly:
             if np.any(np.abs(c0.imag) > _C0_DRIFT * scale):
                 raise ValueError("mean coefficient has imaginary drift "
                                  f"{np.max(np.abs(c0.imag)):.3e}")
+            # the caller's array may be c itself
+            c = c.copy()
             c[..., 0, :] = c0.real
         self.coeffs = c
 

@@ -117,7 +117,6 @@ def test_criterion_04_projection_formula():
 def test_criterion_05_degrees():
     prob = build_example("duffing-delay")
     assert degree_winding(prob) == -1
-    assert degree_winding(prob, n_grid=128) == -1
     for s in (0.0, 0.25, 0.5, 0.75, 1.0):
         scaled = dataclasses.replace(prob, p=prob.p * s)
         assert degree_winding(scaled) == -1, s

@@ -393,6 +393,15 @@ def test_import_loads_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_check_ll_on_a_two_dimensional_kernel_loads_no_scipy():
+    # its certificates are closed form, and the small-set diagnostic takes
+    # the phase-0 kernel element instead of a Sobol draw
+    proc = _python("-c", "import sys; from fde.cli import main; "
+                         "assert main(['check-ll', 'duffing-delay']) == 0; "
+                         "assert 'scipy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_module_entry_point_runs_clean():
     proc = _python("-m", "fde.cli", "analyze", "duffing-delay")
     assert proc.returncode == 0

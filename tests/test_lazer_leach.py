@@ -11,6 +11,7 @@ from fde.catalog import EXAMPLE_IDS
 from fde.errors import (BlockStructureError, DimensionMismatch,
                         R2ViolationError)
 from fde.lazer_leach import SphereSample, kernel_forcing_coords
+from fde.resonance import deviation_eigenvalues
 
 import oracles
 
@@ -192,6 +193,22 @@ def test_gamma_tilde_radial_keeps_the_grid(M):
         gamma_tilde(prob, w, M=32)
 
 
+def test_gamma_tilde_radial_on_one_line_is_exact():
+    # gompertz's Psi w has one nonzero component, so y/|y| only flips sign
+    # and the radial limit field is a step function, which the arc sum gets
+    # exactly and M reads nothing (the M = 4096 trapezoid rule misses the
+    # coordinate by 6.8e-5 at phi = 0.3)
+    import dataclasses
+    from fde import BoundedNonlinearity
+    g = BoundedNonlinearity("radial", A=[[1.0, 0.3], [-0.2, 0.8]],
+                            b=[0.1, -0.05])
+    prob = dataclasses.replace(build_example("gompertz-system"), g=g)
+    w = SphereSample.single_phase(scalar_report(prob),
+                                  np.array([0.0, 0.3, 1.7, 2.9, 5.1]))
+    assert_gamma_tilde_matches_quad(prob, w.amps)
+    assert np.array_equal(gamma_tilde(prob, w, M=256).amps, gamma_tilde(prob, w).amps)
+
+
 def test_gamma_tilde_lies_in_kernel():
     prob = build_example("duffing-delay")
     rep = scalar_report(prob)
@@ -263,7 +280,8 @@ def test_sphere_scan_duffing_pass_and_fail():
     assert ok.r2["holds"] and ok.n2["holds"]
     assert ok.r2["margin"] >= TWO_OVER_PI - 0.5 - 1e-9
     assert ok.n2["margin"] >= TWO_OVER_PI - 0.5 - 1e-9
-    assert ok.r2["note"] == "sampling-based evidence, not a proof"
+    assert ok.r2["certified"] and ok.r2["samples"] is None
+    assert ok.r2["note"] == "exact: the kernel sphere is one time-shift orbit"
 
     bad = sphere_scan(build_example("duffing-delay", c=2.0), n_samples=64)
     assert bad.r2["holds"]                 # |(2/pi) e^{ia} - 1| >= 1 - 2/pi
@@ -302,7 +320,54 @@ def test_n2_budget_uses_h_sup():
 def test_degree_winding_duffing():
     prob = build_example("duffing-delay")
     assert degree_winding(prob) == -1
-    assert degree_winding(prob, n_grid=128) == -1
+
+
+NU1_CASES = [("duffing-delay", {}, 0.0, -1), ("duffing-distributed", {}, 0.0, -1),
+             ("gompertz-system", {}, 0.0, -1), ("distributed-uniform", {}, 0.0, -1),
+             ("distributed-sine", {}, 0.0, -1), ("duffing-delay", {"c": 1.5}, 0.0, 0),
+             ("duffing-delay", {"c": 2.0}, 0.0, 0),
+             ("duffing-delay", {"c": 4.0 / np.pi}, 0.0, None),
+             # a forcing phase makes a_p complex, which moves the witnesses
+             ("gompertz-system", {}, 0.7, -1), ("duffing-delay", {"c": 1.5}, 2.0, 0)]
+
+
+@pytest.mark.parametrize("name,params,shift,degree", NU1_CASES)
+def test_two_dimensional_kernel_closed_forms(name, params, shift, degree):
+    # on a 2-d kernel the sphere is one time-shift orbit, so R2, N2 and the
+    # degree are closed forms: a dense phase scan approaches the margins
+    # from above and winds as degree_winding says
+    import dataclasses
+    prob = build_example(name, **params)
+    prob = dataclasses.replace(prob, p=prob.p.shift(shift))
+    rep = scalar_report(prob)
+    scan = sphere_scan(prob, rep)
+    assert scan.r2["certified"] and scan.n2["certified"]
+    mu = deviation_eigenvalues(rep, prob.Psi)[0]
+    budget = scan.n2["h_budget"]
+
+    def field_and_gap(amps):
+        # the field's coordinate and the N2 pairing gap at each phase sample
+        field = gamma_tilde(prob, KernelElement(rep, amps[:, None])).amps[:, 0]
+        d = np.sqrt(2.0) * mu / abs(mu) * amps
+        return field, np.real(np.conj(d) * field) - budget
+
+    field, gaps = field_and_gap(np.exp(-1j * TWO_PI * np.arange(4096) / 4096)
+                                / np.sqrt(2.0))
+    for cert, values in ((scan.r2, np.abs(field)), (scan.n2, gaps)):
+        assert cert["margin"] - 1e-12 <= values.min() <= cert["margin"] + 1e-6
+        at, gap = field_and_gap(np.array(cert["witness"]["amps"]) @ [1.0, 1j])
+        value = abs(at[0]) if cert is scan.r2 else gap[0]
+        assert value == pytest.approx(cert["margin"], abs=1e-12)
+    if degree is None:
+        assert scan.r2["margin"] < 1e-9
+        with pytest.raises(R2ViolationError):
+            degree_winding(prob, rep)
+    else:
+        winding = np.sum(np.angle(np.roll(field, -1) / field)) / TWO_PI
+        assert winding == pytest.approx(degree, abs=1e-9)
+        assert degree_winding(prob, rep) == degree
+    margin = ll_margin(prob, rep)["margin"]
+    assert margin == pytest.approx(scan.n2["margin"] + budget, abs=1e-12)
 
 
 def test_degree_winding_forcing_homotopy():

@@ -32,6 +32,13 @@ def test_mean_coefficient_drift_is_zeroed():
     assert np.array_equal(u.coeffs[1], c[1])
 
 
+def test_mean_coefficient_drift_leaves_the_input_alone():
+    c = np.array([[1 + 1e-13j], [0.5]])
+    before = c.copy()
+    TrigPoly(c)
+    assert np.array_equal(c, before)
+
+
 def test_mean_coefficient_drift_raises():
     with pytest.raises(ValueError, match="imaginary drift"):
         TrigPoly(np.array([[1.0 + 1e-9j], [0.5]]))
