@@ -33,7 +33,8 @@ from ..lazer_leach import (SphereSample, certificate, degree_product,
                            sphere_samples, sphere_scan)
 from ..problem import ProblemSpec, SolveConfig
 from ..resonance import check_linear_conditions, resonant_set
-from ..solver import VERIFY_TOL, solve_best, verify_pointwise
+from ..solver import (VERIFY_OVERSAMPLE, VERIFY_TOL, solve_best, verify_grid,
+                      verify_pointwise)
 from ..trigpoly import TrigPoly, analyze_grid, eval_grid
 
 # -- float-stable JSON -------------------------------------------------
@@ -133,12 +134,12 @@ def _solution_csv(u: TrigPoly, M: int) -> str:
 def cmd_solve(prob: ProblemSpec, args) -> tuple[object, int]:
     config = prob.solve if prob.solve is not None else SolveConfig()
     if args.kmax is not None:
-        config = dataclasses.replace(config, kmax=args.kmax, M=None)
+        config = dataclasses.replace(config, kmax=args.kmax)
     if args.tol is not None:
         config = dataclasses.replace(config, tol_residual=args.tol)
     result = solve_best(prob, config)
     if args.format == "csv":
-        doc = _solution_csv(result.u, max(8 * config.kmax, 64))
+        doc = _solution_csv(result.u, verify_grid(result.u.kmax))
     else:
         doc = result.to_dict()
     return doc, 0 if result.converged else 3
@@ -162,7 +163,8 @@ def _load_solution(path: str, kmax_flag: int | None) -> TrigPoly:
     if np.max(np.abs(t - expected)) > 1e-9:
         raise ProblemFormatError("solution CSV must sample the uniform grid "
                                  "t_j = 2 pi j / M")
-    kmax = (M - 1) // 2 if kmax_flag is None else kmax_flag
+    # the band a solve wrote on its verification grid of M points
+    kmax = M // VERIFY_OVERSAMPLE if kmax_flag is None else kmax_flag
     return analyze_grid(data[:, 1:], min(kmax, (M - 1) // 2))
 
 

@@ -28,9 +28,10 @@ componentwise and sign-table fields, and for radial ones along a
 ``Psi w`` on one line through the origin: it jumps only at the zeros of
 ``Psi w``, the unit-circle roots of one companion polynomial per
 component (:func:`_root_angles`).  Other radial ``g_w`` are continuous
-and sampled on ``M`` points.  The finite-amplitude distance lives in
-layers of width ``1/s`` around the same roots, so it is integrated by
-Gauss-Legendre panels graded from them (:func:`gamma_convergence`).
+and sampled on 4096 points (more for a kernel band above 1024).  The
+finite-amplitude distance lives in layers of width ``1/s`` around the
+same roots, so it is integrated by Gauss-Legendre panels graded from them
+(:func:`gamma_convergence`).
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ _NOTE = "sampling-based evidence, not a proof"
 _ORBIT_NOTE = "exact: the kernel sphere is one time-shift orbit"
 # a projected field this close to zero counts as vanishing
 _GATE = 1e-9
+# product degree: distance of a kernel vector from its coordinate axis,
+# and the relative off-block mass that couples two blocks
+_AXIS_TOL, _COUPLING_TOL = 1e-9, 1e-8
 
 
 class SphereSample(KernelElement):
@@ -150,7 +154,7 @@ def _on_one_line(coeffs) -> np.ndarray:
     return sv[:, 1:].max(axis=-1, initial=0.0) <= 1e-12 * sv[:, 0]
 
 
-def gamma_tilde(prob, w: KernelElement, M: int = 4096) -> KernelElement:
+def gamma_tilde(prob, w: KernelElement) -> KernelElement:
     """Projected limit field ``Proj_ker (g_w - p)`` in kernel coordinates
     along the deviated kernel element ``Psi w``; a batch of ``w`` gives the
     batch of fields.
@@ -160,7 +164,8 @@ def gamma_tilde(prob, w: KernelElement, M: int = 4096) -> KernelElement:
     exactly over the arcs between them (:func:`_step_coefficients`), as is
     a radial ``A y/|y| + b`` along a ``Psi w`` on one line
     (:func:`_on_one_line`).  Other radial ``g_w`` are continuous; they, and
-    only they, are sampled by the trapezoid rule on ``M`` grid points.
+    only they, are sampled by the trapezoid rule on
+    ``max(4096, 4 kb)`` grid points, ``kb`` the kernel band.
     """
     report = w.report
     y = apply_deviation(prob.Psi, w.to_poly())
@@ -172,19 +177,17 @@ def gamma_tilde(prob, w: KernelElement, M: int = 4096) -> KernelElement:
         amps[step] = KernelElement.from_poly(report, TrigPoly(coeffs)).amps
     if not step.all():
         kb = max(report.kernel_basis.shape[1] - 1, 1, prob.p.kmax)
-        if M < max(2 * kb + 1, 64):
-            raise DimensionMismatch("grid too small for the resonant band")
+        M = max(4096, 4 * kb)
         vals = prob.g.limit(eval_grid(TrigPoly(c[~step]), M))
         vals -= eval_grid(prob.p, M)
         amps[~step] = KernelElement.from_poly(report, analyze_grid(vals, kb)).amps
     return KernelElement(report, amps.reshape(y.coeffs.shape[:-2] + (report.nu,)))
 
 
-def gamma_unit(prob, w: KernelElement, M: int = 4096,
-               tol: float = 1e-9) -> SphereSample:
+def gamma_unit(prob, w: KernelElement) -> SphereSample:
     """Normalized projected limit field; raises when it (nearly) vanishes."""
-    gt = gamma_tilde(prob, w, M)
-    if gt.coord_norm() <= tol:
+    gt = gamma_tilde(prob, w)
+    if gt.coord_norm() <= _GATE:
         raise R2ViolationError("projected limit field vanishes at a sample",
                               witness=w)
     return SphereSample(w.report, gt.amps / (np.sqrt(2.0) * gt.coord_norm()))
@@ -224,7 +227,7 @@ def sphere_samples(report: ResonanceReport, count: int, seed: int) -> list:
     return [SphereSample(report, a) for a in _sphere_batch(report, count, seed).amps]
 
 
-def _phase_orbit(prob, report: ResonanceReport, M: int = 4096):
+def _phase_orbit(prob, report: ResonanceReport):
     """``(c0, a_p, mu_hat)`` of a two-dimensional kernel.  ``g`` is
     autonomous and ``Psi`` commutes with time shifts, so on the phase loop
     ``w(phi) ~ sqrt(2) cos(k t - phi)`` the projected field is exactly the
@@ -232,14 +235,13 @@ def _phase_orbit(prob, report: ResonanceReport, M: int = 4096):
     forcing; ``mu_hat`` is the unit deviation eigenvalue, 0 when the
     deviation annihilates the kernel."""
     a_p = kernel_forcing_coords(prob, report)[0]
-    c0 = gamma_tilde(prob, SphereSample.single_phase(report, 0.0), M).amps[0] + a_p
+    c0 = gamma_tilde(prob, SphereSample.single_phase(report, 0.0)).amps[0] + a_p
     mu = deviation_eigenvalues(report, prob.Psi)[0]
     return c0, a_p, (mu / abs(mu) if mu else 0j)
 
 
 def sphere_scan(prob, report: ResonanceReport | None = None,
-                n_samples: int = 32, M: int = 4096,
-                seed: int | None = None, gate: float = _GATE) -> SphereScan:
+                n_samples: int = 32) -> SphereScan:
     """Range and inner-product margins over the kernel sphere.
 
     The range margin is ``min |Gamma_tilde(w)|`` in coordinate norm; the
@@ -251,8 +253,9 @@ def sphere_scan(prob, report: ResonanceReport | None = None,
     (:func:`_phase_orbit`): ``R2 = ||c0| - |a_p||`` and
     ``N2 = Re(conj(mu_hat) c0) - |a_p| - |h|_inf / sqrt(2)``, at
     ``phi = arg c0 - arg a_p`` and ``arg mu_hat - arg a_p``.  Larger kernels
-    take the minimum over ``n_samples`` deterministic samples, an upper
-    bound on the margins.
+    take the minimum over the first ``n_samples`` points of the seed-0
+    Sobol design (:func:`sphere_samples`), an upper bound on the margins.
+    A margin holds when it is above the gate ``1e-9``.
     """
     report = _ensure_report(prob, report)
     if report.nu == 0:
@@ -260,7 +263,7 @@ def sphere_scan(prob, report: ResonanceReport | None = None,
     budget = (prob.h.sup_norm() if prob.h is not None else 0.0) / np.sqrt(2.0)
 
     if report.nu == 1:
-        c0, a_p, mu_hat = _phase_orbit(prob, report, M)
+        c0, a_p, mu_hat = _phase_orbit(prob, report)
         r2 = abs(abs(c0) - abs(a_p))
         n2 = np.real(np.conj(mu_hat) * c0) - abs(a_p) - budget
         r2_wit, n2_wit = SphereSample.single_phase(
@@ -268,13 +271,9 @@ def sphere_scan(prob, report: ResonanceReport | None = None,
                               np.angle(mu_hat) - np.angle(a_p)])).amps
         common = {"note": _ORBIT_NOTE, "certified": True}
     else:
-        if seed is None:
-            # h only shifts the N2 budget; keep samples h-independent so the
-            # R2 margin does not move when the perturbation is toggled
-            seed = prob.content_hash(include_h=False) % (2 ** 32)
-        amps = _sphere_batch(report, n_samples, int(seed)).amps
+        amps = _sphere_batch(report, n_samples, 0).amps
         mus = deviation_eigenvalues(report, prob.Psi)
-        gammas = gamma_tilde(prob, KernelElement(report, amps), M).amps
+        gammas = gamma_tilde(prob, KernelElement(report, amps)).amps
         mags = np.linalg.norm(gammas, axis=-1)
         d = mus * amps
         dn = np.linalg.norm(d, axis=-1)
@@ -285,12 +284,12 @@ def sphere_scan(prob, report: ResonanceReport | None = None,
         # argmin keeps the first sample among ties
         i_r2, i_n2 = np.argmin(mags), np.argmin(gaps)
         r2, n2, r2_wit, n2_wit = mags[i_r2], gaps[i_n2], amps[i_r2], amps[i_n2]
-        common = {"samples": n_samples, "certified": False, "seed": int(seed)}
+        common = {"samples": n_samples, "certified": False}
 
     r2_cert = certificate("R2", r2, witness=KernelElement(report, r2_wit).to_dict(),
-                          holds=bool(r2 > gate), **common)
+                          holds=bool(r2 > _GATE), **common)
     n2_cert = certificate("N2", n2, witness=KernelElement(report, n2_wit).to_dict(),
-                          holds=bool(n2 > gate), h_budget=float(budget), **common)
+                          holds=bool(n2 > _GATE), h_budget=float(budget), **common)
     return SphereScan(r2=r2_cert, n2=n2_cert)
 
 
@@ -317,7 +316,7 @@ def degree_winding(prob, report: ResonanceReport | None = None) -> int:
     return -1 if gap > 0 else 0
 
 
-def _component_blocks(prob, report: ResonanceReport, tol: float = 1e-9) -> dict:
+def _component_blocks(prob, report: ResonanceReport) -> dict:
     """Map component -> (frequency, slot index) when every kernel direction
     is a coordinate axis and no component resonates twice."""
     if prob.g.kind != "componentwise":
@@ -328,7 +327,7 @@ def _component_blocks(prob, report: ResonanceReport, tol: float = 1e-9) -> dict:
         c = int(np.argmax(np.abs(th)))
         e = np.zeros_like(th)
         e[c] = 1.0
-        if np.linalg.norm(th - e) > tol:
+        if np.linalg.norm(th - e) > _AXIS_TOL:
             raise BlockStructureError(
                 "kernel vector is not a coordinate direction; "
                 "unsupported: provide block structure")
@@ -345,8 +344,7 @@ def _block_margin(prob, c: int, k: int) -> float:
     return abs(prob.g.jump(c)) / np.pi - abs(prob.p.coeff(k)[c])
 
 
-def degree_product(prob, report: ResonanceReport | None = None,
-                   coupling_tol: float = 1e-8) -> int:
+def degree_product(prob, report: ResonanceReport | None = None) -> int:
     """Degree as a product of per-component winding numbers.
 
     Valid when the kernel splits into per-component two-dimensional blocks,
@@ -370,7 +368,7 @@ def degree_product(prob, report: ResonanceReport | None = None,
     responses = gamma_tilde(prob, SphereSample(report, amps)).amps + a_p
     for idx, a_g in zip(idxs, responses):
         off = float(np.linalg.norm(np.delete(a_g, idx)))
-        if off > coupling_tol * (1.0 + np.linalg.norm(a_g)):
+        if off > _COUPLING_TOL * (1.0 + np.linalg.norm(a_g)):
             raise BlockStructureError(
                 f"coupled response detected (off-block mass {off:.2e}); "
                 "fall back to the sphere_scan report")

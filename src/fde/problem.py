@@ -72,24 +72,19 @@ class MatrixPolynomial:
 class SolveConfig:
     """Harmonic balance settings.
 
-    ``M`` defaults to ``4 * kmax`` (anti-aliasing).  Problem files written
-    by older versions may carry ``damping``, ``seed_radii``,
-    ``seed_samples``, ``jacobian`` and ``fd_step`` keys; they are ignored
-    (the damping schedule and the seed scan are fixed in :mod:`fde.solver`).
+    Problem files written by older versions may carry ``M``, ``damping``,
+    ``seed_radii``, ``seed_samples``, ``jacobian`` and ``fd_step`` keys;
+    they are ignored (the grid follows ``kmax``, and the damping schedule
+    and the seed scan are fixed in :mod:`fde.solver`).
     """
 
     kmax: int = 64
-    M: int | None = None
     tol_residual: float = 1e-10
     max_iter: int = 100
 
     def __post_init__(self):
         if self.kmax < 1:
             raise DimensionMismatch("kmax must be at least 1")
-        if self.M is None:
-            self.M = 4 * self.kmax
-        if self.M < max(2 * self.kmax + 1, 4 * self.kmax):
-            raise DimensionMismatch("M undersamples the chosen bandwidth")
 
     def to_dict(self):
         return asdict(self)
@@ -97,8 +92,7 @@ class SolveConfig:
     @staticmethod
     def from_dict(d: dict) -> "SolveConfig":
         # the schema leaves ``solve`` untyped; absent keys keep the defaults
-        casts = {"kmax": int, "M": lambda m: m, "tol_residual": float,
-                 "max_iter": int}
+        casts = {"kmax": int, "tol_residual": float, "max_iter": int}
         return SolveConfig(**{k: cast(d[k]) for k, cast in casts.items()
                               if k in d})
 
@@ -159,11 +153,9 @@ class ProblemSpec:
         except KeyError as e:
             raise ProblemFormatError(f"missing field {e.args[0]!r}") from e
 
-    def content_hash(self, include_h: bool = True) -> int:
-        """Stable 63-bit hash of the problem content (used to seed scans)."""
+    def content_hash(self) -> int:
+        """Stable 63-bit hash of the problem content, solve block excluded."""
         doc = self.to_dict()
         doc.pop("solve", None)
-        if not include_h:
-            doc.pop("h", None)
         blob = json.dumps(doc, sort_keys=True).encode()
         return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big") >> 1

@@ -23,6 +23,9 @@ from .problem import MatrixPolynomial
 from .trigpoly import TrigPoly
 
 _HARD_CAP = 10 ** 6
+# gates of L2 (principal-angle sine), L4 (eigenvector defect) and of the
+# kernel-direction mass of a right-hand side (relative to 1 + |phi|)
+_ANGLE_TOL, _EIG_TOL, _IMAGE_TOL = 1e-8, 1e-10, 1e-10
 
 
 def symbol(P: MatrixPolynomial, Lam: MeasureMatrix, k) -> np.ndarray:
@@ -180,9 +183,8 @@ def resonant_set(P: MatrixPolynomial, Lam: MeasureMatrix,
     return ResonanceReport(P=P, Lam=Lam, tol=tol, k_star=k_star, modes=modes)
 
 
-def check_linear_conditions(report: ResonanceReport, Psi: MeasureMatrix,
-                            angle_tol: float = 1e-8,
-                            eig_tol: float = 1e-10) -> ConditionFlags:
+def check_linear_conditions(report: ResonanceReport,
+                            Psi: MeasureMatrix) -> ConditionFlags:
     """Evaluate the four structural conditions on the resonant modes.
 
     L1: the mean mode is nonsingular.  L2: at each resonant ``k`` the kernel
@@ -206,7 +208,7 @@ def check_linear_conditions(report: ResonanceReport, Psi: MeasureMatrix,
         # sin of the largest principal angle between the two kernels
         defect = np.linalg.norm(mode.theta - left @ (left.conj().T @ mode.theta), 2)
         worst_angle = max(worst_angle, float(defect))
-    l2 = worst_angle < angle_tol
+    l2 = worst_angle < _ANGLE_TOL
     wit["L2"] = {"max_angle_sin": worst_angle}
 
     l3 = l4 = True
@@ -225,7 +227,7 @@ def check_linear_conditions(report: ResonanceReport, Psi: MeasureMatrix,
         mus = deviation_eigenvalues(report, Psi)
         resid = np.einsum("knm,skm->skn", psi, basis) - mus[:, None, None] * basis
         worst_eig = float(np.max(np.linalg.norm(resid, axis=(1, 2))))
-        l4 = worst_eig < eig_tol
+        l4 = worst_eig < _EIG_TOL
     wit["L3"] = {"min_abs_det_psi": min_det}
     wit["L4"] = {"max_eigen_defect": worst_eig}
 
@@ -352,20 +354,20 @@ def _symbol_svd(report: ResonanceReport, ks: np.ndarray):
 
 
 def right_inverse(phi: TrigPoly, report: ResonanceReport,
-                  kmax: int | None = None, image_tol: float = 1e-10) -> TrigPoly:
+                  kmax: int | None = None) -> TrigPoly:
     """Solve ``L u = phi`` with zero kernel component.
 
     Nonresonant modes invert directly; resonant modes use the pseudoinverse,
     which selects the minimal-norm (kernel-orthogonal) solution.  Raises
     :class:`NotInImageError` when ``phi`` has kernel-direction mass beyond
-    ``image_tol`` relative scale.
+    ``1e-10`` relative scale.
     """
     if kmax is None:
         kmax = phi.kmax
     scale = 1.0 + phi.norm_l2()
     for k, mode in sorted(report.modes.items()):
         defect = np.linalg.norm(mode.theta.conj().T @ phi.coeff(k))
-        if k <= kmax and defect > image_tol * scale:
+        if k <= kmax and defect > _IMAGE_TOL * scale:
             raise NotInImageError(f"mode {k} carries kernel mass {defect:.3e}")
     U, inv, Vh = _symbol_svd(report, np.arange(kmax + 1))
     rhs = inv * np.einsum("kji,kj->ki", U.conj(), phi.truncate(kmax).coeffs)

@@ -51,8 +51,10 @@ from .trigpoly import TrigPoly, differentiate, eval_grid
 
 TWO_PI = 2.0 * np.pi
 
-# sup-norm defect in the original equation that a solution must meet
+# sup-norm defect in the original equation that a solution must meet, on
+# a grid that oversamples the band this many times (:func:`verify_grid`)
 VERIFY_TOL = 1e-8
+VERIFY_OVERSAMPLE = 8
 
 # Levenberg-Marquardt damping: initial mu, growth and shrink factors
 MU0, MU_GROW, MU_SHRINK = 1e-4, 8.0, 0.25
@@ -70,23 +72,27 @@ def symbol_stack(prob, kmax: int) -> np.ndarray:
     return symbol(prob.P, prob.Lam, np.arange(kmax + 1))
 
 
-def _grid_size(u: TrigPoly | int, config: SolveConfig | None, prob) -> int:
+def _grid_size(u: TrigPoly | int, config, prob) -> int:
     """Nemytskii grid of a solve at bandwidth ``u`` (an int, or the
-    ``kmax`` of a polynomial)."""
-    M = 4 * (u.kmax if isinstance(u, TrigPoly) else u)
-    if config is not None and config.M:
-        M = max(config.M, M)
-    return max(M, 2 * prob.p.kmax + 1, 16)
+    ``kmax`` of a polynomial), ``4 kmax`` against aliasing; ``config`` is
+    not read."""
+    kmax = u.kmax if isinstance(u, TrigPoly) else u
+    return max(4 * kmax, 2 * prob.p.kmax + 1, 16)
 
 
-def assemble_residual(prob, u: TrigPoly, config: SolveConfig | None = None,
-                      stack: np.ndarray | None = None,
+def verify_grid(kmax: int) -> int:
+    """Points of the :func:`verify_pointwise` grid and of ``fde solve
+    --format csv`` at bandwidth ``kmax``; ``M // VERIFY_OVERSAMPLE`` inverts it."""
+    return max(VERIFY_OVERSAMPLE * kmax, 64)
+
+
+def assemble_residual(prob, u: TrigPoly, stack: np.ndarray | None = None,
                       M: int | None = None) -> TrigPoly:
     """Coefficients of ``R(u) = L u - N u`` on the band of ``u``."""
     if stack is None or stack.shape[0] != u.kmax + 1:
         stack = symbol_stack(prob, u.kmax)
     if M is None:
-        M = _grid_size(u, config, prob)
+        M = _grid_size(u, None, prob)
     N = nemytskii_eval(prob, u, M)
     R = np.einsum("kij,kj->ki", stack, u.coeffs) - N.coeffs
     return TrigPoly(R)
@@ -179,7 +185,7 @@ def _jacobian_analytic(prob, u: TrigPoly, stack: np.ndarray, M: int) -> np.ndarr
     return J
 
 
-def coefficient_jacobian(prob, u: TrigPoly, config: SolveConfig | None = None,
+def coefficient_jacobian(prob, u: TrigPoly,
                          stack: np.ndarray | None = None) -> np.ndarray:
     """Jacobian of the packed residual at ``u``."""
     if stack is None or stack.shape[0] != u.kmax + 1:
@@ -188,14 +194,14 @@ def coefficient_jacobian(prob, u: TrigPoly, config: SolveConfig | None = None,
         raise DimensionMismatch(
             "sign-table nonlinearity is not differentiable; solving needs a "
             "smooth catalog profile")
-    return _jacobian_analytic(prob, u, stack, _grid_size(u, config, prob))
+    return _jacobian_analytic(prob, u, stack, _grid_size(u, None, prob))
 
 
 # -- seeding -----------------------------------------------------------
 
 
 def seed_kernel(prob, report: ResonanceReport | None = None,
-                M: int | None = None, threshold: float | None = None,
+                M: int | None = None,
                 config: SolveConfig | None = None) -> list:
     """Candidate kernel components for the resonant coordinates.
 
@@ -228,15 +234,13 @@ def seed_kernel(prob, report: ResonanceReport | None = None,
             config = prob.solve if prob.solve is not None else SolveConfig()
         first = _stages(prob, config, report)[0]
         # a kernel band above kmax fails in the solve, not here
-        M = _grid_size(max(first.kmax, kb), first, prob)
+        M = _grid_size(max(first.kmax, kb), None, prob)
 
     def objective(u: TrigPoly) -> np.ndarray:
         N = nemytskii_eval(prob, u, M)
         return np.linalg.norm(KernelElement.from_poly(report, N).amps, axis=-1)
 
-    base = float(objective(TrigPoly.zero(prob.n, kb)))
-    if threshold is None:
-        threshold = max(1e-6, 0.5 * base)
+    threshold = max(1e-6, 0.5 * float(objective(TrigPoly.zero(prob.n, kb))))
 
     # objs[i, j]: sample i at radius j, one batched evaluation per radius
     objs = np.stack([objective(KernelElement(report, r * amps).to_poly())
@@ -297,7 +301,7 @@ def _stages(prob, config: SolveConfig, report: ResonanceReport) -> list:
     kc = max(COARSE_KMAX, kb, prob.p.kmax)
     if config.kmax <= kc:
         return [config]
-    return [replace(config, kmax=kc, M=None), config]
+    return [replace(config, kmax=kc), config]
 
 
 def _newton(prob, u: TrigPoly, config: SolveConfig, stack: np.ndarray,
@@ -306,7 +310,7 @@ def _newton(prob, u: TrigPoly, config: SolveConfig, stack: np.ndarray,
     ``max_iter`` iterations counted from ``it``; appends its trace entries
     (``tag`` merged in) and returns ``(u, res, mu, it, diverged)``."""
     kmax, n = u.kmax, u.n
-    M = _grid_size(u, config, prob)
+    M = _grid_size(u, None, prob)
     x = pack_coeffs(u)
 
     def fvec(xv):
@@ -318,7 +322,7 @@ def _newton(prob, u: TrigPoly, config: SolveConfig, stack: np.ndarray,
     trace.append({"iter": it, "residual": res, "mu": mu, **tag})
     diverged = False
     while res > config.tol_residual and it < config.max_iter:
-        J = coefficient_jacobian(prob, unpack_coeffs(x, kmax, n), config, stack)
+        J = coefficient_jacobian(prob, unpack_coeffs(x, kmax, n), stack)
         # full Gauss-Newton step first (LU; least squares only when J is
         # exactly singular); damp only when it fails to descend
         try:
@@ -372,7 +376,7 @@ def solve_periodic(prob, seed=None, config: SolveConfig | None = None,
     re-evaluates the residual on a doubled grid; when the two disagree by
     more than ``10 * tol`` the run is not converged and its last trace
     entry records both (``residual_M``, ``residual_2M``).  The pointwise
-    defect on an 8x oversampled grid must also meet :data:`VERIFY_TOL`.
+    defect on the :func:`verify_grid` must also meet :data:`VERIFY_TOL`.
     """
     if config is None:
         config = prob.solve if prob.solve is not None else SolveConfig()
@@ -397,7 +401,7 @@ def solve_periodic(prob, seed=None, config: SolveConfig | None = None,
         tag = {"kmax": stage.kmax} if stage is not config else {}
         u, res, mu, it, diverged = _newton(
             prob, u.pad(stage.kmax), stage, stack, mu, it, trace, tag)
-    M = _grid_size(u, config, prob)
+    M = _grid_size(u, None, prob)
     converged = bool(res <= config.tol_residual and not diverged)
 
     gauge = {"time_shift_family": time_shift_gauge(prob), "pinned": False,
@@ -526,8 +530,8 @@ def verify_pointwise(prob, u: TrigPoly, M_fine: int | None = None) -> float:
     sums run only up to the last nonzero mode.
     """
     if M_fine is None:
-        M_fine = max(8 * u.kmax, 64)
-    if M_fine < max(8 * u.kmax, 2 * u.kmax + 1):
+        M_fine = verify_grid(u.kmax)
+    if M_fine < max(VERIFY_OVERSAMPLE * u.kmax, 2 * u.kmax + 1):
         raise GridTooSmall(f"verification grid {M_fine} undersamples kmax={u.kmax}")
     # trailing zero modes add exactly nothing: evaluate the live band only
     live = np.flatnonzero(np.any(u.coeffs != 0, axis=-1))

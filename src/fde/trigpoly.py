@@ -157,9 +157,9 @@ class TrigPoly:
         return float(np.sqrt(np.sum(np.abs(c[0]) ** 2)
                              + 2.0 * np.sum(np.abs(c[1:]) ** 2)))
 
-    def norm_inf(self, oversample: int = 8) -> float:
-        """Sup of the pointwise Euclidean norm on a fine grid (approximate)."""
-        M = max(256, oversample * (2 * self.kmax + 1))
+    def norm_inf(self) -> float:
+        """Sup of the pointwise Euclidean norm on an 8x oversampled grid."""
+        M = max(256, 8 * (2 * self.kmax + 1))
         vals = eval_grid(self, M)
         return float(np.max(np.sqrt(np.sum(vals * vals, axis=1))))
 

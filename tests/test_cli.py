@@ -142,6 +142,21 @@ def test_solve_csv_roundtrip(capsys, tmp_path):
     assert json.loads(out)["pass"] is True
 
 
+@pytest.mark.parametrize("ex", EXAMPLE_IDS)
+def test_solve_csv_verifies_at_the_solve_band(capsys, tmp_path, ex):
+    # the CSV holds the verification grid of the solve, so verify reads it
+    # back at the solve's own kmax; read at 4x that band, the rounding of
+    # the printed samples fills the top modes and the k^4 term of beam
+    # amplifies it past the tolerance
+    sol = tmp_path / "sol.csv"
+    code, _, _ = run(capsys, "solve", ex, "--format", "csv", "--out", str(sol))
+    assert code == 0
+    code, out, _ = run(capsys, "verify", ex, "--solution", str(sol))
+    rep = json.loads(out)
+    assert code == 0 and rep["pass"] is True, rep
+    assert rep["kmax"] == build_example(ex).solve.kmax
+
+
 def test_solve_exit_3_when_iteration_budget_exhausted(capsys, tmp_path):
     _, out, _ = run(capsys, "example", "duffing-delay")
     doc = json.loads(out)
@@ -176,15 +191,16 @@ def test_solve_wide_band_traces_the_coarse_stage(capsys):
 
 
 def test_verify_dense_csv_stays_small(capsys, tmp_path):
-    # 2048 samples carry kmax 1023, so the defect is read on 8184 points;
-    # a dense (points x modes) phase table there would take about 300 MB
+    # 2048 samples read at kmax 1023 put the defect on 8184 points; a dense
+    # (points x modes) phase table there would take about 300 MB
     prob = build_example("duffing-delay")
     M = 2048
     vals = eval_grid(fde.solve_best(prob).u, M)[:, 0]
     t = 2.0 * np.pi * np.arange(M) / M
     sol = tmp_path / "dense.csv"
     sol.write_text("t,u1\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(t, vals)))
-    code, out, _ = run(capsys, "verify", "duffing-delay", "--solution", str(sol))
+    code, out, _ = run(capsys, "verify", "duffing-delay", "--solution", str(sol),
+                       "--kmax", "1023")
     rep = json.loads(out)
     assert code == 0 and rep["pass"] is True and rep["kmax"] == 1023
 
@@ -294,12 +310,14 @@ def test_legacy_jacobian_keys_load_and_sign_table_solve_fails(capsys, tmp_path):
 
 def test_legacy_format_keys_are_ignored(capsys, tmp_path):
     # files written before the format dropped the unread orthogonality
-    # flag and the fixed solver settings load and report as without them
+    # flag and the fixed solver settings load and report as without them;
+    # an M below 4 kmax was rejected when the grid was a setting
     doc = fde.emit_example("gompertz-system")
     legacy = json.loads(json.dumps(doc))
     legacy["h"]["kernel_orthogonal"] = True
     legacy["solve"].update(damping=[1e-4, 8.0, 0.25], seed_samples=64,
-                           seed_radii=[0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
+                           seed_radii=[0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0],
+                           M=100)
     reports = []
     for name, d in (("current", doc), ("legacy", legacy)):
         path = tmp_path / f"{name}.json"

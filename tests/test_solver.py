@@ -144,7 +144,6 @@ def test_residual_consistency_converged_runs():
                                      ("radial-two-tap", 8)])
 def test_jacobian_matches_directional_fd(ex, kmax):
     prob = radial_two_tap() if ex == "radial-two-tap" else build_example(ex)
-    config = SolveConfig(kmax=kmax)
     rng = np.random.default_rng(5)
     n = prob.n
     decay = np.exp(-0.4 * np.arange(kmax + 1))[:, None]
@@ -152,12 +151,12 @@ def test_jacobian_matches_directional_fd(ex, kmax):
                             + 1j * rng.standard_normal((kmax + 1, n)))
     coeffs[0] = coeffs[0].real
     u = TrigPoly(coeffs)
-    J = coefficient_jacobian(prob, u, config)
+    J = coefficient_jacobian(prob, u)
     x = pack_coeffs(u)
 
     def F(xv):
         return pack_residual(assemble_residual(
-            prob, unpack_coeffs(xv, kmax, n), config))
+            prob, unpack_coeffs(xv, kmax, n)))
 
     eps = 1e-6
     for _ in range(20):
@@ -255,7 +254,7 @@ def test_seed_kernel_on_solve_grid_matches_fine_grid(example, kmax, monkeypatch)
     monkeypatch.setattr(solver, "nemytskii_eval", recording)
     coarse = seed_kernel(prob, config=config)
     settings = config or prob.solve
-    solve_grid = settings.M if settings.kmax <= COARSE_KMAX else 4 * COARSE_KMAX
+    solve_grid = 4 * settings.kmax if settings.kmax <= COARSE_KMAX else 4 * COARSE_KMAX
     assert set(grids) == {solve_grid}
     fine = seed_kernel(prob, M=2048)
     assert [s.amps.tobytes() for s in coarse] == [s.amps.tobytes() for s in fine]
