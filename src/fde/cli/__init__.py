@@ -30,8 +30,8 @@ from ..catalog import emit_example, load_problem
 from ..errors import BlockStructureError, DimensionMismatch, FdeError, ProblemFormatError
 from ..lazer_leach import (SphereSample, certificate, degree_product,
                            degree_winding, ll_margin, small_set_measure,
-                           sphere_samples, sphere_scan)
-from ..problem import ProblemSpec, SolveConfig
+                           sphere_design, sphere_scan)
+from ..problem import ProblemSpec
 from ..resonance import check_linear_conditions, resonant_set
 from ..solver import (VERIFY_OVERSAMPLE, VERIFY_TOL, solve_best, verify_grid,
                       verify_pointwise)
@@ -107,9 +107,8 @@ def cmd_check_ll(prob: ProblemSpec, args) -> tuple[dict, int]:
         doc["ll_margin"] = None
         doc["ll_note"] = str(exc)
 
-    # the small-set measure is the same at every phase of a 2-d kernel
-    w0 = (SphereSample.single_phase(report, 0.0) if report.nu == 1
-          else sphere_samples(report, 1, seed=0)[0])
+    # on a 2-d kernel the small-set measure is the same at every phase
+    w0 = SphereSample(report, sphere_design(report, 1)[0])
     doc["diagnostics"] = {
         "c_psi": report.flags.c_psi,
         "small_set": {"eps": 0.1, "value": small_set_measure(w0, 0.1)},
@@ -132,7 +131,7 @@ def _solution_csv(u: TrigPoly, M: int) -> str:
 
 
 def cmd_solve(prob: ProblemSpec, args) -> tuple[object, int]:
-    config = prob.solve if prob.solve is not None else SolveConfig()
+    config = prob.solve
     if args.kmax is not None:
         config = dataclasses.replace(config, kmax=args.kmax)
     if args.tol is not None:
@@ -152,10 +151,14 @@ def _load_solution(path: str, kmax_flag: int | None) -> TrigPoly:
         doc = json.loads(text)
         if isinstance(doc, dict) and "u" in doc:
             doc = doc["u"]
-        return TrigPoly.from_dict(doc)
+        try:
+            return TrigPoly.from_dict(doc)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ProblemFormatError("solution JSON must be a polynomial {n, kmax, coeffs} "
+                                     f"or a solve report with one as u ({exc!r})") from None
     rows = [line.split(",") for line in text.strip().splitlines()]
-    if not rows or not rows[0] or rows[0][0] != "t":
-        raise ProblemFormatError("solution CSV must start with header t,u1,...")
+    if len(rows) < 2 or rows[0][0] != "t" or any(len(r) != len(rows[0]) for r in rows):
+        raise ProblemFormatError("solution CSV must be a header t,u1,... and a row per grid point")
     data = np.array([[float(v) for v in r] for r in rows[1:]])
     M = data.shape[0]
     t = data[:, 0]
@@ -170,6 +173,8 @@ def _load_solution(path: str, kmax_flag: int | None) -> TrigPoly:
 
 def cmd_verify(prob: ProblemSpec, args) -> tuple[dict, int]:
     u = _load_solution(args.solution, args.kmax)
+    if u.n != prob.n:
+        raise ProblemFormatError(f"solution has {u.n} components, the problem {prob.n}")
     tol = VERIFY_TOL if args.tol is None else args.tol
     resid = verify_pointwise(prob, u)
     doc = {"pointwise_residual": resid, "tol": tol, "kmax": u.kmax,

@@ -44,7 +44,6 @@ from .errors import BlockStructureError, DimensionMismatch, R2ViolationError
 from .measures import apply_deviation
 from .resonance import (KernelElement, ResonanceReport, deviation_eigenvalues,
                         resonant_set)
-from .sampling import coords_to_amps, sphere_points
 from .trigpoly import TrigPoly, analyze_grid, eval_grid
 
 TWO_PI = 2.0 * np.pi
@@ -218,13 +217,36 @@ class SphereScan:
         return {"R2": self.r2, "N2": self.n2}
 
 
-def _sphere_batch(report: ResonanceReport, count: int, seed: int) -> SphereSample:
-    return SphereSample(report, coords_to_amps(sphere_points(2 * report.nu, count,
-                                                             seed=seed)))
+def _sobol_amps(nu: int, count: int, seed: int) -> np.ndarray:
+    """``(count, nu)`` amplitudes of L2-unit kernel elements from scrambled
+    Sobol points of ``R^{2 nu}`` through the Gaussian quantile.  scipy is
+    imported here, on first use: importing it takes about a second."""
+    if nu < 1 or count < 1:
+        raise ValueError("need nu >= 1 and count >= 1")
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+    m = int(np.ceil(np.log2(max(count, 2))))
+    x = qmc.Sobol(d=2 * nu, scramble=True, seed=seed).random_base2(m)[:count]
+    z = ndtri(np.clip(x, 1e-12, 1.0 - 1e-12))
+    norms = np.linalg.norm(z, axis=1)
+    norms[norms == 0.0] = 1.0
+    z = z / norms[:, None]
+    return (z[:, :nu] + 1j * z[:, nu:]) / np.sqrt(2.0)
+
+
+def sphere_design(report: ResonanceReport, count: int) -> np.ndarray:
+    """``(count, nu)`` amplitudes of the unit kernel elements that the seed
+    scan, the sampled sphere scan and the small-set diagnostic read:
+    ``count`` equally spaced phases on a two-dimensional kernel, else the
+    first ``count`` points of the seed-0 Sobol design."""
+    if report.nu == 1:
+        return SphereSample.single_phase(report, TWO_PI * np.arange(count) / count).amps
+    return _sobol_amps(report.nu, count, 0)
 
 
 def sphere_samples(report: ResonanceReport, count: int, seed: int) -> list:
-    return [SphereSample(report, a) for a in _sphere_batch(report, count, seed).amps]
+    """``count`` Sobol points of the kernel sphere, whatever its dimension."""
+    return [SphereSample(report, a) for a in _sobol_amps(report.nu, count, seed)]
 
 
 def _phase_orbit(prob, report: ResonanceReport):
@@ -253,9 +275,9 @@ def sphere_scan(prob, report: ResonanceReport | None = None,
     (:func:`_phase_orbit`): ``R2 = ||c0| - |a_p||`` and
     ``N2 = Re(conj(mu_hat) c0) - |a_p| - |h|_inf / sqrt(2)``, at
     ``phi = arg c0 - arg a_p`` and ``arg mu_hat - arg a_p``.  Larger kernels
-    take the minimum over the first ``n_samples`` points of the seed-0
-    Sobol design (:func:`sphere_samples`), an upper bound on the margins.
-    A margin holds when it is above the gate ``1e-9``.
+    take the minimum over the ``n_samples`` elements of
+    :func:`sphere_design`, an upper bound on the margins.  A margin holds
+    when it is above the gate ``1e-9``.
     """
     report = _ensure_report(prob, report)
     if report.nu == 0:
@@ -271,7 +293,7 @@ def sphere_scan(prob, report: ResonanceReport | None = None,
                               np.angle(mu_hat) - np.angle(a_p)])).amps
         common = {"note": _ORBIT_NOTE, "certified": True}
     else:
-        amps = _sphere_batch(report, n_samples, 0).amps
+        amps = sphere_design(report, n_samples)
         mus = deviation_eigenvalues(report, prob.Psi)
         gammas = gamma_tilde(prob, KernelElement(report, amps)).amps
         mags = np.linalg.norm(gammas, axis=-1)

@@ -70,7 +70,8 @@ class MatrixPolynomial:
 
 @dataclass
 class SolveConfig:
-    """Harmonic balance settings.
+    """Harmonic balance settings; a problem file without a ``solve`` block,
+    or with ``null`` or ``{}`` there, gets the defaults.
 
     Problem files written by older versions may carry ``M``, ``damping``,
     ``seed_radii``, ``seed_samples``, ``jacobian`` and ``fd_step`` keys;
@@ -99,7 +100,8 @@ class SolveConfig:
 
 @dataclass
 class ProblemSpec:
-    """Complete problem data; validates cross-object dimensions on build."""
+    """Complete problem data; validates cross-object dimensions on build.
+    ``solve`` defaults to ``SolveConfig()`` and is never ``None``."""
 
     P: MatrixPolynomial
     Lam: MeasureMatrix
@@ -107,7 +109,7 @@ class ProblemSpec:
     g: BoundedNonlinearity
     p: TrigPoly
     h: HistoryPerturbation | None = None
-    solve: SolveConfig | None = None
+    solve: SolveConfig = field(default_factory=SolveConfig)
 
     def __post_init__(self):
         n = self.P.n
@@ -135,7 +137,7 @@ class ProblemSpec:
                 "g": self.g.to_dict(),
                 "h": self.h.to_dict() if self.h is not None else None,
                 "p": self.p.to_dict(),
-                "solve": self.solve.to_dict() if self.solve is not None else None}
+                "solve": self.solve.to_dict()}
 
     @staticmethod
     def from_dict(d: dict) -> "ProblemSpec":
@@ -148,8 +150,7 @@ class ProblemSpec:
                 p=TrigPoly.from_dict(d["p"]),
                 h=(HistoryPerturbation.from_dict(d["h"])
                    if d.get("h") is not None else None),
-                solve=(SolveConfig.from_dict(d["solve"])
-                       if d.get("solve") is not None else None))
+                solve=SolveConfig.from_dict(d.get("solve") or {}))
         except KeyError as e:
             raise ProblemFormatError(f"missing field {e.args[0]!r}") from e
 

@@ -37,6 +37,14 @@ def symbol(P: MatrixPolynomial, Lam: MeasureMatrix, k) -> np.ndarray:
     return P(1j * k) + matrix_transform(Lam, -k)
 
 
+def symbol_stack(P: MatrixPolynomial, Lam: MeasureMatrix, kmax: int) -> np.ndarray:
+    """Symbols ``L_0 .. L_kmax`` as one ``(kmax+1, n, n)`` array; the
+    measure term is the cached :meth:`MeasureMatrix.stack` of ``Lam``."""
+    if P.n != Lam.n:
+        raise DimensionMismatch("polynomial and measure sizes differ")
+    return P(1j * np.arange(kmax + 1)) + Lam.stack(kmax)
+
+
 def _fix_phase(theta: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real positive."""
     out = theta.copy()
@@ -130,9 +138,6 @@ class ResonanceReport:
         out.flags.writeable = False
         return out
 
-    def symbol(self, k: int) -> np.ndarray:
-        return symbol(self.P, self.Lam, k)
-
     def to_dict(self) -> dict:
         kernel = []
         for k in sorted(self.modes):
@@ -174,7 +179,7 @@ def resonant_set(P: MatrixPolynomial, Lam: MeasureMatrix,
     ``k >= 0`` is scanned; negative modes follow by conjugation.
     """
     k_star = scan_bound(P, Lam)
-    Ls = symbol(P, Lam, np.arange(k_star + 1))
+    Ls = symbol_stack(P, Lam, k_star)
     sig = np.linalg.svd(Ls, compute_uv=False)
     modes = {}
     for k in np.flatnonzero(sig[:, -1] < tol * (1.0 + sig[:, 0])).tolist():
@@ -194,7 +199,7 @@ def check_linear_conditions(report: ResonanceReport,
     vectors are eigenvectors of ``psihat(-k)``.
     """
     wit: dict = {}
-    L0 = report.symbol(0)
+    L0 = symbol(report.P, report.Lam, 0)
     sig0 = np.linalg.svd(L0, compute_uv=False)
     l1 = bool(sig0[-1] >= report.tol * (1.0 + sig0[0]))
     wit["L1"] = {"det_L0": _c2pair(np.linalg.det(L0)), "sigma_min_L0": float(sig0[-1])}
@@ -337,7 +342,7 @@ def image_defect(phi: TrigPoly, report: ResonanceReport) -> dict:
 
 def apply_symbol(u: TrigPoly, report: ResonanceReport) -> TrigPoly:
     """``L u``: mode ``k`` picks up ``L_k``."""
-    Ls = report.symbol(np.arange(u.kmax + 1))
+    Ls = symbol_stack(report.P, report.Lam, u.kmax)
     return TrigPoly(np.einsum("kij,kj->ki", Ls, u.coeffs))
 
 
@@ -346,7 +351,7 @@ def _symbol_svd(report: ResonanceReport, ks: np.ndarray):
     the inverted singular values.  Resonant modes invert through the
     pseudoinverse, which cuts singular values at or below
     ``10 tol sigma_max``: their inverse is 0."""
-    U, sig, Vh = np.linalg.svd(report.symbol(ks))
+    U, sig, Vh = np.linalg.svd(symbol(report.P, report.Lam, ks))
     resonant = np.isin(ks, list(report.modes))[:, None]
     keep = ~(resonant & (sig <= 10 * report.tol * sig[:, :1]))
     inv = np.divide(1.0, sig, out=np.zeros_like(sig), where=keep)

@@ -45,8 +45,8 @@ from .errors import DimensionMismatch, GridTooSmall
 from .measures import MeasureMatrix, ScalarMeasure, apply_deviation
 from .nonlinearity import _h_base_deriv, nemytskii_eval
 from .problem import SolveConfig
-from .resonance import (KernelElement, ResonanceReport, resonant_set, symbol)
-from .sampling import coords_to_amps, phase_circle, sphere_points
+from .lazer_leach import sphere_design
+from .resonance import KernelElement, ResonanceReport, resonant_set, symbol_stack
 from .trigpoly import TrigPoly, differentiate, eval_grid
 
 TWO_PI = 2.0 * np.pi
@@ -67,11 +67,6 @@ SEED_SAMPLES = 64
 COARSE_KMAX = 64
 
 
-def symbol_stack(prob, kmax: int) -> np.ndarray:
-    """Symbols ``L_0 .. L_kmax`` as one ``(kmax+1, n, n)`` array."""
-    return symbol(prob.P, prob.Lam, np.arange(kmax + 1))
-
-
 def _grid_size(u: TrigPoly | int, config, prob) -> int:
     """Nemytskii grid of a solve at bandwidth ``u`` (an int, or the
     ``kmax`` of a polynomial), ``4 kmax`` against aliasing; ``config`` is
@@ -86,15 +81,15 @@ def verify_grid(kmax: int) -> int:
     return max(VERIFY_OVERSAMPLE * kmax, 64)
 
 
-def assemble_residual(prob, u: TrigPoly, stack: np.ndarray | None = None,
-                      M: int | None = None) -> TrigPoly:
-    """Coefficients of ``R(u) = L u - N u`` on the band of ``u``."""
-    if stack is None or stack.shape[0] != u.kmax + 1:
-        stack = symbol_stack(prob, u.kmax)
+def assemble_residual(prob, u: TrigPoly, M: int | None = None) -> TrigPoly:
+    """Coefficients of ``R(u) = L u - N u`` on the band of ``u``, with the
+    Nemytskii part on ``M`` points (default :func:`_grid_size`) and the
+    symbols from :func:`~fde.resonance.symbol_stack`."""
     if M is None:
         M = _grid_size(u, None, prob)
     N = nemytskii_eval(prob, u, M)
-    R = np.einsum("kij,kj->ki", stack, u.coeffs) - N.coeffs
+    L = symbol_stack(prob.P, prob.Lam, u.kmax)
+    R = np.einsum("kij,kj->ki", L, u.coeffs) - N.coeffs
     return TrigPoly(R)
 
 
@@ -127,7 +122,7 @@ def pack_residual(R: TrigPoly) -> np.ndarray:
 # -- Jacobian ----------------------------------------------------------
 
 
-def _jacobian_analytic(prob, u: TrigPoly, stack: np.ndarray, M: int) -> np.ndarray:
+def _jacobian_analytic(prob, u: TrigPoly, M: int) -> np.ndarray:
     kmax, n = u.kmax, u.n
     k = np.arange(kmax + 1)
     # a product A(t) (B u)(t) sends c_j to mode k through Ahat_{k-j} B_j
@@ -163,7 +158,7 @@ def _jacobian_analytic(prob, u: TrigPoly, stack: np.ndarray, M: int) -> np.ndarr
                 H[term.component, tap.component] += ah * phase.conj()
 
     H[..., 0] = 0.0                 # the real mean mode has no conjugate twin
-    T[:, :, k, k] += stack.transpose(1, 2, 0)
+    T[:, :, k, k] += symbol_stack(prob.P, prob.Lam, kmax).transpose(1, 2, 0)
     # split c_j = a_j + i b_j into real columns
     Da, Db = T + H, 1j * (T - H)
 
@@ -185,16 +180,13 @@ def _jacobian_analytic(prob, u: TrigPoly, stack: np.ndarray, M: int) -> np.ndarr
     return J
 
 
-def coefficient_jacobian(prob, u: TrigPoly,
-                         stack: np.ndarray | None = None) -> np.ndarray:
+def coefficient_jacobian(prob, u: TrigPoly) -> np.ndarray:
     """Jacobian of the packed residual at ``u``."""
-    if stack is None or stack.shape[0] != u.kmax + 1:
-        stack = symbol_stack(prob, u.kmax)
     if not prob.g.smooth:
         raise DimensionMismatch(
             "sign-table nonlinearity is not differentiable; solving needs a "
             "smooth catalog profile")
-    return _jacobian_analytic(prob, u, stack, _grid_size(u, None, prob))
+    return _jacobian_analytic(prob, u, _grid_size(u, None, prob))
 
 
 # -- seeding -----------------------------------------------------------
@@ -205,34 +197,30 @@ def seed_kernel(prob, report: ResonanceReport | None = None,
                 config: SolveConfig | None = None) -> list:
     """Candidate kernel components for the resonant coordinates.
 
-    Scans ``radius x direction`` over vertical scalings of unit kernel
-    elements and keeps radius-local minimizers of the projected residual
-    ``|Proj_ker N(rho w)|`` (coordinate norm), the approximate zeros of the
-    reduced bifurcation equation.  Candidates are returned sorted by that
-    objective; those not meaningfully below the zero-element baseline are
-    dropped, so the list is empty when the zero seed is already as good.
+    Scans ``radius x direction`` over vertical scalings of the
+    :data:`SEED_SAMPLES` unit kernel elements of
+    :func:`~fde.lazer_leach.sphere_design` and keeps radius-local
+    minimizers of the projected residual ``|Proj_ker N(rho w)|``
+    (coordinate norm), the approximate zeros of the reduced bifurcation
+    equation.  Candidates are returned sorted by that objective; those not
+    meaningfully below the zero-element baseline are dropped, so the list
+    is empty when the zero seed is already as good.
 
     ``M`` defaults to the grid of the first Newton stage of
-    :func:`solve_periodic` under ``config`` (the problem's own settings
-    when ``None``), the coarse band's grid when ``config.kmax`` is above
-    it.  The objective is the kernel projection of the same Nemytskii map
+    :func:`solve_periodic` under ``config`` (``prob.solve`` when
+    ``None``), the coarse band's grid when ``config.kmax`` is above it.
+    The objective is the kernel projection of the same Nemytskii map
     whose residual Newton must resolve on that grid, so the grid that
     serves the solve serves the ranking of its seeds.
     """
     report = resonant_set(prob.P, prob.Lam) if report is None else report
     if report.nu == 0:
         return []
-    # deterministic unit kernel elements, problem independent
-    if report.nu == 1:
-        amps = np.exp(-1j * phase_circle(SEED_SAMPLES))[:, None] / np.sqrt(2.0)
-    else:
-        amps = coords_to_amps(sphere_points(2 * report.nu, SEED_SAMPLES, seed=0))
+    amps = sphere_design(report, SEED_SAMPLES)
 
     kb = max(k for k, _ in report.kernel_slots())
     if M is None:
-        if config is None:
-            config = prob.solve if prob.solve is not None else SolveConfig()
-        first = _stages(prob, config, report)[0]
+        first = _stages(prob, config or prob.solve, report)[0]
         # a kernel band above kmax fails in the solve, not here
         M = _grid_size(max(first.kmax, kb), None, prob)
 
@@ -304,8 +292,8 @@ def _stages(prob, config: SolveConfig, report: ResonanceReport) -> list:
     return [replace(config, kmax=kc), config]
 
 
-def _newton(prob, u: TrigPoly, config: SolveConfig, stack: np.ndarray,
-            mu: float, it: int, trace: list, tag: dict):
+def _newton(prob, u: TrigPoly, config: SolveConfig, mu: float, it: int,
+            trace: list, tag: dict):
     """Damped Newton on the band of ``u`` until ``tol_residual`` or
     ``max_iter`` iterations counted from ``it``; appends its trace entries
     (``tag`` merged in) and returns ``(u, res, mu, it, diverged)``."""
@@ -314,15 +302,14 @@ def _newton(prob, u: TrigPoly, config: SolveConfig, stack: np.ndarray,
     x = pack_coeffs(u)
 
     def fvec(xv):
-        return pack_residual(assemble_residual(
-            prob, unpack_coeffs(xv, kmax, n), stack=stack, M=M))
+        return pack_residual(assemble_residual(prob, unpack_coeffs(xv, kmax, n), M))
 
     F = fvec(x)
     res = float(np.linalg.norm(F))
     trace.append({"iter": it, "residual": res, "mu": mu, **tag})
     diverged = False
     while res > config.tol_residual and it < config.max_iter:
-        J = coefficient_jacobian(prob, unpack_coeffs(x, kmax, n), stack)
+        J = coefficient_jacobian(prob, unpack_coeffs(x, kmax, n))
         # full Gauss-Newton step first (LU; least squares only when J is
         # exactly singular); damp only when it fails to descend
         try:
@@ -363,7 +350,8 @@ def solve_periodic(prob, seed=None, config: SolveConfig | None = None,
     """Damped Newton on the truncated coefficient vector from one seed.
 
     ``seed`` is a :class:`KernelElement`, a :class:`TrigPoly` initial
-    guess, or ``None`` for the zero seed.  When ``config.kmax`` is above
+    guess, or ``None`` for the zero seed; ``config`` defaults to
+    ``prob.solve``.  When ``config.kmax`` is above
     the coarse band ``kc = max(COARSE_KMAX, kb, prob.p.kmax)`` (``kb`` the
     highest kernel mode), Newton first runs at ``kc`` on its own ``4 kc``
     grid; the iterate is then padded to ``kmax`` and Newton continues on
@@ -378,8 +366,7 @@ def solve_periodic(prob, seed=None, config: SolveConfig | None = None,
     entry records both (``residual_M``, ``residual_2M``).  The pointwise
     defect on the :func:`verify_grid` must also meet :data:`VERIFY_TOL`.
     """
-    if config is None:
-        config = prob.solve if prob.solve is not None else SolveConfig()
+    config = config or prob.solve
     report = resonant_set(prob.P, prob.Lam) if report is None else report
     stages = _stages(prob, config, report)
     k0 = stages[0].kmax
@@ -397,10 +384,9 @@ def solve_periodic(prob, seed=None, config: SolveConfig | None = None,
 
     mu, it, trace = MU0, 0, []
     for stage in stages:
-        stack = symbol_stack(prob, stage.kmax)
         tag = {"kmax": stage.kmax} if stage is not config else {}
         u, res, mu, it, diverged = _newton(
-            prob, u.pad(stage.kmax), stage, stack, mu, it, trace, tag)
+            prob, u.pad(stage.kmax), stage, mu, it, trace, tag)
     M = _grid_size(u, None, prob)
     converged = bool(res <= config.tol_residual and not diverged)
 
@@ -409,14 +395,12 @@ def solve_periodic(prob, seed=None, config: SolveConfig | None = None,
     if converged and gauge["time_shift_family"] and report.nu > 0:
         u, shift = _pin_phase(u, report, seed_el)
         if shift != 0.0:
-            res = float(np.linalg.norm(pack_residual(assemble_residual(
-                prob, u, stack=stack, M=M))))
+            res = float(np.linalg.norm(pack_residual(assemble_residual(prob, u, M))))
         gauge["pinned"] = True
         gauge["shift"] = float(shift)
 
     if converged:
-        r2 = float(np.linalg.norm(pack_residual(assemble_residual(
-            prob, u, stack=stack, M=2 * M))))
+        r2 = float(np.linalg.norm(pack_residual(assemble_residual(prob, u, 2 * M))))
         if abs(r2 - res) > 10.0 * config.tol_residual:
             converged = False
             trace[-1].update(residual_M=res, residual_2M=r2)
@@ -449,9 +433,9 @@ def _pin_phase(u: TrigPoly, report: ResonanceReport, seed_el):
 def solve_best(prob, config: SolveConfig | None = None,
                report: ResonanceReport | None = None) -> SolveResult:
     """Try kernel seeds in objective order, then the zero seed; return the
-    first converged run, else the lowest-residual attempt."""
-    if config is None:
-        config = prob.solve if prob.solve is not None else SolveConfig()
+    first converged run, else the lowest-residual attempt.  ``config``
+    defaults to ``prob.solve``."""
+    config = config or prob.solve
     report = resonant_set(prob.P, prob.Lam) if report is None else report
     seeds = seed_kernel(prob, report, config=config)
     best = None

@@ -225,6 +225,32 @@ def test_verify_exit_3_on_wrong_solution(capsys, tmp_path):
     assert rep["pointwise_residual"] > 1e-2
 
 
+@pytest.mark.parametrize("name, text", [
+    ("list.json", "[]"),
+    ("null.json", '{"u": null}'),
+    ("no_re.json", '{"n": 1, "kmax": 1, "coeffs": [{"k": 1, "im": [0.5]}]}'),
+    ("header_only.csv", "t,u1\n"),
+])
+def test_verify_malformed_solution_exits_4(capsys, tmp_path, name, text):
+    # a solution file that holds no polynomial is bad input, not a crash
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", "duffing-delay", "--solution", str(path))
+    assert code == 4 and out == ""
+    assert err.startswith("error: solution ")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_solution_of_another_size_exits_4(capsys, tmp_path, fmt):
+    sol = tmp_path / f"sol.{fmt}"
+    code, _, _ = run(capsys, "solve", "gompertz-system", "--format", fmt,
+                     "--out", str(sol))
+    assert code == 0
+    code, out, err = run(capsys, "verify", "duffing-delay", "--solution", str(sol))
+    assert code == 4 and out == ""
+    assert err == "error: solution has 2 components, the problem 1\n"
+
+
 # -- malformed input ---------------------------------------------------
 
 
@@ -306,6 +332,23 @@ def test_legacy_jacobian_keys_load_and_sign_table_solve_fails(capsys, tmp_path):
     code, _, err = run(capsys, "solve", str(path))
     assert code == 4
     assert "not differentiable" in err
+
+
+def test_missing_null_and_empty_solve_blocks_take_the_defaults(capsys, tmp_path):
+    # duffing-delay's own solve block holds the defaults, kmax 64
+    doc = fde.emit_example("duffing-delay")
+    assert doc["solve"] == fde.SolveConfig().to_dict()
+    _, expect, _ = run(capsys, "solve", "duffing-delay")
+    assert json.loads(expect)["kmax"] == 64
+    for name in ("absent", "null", "empty"):
+        d = {k: v for k, v in doc.items() if k != "solve"}
+        if name != "absent":
+            d["solve"] = None if name == "null" else {}
+        assert parse_problem(json.dumps(d)).solve == fde.SolveConfig()
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(d))
+        code, out, _ = run(capsys, "solve", str(path))
+        assert code == 0 and out == expect, name
 
 
 def test_legacy_format_keys_are_ignored(capsys, tmp_path):
@@ -412,10 +455,11 @@ def test_import_loads_no_scipy(tmp_path):
 
 
 def test_check_ll_on_a_two_dimensional_kernel_loads_no_scipy():
-    # its certificates are closed form, and the small-set diagnostic takes
-    # the phase-0 kernel element instead of a Sobol draw
-    proc = _python("-c", "import sys; from fde.cli import main; "
+    # its certificates are closed form, and the small-set diagnostic and
+    # the seed scan of solve read the phase circle instead of a Sobol draw
+    proc = _python("-c", "import os, sys; from fde.cli import main; "
                          "assert main(['check-ll', 'duffing-delay']) == 0; "
+                         "assert main(['solve', 'duffing-delay', '--out', os.devnull]) == 0; "
                          "assert 'scipy' not in sys.modules")
     assert proc.returncode == 0, proc.stderr
 

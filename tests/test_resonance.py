@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from fde import (KernelElement, MatrixPolynomial, MeasureMatrix,
-                 ScalarMeasure, TrigPoly, apply_symbol, build_example,
-                 check_linear_conditions, differentiate, image_defect,
-                 project_kernel, resonant_set, right_inverse,
-                 right_inverse_gain, scan_bound, symbol)
+from fde import (EXAMPLE_IDS, KernelElement, MatrixPolynomial, MeasureMatrix,
+                 ScalarMeasure, SolveConfig, TrigPoly, apply_symbol,
+                 build_example, check_linear_conditions, differentiate,
+                 image_defect, project_kernel, resonant_set, right_inverse,
+                 right_inverse_gain, scan_bound, solve_periodic, symbol)
 from fde.errors import NotInImageError
-from fde.resonance import kernel_data
+from fde.resonance import kernel_data, symbol_stack
 from fde.trigpoly import l2_inner, sobolev_norm
 
 TWO_PI = 2.0 * np.pi
@@ -38,6 +38,27 @@ def test_beam_symbol_factorization():
     assert L[0, 0] == pytest.approx(40.0, abs=1e-12)
     assert abs(symbol(prob.P, prob.Lam, 1)[0, 0]) < 1e-12
     assert abs(symbol(prob.P, prob.Lam, 2)[0, 0]) < 1e-12
+
+
+@pytest.mark.parametrize("ex", EXAMPLE_IDS)
+def test_symbol_stack_is_the_symbol_on_a_grown_cache(ex):
+    # the stack reads the measure's cached transforms, computed once at
+    # the largest band asked for; its prefixes are the symbols bit for bit
+    prob = build_example(ex)
+    prob.Lam.stack(1024)
+    for K in (3, 48, 64, 256):
+        expect = symbol(prob.P, prob.Lam, np.arange(K + 1))
+        assert symbol_stack(prob.P, prob.Lam, K).tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("ex", EXAMPLE_IDS)
+def test_resonant_set_ignores_a_grown_cache(ex):
+    fresh = build_example(ex)
+    expect = resonant_set(fresh.P, fresh.Lam).to_dict()
+    grown = build_example(ex)
+    solve_periodic(grown, config=SolveConfig(kmax=256))
+    assert grown.Lam._stack.shape[0] == 257
+    assert resonant_set(grown.P, grown.Lam).to_dict() == expect
 
 
 def test_resonant_sets_catalog():
