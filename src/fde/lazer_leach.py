@@ -37,6 +37,7 @@ same roots, so it is integrated by Gauss-Legendre panels graded from them
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -217,10 +218,11 @@ class SphereScan:
         return {"R2": self.r2, "N2": self.n2}
 
 
+@cache
 def _sobol_amps(nu: int, count: int, seed: int) -> np.ndarray:
-    """``(count, nu)`` amplitudes of L2-unit kernel elements from scrambled
-    Sobol points of ``R^{2 nu}`` through the Gaussian quantile.  scipy is
-    imported here, on first use: importing it takes about a second."""
+    """Read-only ``(count, nu)`` amplitudes of L2-unit kernel elements from
+    scrambled Sobol points of ``R^{2 nu}`` through the Gaussian quantile,
+    drawn once per process; scipy (about a second to import) loads here."""
     if nu < 1 or count < 1:
         raise ValueError("need nu >= 1 and count >= 1")
     from scipy.special import ndtri
@@ -231,7 +233,9 @@ def _sobol_amps(nu: int, count: int, seed: int) -> np.ndarray:
     norms = np.linalg.norm(z, axis=1)
     norms[norms == 0.0] = 1.0
     z = z / norms[:, None]
-    return (z[:, :nu] + 1j * z[:, nu:]) / np.sqrt(2.0)
+    amps = (z[:, :nu] + 1j * z[:, nu:]) / np.sqrt(2.0)
+    amps.flags.writeable = False
+    return amps
 
 
 def sphere_design(report: ResonanceReport, count: int) -> np.ndarray:

@@ -24,9 +24,12 @@ from .trigpoly import TrigPoly
 
 @dataclass
 class MatrixPolynomial:
-    """``P(x) = A_0 + A_1 x + ... + A_m x^m`` with ``A_m`` invertible."""
+    """``P(x) = A_0 + A_1 x + ... + A_m x^m`` with ``A_m`` invertible; the
+    coefficients must not change once :meth:`stack` has cached ``P(ik)``."""
 
     coeffs: np.ndarray  # (m+1, n, n)
+    _stack: np.ndarray | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
@@ -55,6 +58,14 @@ class MatrixPolynomial:
         for j in range(self.degree, -1, -1):
             out = out * z + self.coeffs[j]
         return out
+
+    def stack(self, kmax: int) -> np.ndarray:
+        """Read-only ``(kmax+1, n, n)`` array of ``P(ik)``, ``k = 0..kmax``,
+        cached and grown like :meth:`MeasureMatrix.stack`."""
+        if self._stack is None or self._stack.shape[0] <= kmax:
+            self._stack = self(1j * np.arange(kmax + 1))
+            self._stack.flags.writeable = False
+        return self._stack[:kmax + 1]
 
     @staticmethod
     def from_scalar(coeffs) -> "MatrixPolynomial":

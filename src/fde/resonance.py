@@ -38,11 +38,12 @@ def symbol(P: MatrixPolynomial, Lam: MeasureMatrix, k) -> np.ndarray:
 
 
 def symbol_stack(P: MatrixPolynomial, Lam: MeasureMatrix, kmax: int) -> np.ndarray:
-    """Symbols ``L_0 .. L_kmax`` as one ``(kmax+1, n, n)`` array; the
-    measure term is the cached :meth:`MeasureMatrix.stack` of ``Lam``."""
+    """Symbols ``L_0 .. L_kmax`` as one ``(kmax+1, n, n)`` array from the
+    cached stacks :meth:`MatrixPolynomial.stack` and
+    :meth:`MeasureMatrix.stack`."""
     if P.n != Lam.n:
         raise DimensionMismatch("polynomial and measure sizes differ")
-    return P(1j * np.arange(kmax + 1)) + Lam.stack(kmax)
+    return P.stack(kmax) + Lam.stack(kmax)
 
 
 def _fix_phase(theta: np.ndarray) -> np.ndarray:

@@ -192,6 +192,28 @@ def coefficient_jacobian(prob, u: TrigPoly) -> np.ndarray:
 # -- seeding -----------------------------------------------------------
 
 
+def _seed_table(prob, report: ResonanceReport, amps: np.ndarray, M: int):
+    """``(zero, objs)``: ``|Proj_ker N|`` on ``M`` points at the zero
+    element and at ``SEED_RADII[j] * amps[i]``.  On a two-dimensional
+    kernel with no explicit ``t`` in ``h``, sample ``i`` is a time shift
+    of sample 0 and ``N(S u) = S N u + p - S p``, so one evaluation at
+    phase 0 gives ``objs[i, j] = |e^{-i phi_i} (c_j - a_p) + a_p|``, with
+    ``a_p`` the kernel forcing (exact when the shifts are grid steps, else
+    up to aliasing); other kernels take one evaluation per radius.
+    """
+    def coords(a: np.ndarray) -> np.ndarray:
+        N = nemytskii_eval(prob, KernelElement(report, a).to_poly(), M)
+        return KernelElement.from_poly(report, N).amps
+
+    if report.nu == 1 and not (prob.h is not None and prob.h.time_dependent):
+        c = coords(np.concatenate([[0.0], SEED_RADII])[:, None] * amps[0])[:, 0]
+        a_p = KernelElement.from_poly(report, prob.p).amps[0]
+        return abs(c[0]), np.abs(amps / amps[0] * (c[1:] - a_p) + a_p)
+    zero = float(np.linalg.norm(coords(np.zeros(report.nu))))
+    return zero, np.stack([np.linalg.norm(coords(r * amps), axis=-1)
+                           for r in SEED_RADII], axis=1)
+
+
 def seed_kernel(prob, report: ResonanceReport | None = None,
                 M: int | None = None,
                 config: SolveConfig | None = None) -> list:
@@ -204,7 +226,8 @@ def seed_kernel(prob, report: ResonanceReport | None = None,
     (coordinate norm), the approximate zeros of the reduced bifurcation
     equation.  Candidates are returned sorted by that objective; those not
     meaningfully below the zero-element baseline are dropped, so the list
-    is empty when the zero seed is already as good.
+    is empty when the zero seed is already as good.  A two-dimensional
+    kernel takes one Nemytskii evaluation (:func:`_seed_table`).
 
     ``M`` defaults to the grid of the first Newton stage of
     :func:`solve_periodic` under ``config`` (``prob.solve`` when
@@ -217,22 +240,14 @@ def seed_kernel(prob, report: ResonanceReport | None = None,
     if report.nu == 0:
         return []
     amps = sphere_design(report, SEED_SAMPLES)
-
-    kb = max(k for k, _ in report.kernel_slots())
     if M is None:
+        kb = max(k for k, _ in report.kernel_slots())
         first = _stages(prob, config or prob.solve, report)[0]
         # a kernel band above kmax fails in the solve, not here
         M = _grid_size(max(first.kmax, kb), None, prob)
 
-    def objective(u: TrigPoly) -> np.ndarray:
-        N = nemytskii_eval(prob, u, M)
-        return np.linalg.norm(KernelElement.from_poly(report, N).amps, axis=-1)
-
-    threshold = max(1e-6, 0.5 * float(objective(TrigPoly.zero(prob.n, kb))))
-
-    # objs[i, j]: sample i at radius j, one batched evaluation per radius
-    objs = np.stack([objective(KernelElement(report, r * amps).to_poly())
-                     for r in SEED_RADII], axis=1)
+    zero, objs = _seed_table(prob, report, amps, M)
+    threshold = max(1e-6, 0.5 * zero)
     edge = np.full((objs.shape[0], 1), np.inf)
     left_ok = np.hstack([edge, objs[:, :-1]]) >= objs
     right_ok = np.hstack([objs[:, 1:], edge]) >= objs

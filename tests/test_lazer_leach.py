@@ -10,7 +10,7 @@ from fde import (KernelElement, TrigPoly, apply_deviation, build_example,
 from fde.catalog import EXAMPLE_IDS
 from fde.errors import (BlockStructureError, DimensionMismatch,
                         R2ViolationError)
-from fde.lazer_leach import SphereSample, kernel_forcing_coords
+from fde.lazer_leach import SphereSample, kernel_forcing_coords, sphere_design
 from fde.resonance import deviation_eigenvalues
 
 import oracles
@@ -617,3 +617,18 @@ def test_gamma_convergence_zero_for_sign_table():
 def test_degree_product_single_component_matches_winding():
     prob = build_example("duffing-delay")
     assert degree_product(prob) == degree_winding(prob) == -1
+
+
+def test_sobol_design_is_drawn_once_and_read_only():
+    # sphere_samples and sphere_design share one seed-0 Sobol draw per
+    # process; its amplitudes cannot be written
+    prob = build_example("weakly-coupled")
+    rep = resonant_set(prob.P, prob.Lam)
+    first = sphere_samples(rep, 1, seed=0)[0].amps
+    design = sphere_design(rep, 64)
+    assert first.tobytes() == design[:1].tobytes()
+    assert sphere_design(rep, 64) is design
+    for amps in (design, first):
+        with pytest.raises(ValueError):
+            amps[0] = 0.0
+    assert sphere_samples(rep, 1, seed=0)[0].amps.tobytes() == first.tobytes()

@@ -42,13 +42,21 @@ def test_beam_symbol_factorization():
 
 @pytest.mark.parametrize("ex", EXAMPLE_IDS)
 def test_symbol_stack_is_the_symbol_on_a_grown_cache(ex):
-    # the stack reads the measure's cached transforms, computed once at
-    # the largest band asked for; its prefixes are the symbols bit for bit
+    # the stack reads the cached P(ik) and measure transforms, computed once
+    # at the largest band asked for; its prefixes are the symbols bit for bit
     prob = build_example(ex)
+    prob.P.stack(1024)
     prob.Lam.stack(1024)
     for K in (3, 48, 64, 256):
         expect = symbol(prob.P, prob.Lam, np.arange(K + 1))
         assert symbol_stack(prob.P, prob.Lam, K).tobytes() == expect.tobytes()
+        assert prob.P.stack(K).tobytes() == prob.P(1j * np.arange(K + 1)).tobytes()
+    # a smaller band slices the cache, a larger one grows it
+    assert prob.P._stack.shape[0] == 1025
+    prob.P.stack(2048)
+    assert prob.P._stack.shape[0] == 2049
+    with pytest.raises(ValueError):
+        prob.P.stack(3)[0, 0, 0] = 0.0
 
 
 @pytest.mark.parametrize("ex", EXAMPLE_IDS)

@@ -14,6 +14,7 @@ from fde import (BoundedNonlinearity, ConstProfile, DelayTap, Density,
                  verify_pointwise)
 from fde.errors import GridTooSmall
 from fde.nonlinearity import nemytskii_eval
+from fde.lazer_leach import sphere_design
 from fde.resonance import KernelElement, symbol
 from fde import solver
 from fde.solver import (COARSE_KMAX, _grid_sum, pack_coeffs, pack_residual,
@@ -258,6 +259,103 @@ def test_seed_kernel_on_solve_grid_matches_fine_grid(example, kmax, monkeypatch)
     assert set(grids) == {solve_grid}
     fine = seed_kernel(prob, M=2048)
     assert [s.amps.tobytes() for s in coarse] == [s.amps.tobytes() for s in fine]
+
+
+NU1_EXAMPLES = ("duffing-delay", "duffing-distributed", "gompertz-system",
+                "distributed-uniform", "distributed-sine")
+
+
+def shifted_forcing_duffing() -> ProblemSpec:
+    # a time-shifted forcing gives the kernel forcing a_p a complex argument
+    prob = build_example("duffing-delay")
+    return dataclasses.replace(prob, p=prob.p.shift(0.7))
+
+
+def time_modulated_gompertz() -> ProblemSpec:
+    prob = build_example("gompertz-system")
+    terms = [dataclasses.replace(t, tmod_harmonic=2) for t in prob.h.terms]
+    return dataclasses.replace(prob, h=dataclasses.replace(prob.h, terms=terms))
+
+
+def time_modulated_duffing() -> ProblemSpec:
+    # an h that reads and drives the kernel mode, times cos(2t + 0.4)
+    h = HistoryPerturbation(terms=[PerturbationTerm(
+        component=0, amp=0.3, profile="tanh", taps=[DelayTap(component=0, delay=0.7)],
+        tmod_harmonic=2, tmod_phase=0.4)])
+    return dataclasses.replace(build_example("duffing-delay"), h=h)
+
+
+def seed_problem(name: str) -> ProblemSpec:
+    variants = {"shifted-forcing": shifted_forcing_duffing,
+                "time-modulated-h": time_modulated_gompertz,
+                "time-modulated-duffing": time_modulated_duffing}
+    return variants[name]() if name in variants else build_example(name)
+
+
+def brute_seed_table(prob, rep, amps, M):
+    # the whole scan: the zero element, then one batched evaluation of
+    # every direction per radius
+    def objective(u):
+        N = nemytskii_eval(prob, u, M)
+        return np.linalg.norm(KernelElement.from_poly(rep, N).amps, axis=-1)
+
+    kb = max(k for k, _ in rep.kernel_slots())
+    cols = [objective(KernelElement(rep, r * amps).to_poly()) for r in solver.SEED_RADII]
+    return float(objective(TrigPoly.zero(prob.n, kb))), np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("example", NU1_EXAMPLES + ("shifted-forcing",
+                                                   "time-modulated-duffing"))
+def test_seed_table_matches_the_full_scan(example):
+    # on the time-shift orbit (every example here but the last, whose h
+    # has an explicit t and takes the full scan) the table is read off one
+    # evaluation at phase 0
+    prob = seed_problem(example)
+    rep = resonant_set(prob.P, prob.Lam)
+    a_p = KernelElement.from_poly(rep, prob.p).amps[0]
+    assert rep.nu == 1
+    assert (abs(a_p.imag) > 0.1) == (example == "shifted-forcing")
+    amps = sphere_design(rep, solver.SEED_SAMPLES)
+    # the samples are shifts by multiples of 2 pi / (64 k), grid translations
+    # of 2048 points, where the pseudospectral N commutes with them exactly
+    # (on other grids the two tables differ by the aliasing error)
+    M = 2048
+    zero, objs = solver._seed_table(prob, rep, amps, M)
+    want_zero, want = brute_seed_table(prob, rep, amps, M)
+    assert objs.shape == want.shape == (64, 7)
+    assert abs(zero - want_zero) <= 1e-12
+    assert np.max(np.abs(objs - want)) <= 1e-12
+
+
+def recorded_seed_scan(prob, monkeypatch):
+    calls = []
+    eval_nemytskii = solver.nemytskii_eval
+
+    def recording(p, u, M):
+        calls.append(u.coeffs.shape[:-2])
+        return eval_nemytskii(p, u, M)
+
+    monkeypatch.setattr(solver, "nemytskii_eval", recording)
+    return seed_kernel(prob), calls
+
+
+@pytest.mark.parametrize("example", NU1_EXAMPLES + ("shifted-forcing",))
+def test_seed_scan_on_a_two_dimensional_kernel_is_one_evaluation(example, monkeypatch):
+    # the zero element and the seven radii at phase 0, in one batch
+    seeds, calls = recorded_seed_scan(seed_problem(example), monkeypatch)
+    assert calls == [(8,)]
+    assert len(seeds) > 0
+
+
+@pytest.mark.parametrize("example", ["time-modulated-h", "time-modulated-duffing",
+                                     "weakly-coupled", "beam"])
+def test_seed_scan_off_the_orbit_is_one_evaluation_per_radius(example, monkeypatch):
+    # an explicit t in h breaks shift equivariance, and a kernel of
+    # dimension four is not one orbit: both take the full scan
+    prob = seed_problem(example)
+    assert (prob.h is not None and prob.h.time_dependent) == example.startswith("time")
+    _, calls = recorded_seed_scan(prob, monkeypatch)
+    assert calls == [()] + [(64,)] * 7
 
 
 def test_seed_kernel_unforced_odd_gives_zero_route():
