@@ -108,7 +108,7 @@ def cmd_check_ll(prob: ProblemSpec, args) -> tuple[dict, int]:
         doc["ll_note"] = str(exc)
 
     # on a 2-d kernel the small-set measure is the same at every phase
-    w0 = SphereSample(report, sphere_design(report, 1)[0])
+    w0 = SphereSample(report, sphere_design(report, 1)[0][0])
     doc["diagnostics"] = {
         "c_psi": report.flags.c_psi,
         "small_set": {"eps": 0.1, "value": small_set_measure(w0, 0.1)},

@@ -21,8 +21,14 @@ saturating example with limits -+1 and no forcing has range margin
 A two-dimensional kernel sphere is one time-shift orbit, on which the
 projected field is exactly ``c0 e^{-i phi} - a_p``, so its margins and
 degree are closed forms (:func:`_phase_orbit`).  Larger spheres are
-sampled: a positive verdict there is evidence, not a proof, while a
-failure witness is an exact counterexample candidate.  At each ``w`` the
+sampled on 8 time shifts of each of a few Sobol points, read off one field
+evaluation per orbit, plus the strata where a component of ``Psi w``
+vanishes identically (:func:`_sphere_table`): a positive verdict there is
+evidence, not a proof, while a failure witness is an exact counterexample
+candidate.  An orbit table, here or in the seed scan, is exact when
+``P gcd(k_s)`` (``P`` its shifts per orbit, 8 here) divides its grid or
+``g_w`` is a step function, else it agrees with a full scan up to
+aliasing.  At each ``w`` the
 field is exact up to rounding when ``g_w`` is a step function, as for
 componentwise and sign-table fields, and for radial ones along a
 ``Psi w`` on one line through the origin: it jumps only at the zeros of
@@ -53,6 +59,8 @@ _NOTE = "sampling-based evidence, not a proof"
 _ORBIT_NOTE = "exact: the kernel sphere is one time-shift orbit"
 # a projected field this close to zero counts as vanishing
 _GATE = 1e-9
+# time shifts per orbit of a sampled kernel sphere of dimension four or more
+ORBIT_PHASES = 8
 # product degree: distance of a kernel vector from its coordinate axis,
 # and the relative off-block mass that couples two blocks
 _AXIS_TOL, _COUPLING_TOL = 1e-9, 1e-8
@@ -238,14 +246,26 @@ def _sobol_amps(nu: int, count: int, seed: int) -> np.ndarray:
     return amps
 
 
-def sphere_design(report: ResonanceReport, count: int) -> np.ndarray:
-    """``(count, nu)`` amplitudes of the unit kernel elements that the seed
-    scan, the sampled sphere scan and the small-set diagnostic read:
-    ``count`` equally spaced phases on a two-dimensional kernel, else the
-    first ``count`` points of the seed-0 Sobol design."""
-    if report.nu == 1:
-        return SphereSample.single_phase(report, TWO_PI * np.arange(count) / count).amps
-    return _sobol_amps(report.nu, count, 0)
+@cache
+def _orbit_design(ks: tuple, count: int):
+    nu, P, k = len(ks), count if len(ks) == 1 else ORBIT_PHASES, np.array(ks)
+    shifts = np.exp(-1j * ((TWO_PI * np.arange(P) / P)[:, None] * (k // np.gcd.reduce(k))))
+    amps = (shifts / np.sqrt(2.0) if nu == 1 else
+            _sobol_amps(nu, -(-count // P), 0)[:, None] * shifts).reshape(-1, nu)[:count]
+    amps.flags.writeable = shifts.flags.writeable = False
+    return amps, shifts
+
+
+def sphere_design(report: ResonanceReport, count: int):
+    """``(amps, shifts)``: the ``(count, nu)`` amplitudes of the unit kernel
+    elements that the seed scan, the sampled sphere scan and the small-set
+    diagnostic read, and the ``(P, nu)`` diagonals ``D_l = e^{-i k_s phi_l}``
+    of the time shifts ``phi_l = 2 pi l / (P gcd(k_s))``.  Element
+    ``r P + l`` is representative ``r`` shifted by ``phi_l``: ``P = count``
+    phases of one orbit on a two-dimensional kernel, else ``P = 8`` shifts
+    of each of the first ``ceil(count / 8)`` seed-0 Sobol points.  Both are
+    read-only and built once per process."""
+    return _orbit_design(tuple(k for k, _ in report.kernel_slots()), count)
 
 
 def sphere_samples(report: ResonanceReport, count: int, seed: int) -> list:
@@ -266,6 +286,51 @@ def _phase_orbit(prob, report: ResonanceReport):
     return c0, a_p, (mu / abs(mu) if mu else 0j)
 
 
+def _strata(prob, report: ResonanceReport) -> np.ndarray:
+    """Unit representatives ``(S, nu)`` of the proper kernel sub-spaces on
+    which a component ``c`` of ``Psi w`` vanishes identically, the null
+    spaces of ``a -> (Psi w(a))_c``, where ``g_w`` jumps to ``g_c(0)``.
+    Entries below 1e-12 are zeroed, so an axis-aligned stratum is exact."""
+    basis = report.kernel_basis
+    _, sv, vh = np.linalg.svd(np.einsum("kcm,skm->cks", prob.Psi.stack(basis.shape[1] - 1),
+                                        basis))
+    rank = np.sum(sv > 1e-9 * max(sv.max(initial=0.0), 1.0), axis=-1)
+    v = np.array([np.where(np.abs(v[r]) > 1e-12, v[r].conj(), 0.0)
+                  for r, v in zip(rank, vh) if 0 < r < report.nu], complex).reshape(-1, report.nu)
+    return v / (np.sqrt(2.0) * np.linalg.norm(v, axis=-1, keepdims=True))
+
+
+def _sphere_table(prob, report: ResonanceReport, n_samples: int, budget: float):
+    """``(amps, gammas, gaps)``: the design of :func:`sphere_design`, then
+    the strata (:func:`_strata`), with fields and N2 gaps.  ``g`` is
+    autonomous, so ``Gamma_tilde(S w) = S (Gamma_tilde(w) + a_p) - a_p`` and
+    ``d(S w) = S d(w)``: one :func:`gamma_tilde` call at the representatives
+    fills the table.  On one slot frequency ``S`` is a scalar phase and each
+    stratum adds its R2 and N2 orbit minima at their closed-form phases,
+    else its ``P`` shifts."""
+    amps, shifts = sphere_design(report, n_samples)
+    P, R, nu = len(shifts), -(-n_samples // len(shifts)), report.nu
+    strata, a_p = _strata(prob, report), kernel_forcing_coords(prob, report)
+    mus = deviation_eigenvalues(report, prob.Psi)
+    G = gamma_tilde(prob, KernelElement(report, np.concatenate([amps[::P], strata]))).amps + a_p
+    phases = shifts
+    if len({k for k, _ in report.kernel_slots()}) == 1:
+        # z G - a_p is shortest where z <a_p, G> is real positive, and the
+        # gap Re <d, G> - Re <z d, a_p> least where <z d, a_p> is
+        phases = np.exp(1j * np.stack([-np.angle(G[R:] @ a_p.conj()),
+                                       np.angle((mus * strata).conj() @ a_p)], -1))[..., None]
+    amps = np.concatenate([amps, (phases * strata[:, None]).reshape(-1, nu)])
+    gammas = np.concatenate([(shifts * G[:R, None]).reshape(-1, nu)[:n_samples],
+                             (phases * G[R:, None]).reshape(-1, nu)]) - a_p
+    d = mus * amps
+    dn = np.linalg.norm(d, axis=-1)
+    # a sample the deviation annihilates gets gap -inf
+    d = d / np.where(dn < 1e-14, 1.0, dn)[:, None]
+    gaps = np.where(dn < 1e-14, -np.inf,
+                    np.real(np.sum(d.conj() * gammas, axis=-1)) - budget)
+    return amps, gammas, gaps
+
+
 def sphere_scan(prob, report: ResonanceReport | None = None,
                 n_samples: int = 32) -> SphereScan:
     """Range and inner-product margins over the kernel sphere.
@@ -280,8 +345,10 @@ def sphere_scan(prob, report: ResonanceReport | None = None,
     ``N2 = Re(conj(mu_hat) c0) - |a_p| - |h|_inf / sqrt(2)``, at
     ``phi = arg c0 - arg a_p`` and ``arg mu_hat - arg a_p``.  Larger kernels
     take the minimum over the ``n_samples`` elements of
-    :func:`sphere_design`, an upper bound on the margins.  A margin holds
-    when it is above the gate ``1e-9``.
+    :func:`sphere_design` and the stratum elements (:func:`_sphere_table`),
+    an upper bound on the margins; their certificates add the ``orbits``
+    and ``phases`` of the design and whether the witness lies on a
+    ``stratum``.  A margin holds when it is above the gate ``1e-9``.
     """
     report = _ensure_report(prob, report)
     if report.nu == 0:
@@ -296,26 +363,21 @@ def sphere_scan(prob, report: ResonanceReport | None = None,
             report, np.array([np.angle(c0) - np.angle(a_p) if a_p else 0.0,
                               np.angle(mu_hat) - np.angle(a_p)])).amps
         common = {"note": _ORBIT_NOTE, "certified": True}
+        on = ({}, {})
     else:
-        amps = sphere_design(report, n_samples)
-        mus = deviation_eigenvalues(report, prob.Psi)
-        gammas = gamma_tilde(prob, KernelElement(report, amps)).amps
+        amps, gammas, gaps = _sphere_table(prob, report, n_samples, budget)
         mags = np.linalg.norm(gammas, axis=-1)
-        d = mus * amps
-        dn = np.linalg.norm(d, axis=-1)
-        # a sample the deviation annihilates gets gap -inf
-        d = d / np.where(dn < 1e-14, 1.0, dn)[:, None]
-        gaps = np.where(dn < 1e-14, -np.inf,
-                        np.real(np.sum(d.conj() * gammas, axis=-1)) - budget)
         # argmin keeps the first sample among ties
         i_r2, i_n2 = np.argmin(mags), np.argmin(gaps)
         r2, n2, r2_wit, n2_wit = mags[i_r2], gaps[i_n2], amps[i_r2], amps[i_n2]
-        common = {"samples": n_samples, "certified": False}
+        common = {"samples": n_samples, "orbits": -(-n_samples // ORBIT_PHASES),
+                  "phases": ORBIT_PHASES, "certified": False}
+        on = [{"stratum": bool(i >= n_samples)} for i in (i_r2, i_n2)]
 
     r2_cert = certificate("R2", r2, witness=KernelElement(report, r2_wit).to_dict(),
-                          holds=bool(r2 > _GATE), **common)
+                          holds=bool(r2 > _GATE), **common, **on[0])
     n2_cert = certificate("N2", n2, witness=KernelElement(report, n2_wit).to_dict(),
-                          holds=bool(n2 > _GATE), h_budget=float(budget), **common)
+                          holds=bool(n2 > _GATE), h_budget=float(budget), **common, **on[1])
     return SphereScan(r2=r2_cert, n2=n2_cert)
 
 

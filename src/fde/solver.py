@@ -194,24 +194,30 @@ def coefficient_jacobian(prob, u: TrigPoly) -> np.ndarray:
 
 def _seed_table(prob, report: ResonanceReport, amps: np.ndarray, M: int):
     """``(zero, objs)``: ``|Proj_ker N|`` on ``M`` points at the zero
-    element and at ``SEED_RADII[j] * amps[i]``.  On a two-dimensional
-    kernel with no explicit ``t`` in ``h``, sample ``i`` is a time shift
-    of sample 0 and ``N(S u) = S N u + p - S p``, so one evaluation at
-    phase 0 gives ``objs[i, j] = |e^{-i phi_i} (c_j - a_p) + a_p|``, with
-    ``a_p`` the kernel forcing (exact when the shifts are grid steps, else
-    up to aliasing); other kernels take one evaluation per radius.
+    element and at ``SEED_RADII[j] * amps[i]``, ``amps`` the design of
+    :func:`~fde.lazer_leach.sphere_design`.  With no explicit ``t`` in
+    ``h``, ``N(S u) = S N u + p - S p``, so one evaluation at the orbit
+    representatives gives ``objs[r P + l, j] = |D_l (c_rj - a_p) + a_p|``,
+    ``c_rj`` the kernel coordinates at radius ``j`` and ``a_p`` those of the
+    forcing (exact when ``P gcd(k_s)`` divides ``M``, else up to aliasing);
+    a time-modulated ``h`` takes one evaluation per radius.
     """
     def coords(a: np.ndarray) -> np.ndarray:
         N = nemytskii_eval(prob, KernelElement(report, a).to_poly(), M)
         return KernelElement.from_poly(report, N).amps
 
-    if report.nu == 1 and not (prob.h is not None and prob.h.time_dependent):
-        c = coords(np.concatenate([[0.0], SEED_RADII])[:, None] * amps[0])[:, 0]
-        a_p = KernelElement.from_poly(report, prob.p).amps[0]
-        return abs(c[0]), np.abs(amps / amps[0] * (c[1:] - a_p) + a_p)
-    zero = float(np.linalg.norm(coords(np.zeros(report.nu))))
-    return zero, np.stack([np.linalg.norm(coords(r * amps), axis=-1)
-                           for r in SEED_RADII], axis=1)
+    if prob.h is not None and prob.h.time_dependent:
+        zero = float(np.linalg.norm(coords(np.zeros(report.nu))))
+        return zero, np.stack([np.linalg.norm(coords(r * amps), axis=-1)
+                               for r in SEED_RADII], axis=1)
+    shifts = sphere_design(report, len(amps))[1]
+    # the zero element and each radius times each representative
+    radii = np.concatenate([[0.0], SEED_RADII])[:, None, None]
+    c = coords((radii * amps[::len(shifts)]).reshape(-1, report.nu))
+    c = c.reshape(len(radii), -1, 1, report.nu)
+    a_p = KernelElement.from_poly(report, prob.p).amps
+    objs = np.hypot.reduce(np.abs(shifts * (c[1:] - a_p) + a_p), axis=-1)
+    return np.hypot.reduce(np.abs(c[0, 0, 0])), objs.reshape(len(SEED_RADII), -1).T[:len(amps)]
 
 
 def seed_kernel(prob, report: ResonanceReport | None = None,
@@ -226,8 +232,9 @@ def seed_kernel(prob, report: ResonanceReport | None = None,
     (coordinate norm), the approximate zeros of the reduced bifurcation
     equation.  Candidates are returned sorted by that objective; those not
     meaningfully below the zero-element baseline are dropped, so the list
-    is empty when the zero seed is already as good.  A two-dimensional
-    kernel takes one Nemytskii evaluation (:func:`_seed_table`).
+    is empty when the zero seed is already as good.  Unless ``h`` has an
+    explicit ``t``, the whole table comes from one Nemytskii evaluation at
+    the orbit representatives of the design (:func:`_seed_table`).
 
     ``M`` defaults to the grid of the first Newton stage of
     :func:`solve_periodic` under ``config`` (``prob.solve`` when
@@ -239,7 +246,7 @@ def seed_kernel(prob, report: ResonanceReport | None = None,
     report = resonant_set(prob.P, prob.Lam) if report is None else report
     if report.nu == 0:
         return []
-    amps = sphere_design(report, SEED_SAMPLES)
+    amps = sphere_design(report, SEED_SAMPLES)[0]
     if M is None:
         kb = max(k for k, _ in report.kernel_slots())
         first = _stages(prob, config or prob.solve, report)[0]

@@ -100,6 +100,21 @@ def test_check_ll_verdict_flip(capsys):
     assert doc["conditions_pass"] is False
 
 
+def test_check_ll_fails_where_the_field_vanishes_on_a_stratum(capsys, tmp_path):
+    # with c1 = 4 / pi and c2 = 0 the projected field of weakly-coupled
+    # vanishes at the single-slot element, where the second component of
+    # Psi w is identically zero; the stratum enters the sphere scan
+    _, doc, _ = run(capsys, "example", "weakly-coupled", "--param",
+                    "c1=1.2732395447351628", "--param", "c2=0")
+    path = tmp_path / "found.json"
+    path.write_text(doc)
+    code, out, _ = run(capsys, "check-ll", str(path))
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["R2"]["holds"] is False and doc["R2"]["stratum"] is True
+    assert doc["conditions_pass"] is False
+
+
 def test_check_ll_beam_reports_refusals_without_failing(capsys):
     code, out, _ = run(capsys, "check-ll", "beam")
     assert code == 0

@@ -10,7 +10,8 @@ from fde import (KernelElement, TrigPoly, apply_deviation, build_example,
 from fde.catalog import EXAMPLE_IDS
 from fde.errors import (BlockStructureError, DimensionMismatch,
                         R2ViolationError)
-from fde.lazer_leach import SphereSample, kernel_forcing_coords, sphere_design
+from fde.lazer_leach import (ORBIT_PHASES, SphereSample, _sphere_table, _strata,
+                             kernel_forcing_coords, sphere_design)
 from fde.resonance import deviation_eigenvalues
 
 import oracles
@@ -621,14 +622,113 @@ def test_degree_product_single_component_matches_winding():
 
 def test_sobol_design_is_drawn_once_and_read_only():
     # sphere_samples and sphere_design share one seed-0 Sobol draw per
-    # process; its amplitudes cannot be written
+    # process: the design's orbit representatives are its first points, and
+    # element r P + l is representative r times the shift diagonal l.  The
+    # composed design and its shifts are built once and cannot be written
     prob = build_example("weakly-coupled")
     rep = resonant_set(prob.P, prob.Lam)
     first = sphere_samples(rep, 1, seed=0)[0].amps
-    design = sphere_design(rep, 64)
+    design, shifts = sphere_design(rep, 64)
     assert first.tobytes() == design[:1].tobytes()
-    assert sphere_design(rep, 64) is design
-    for amps in (design, first):
+    assert shifts.shape == (ORBIT_PHASES, 2)
+    reps = np.array([w.amps for w in sphere_samples(rep, 64 // ORBIT_PHASES, seed=0)])
+    assert design[::ORBIT_PHASES].tobytes() == reps.tobytes()
+    assert design.tobytes() == (reps[:, None] * shifts).reshape(-1, 2).tobytes()
+    assert sphere_design(rep, 64)[0] is design and sphere_design(rep, 64)[1] is shifts
+    for amps in (design, shifts, first):
         with pytest.raises(ValueError):
             amps[0] = 0.0
     assert sphere_samples(rep, 1, seed=0)[0].amps.tobytes() == first.tobytes()
+
+
+def test_orbit_shifts_are_time_shifts():
+    # beam's slots sit at k = 1 and 2: shift l multiplies slot s by
+    # e^{-i k_s phi_l}, phi_l = 2 pi l / 8, the coordinates of w(t - phi_l)
+    prob = build_example("beam")
+    rep = resonant_set(prob.P, prob.Lam)
+    design, shifts = sphere_design(rep, 16)
+    phi = TWO_PI * np.arange(ORBIT_PHASES) / ORBIT_PHASES
+    w = KernelElement(rep, design[0]).to_poly()
+    for l in range(ORBIT_PHASES):
+        shifted = KernelElement.from_poly(rep, w.shift(-phi[l])).amps
+        assert np.max(np.abs(shifted - design[l])) <= 1e-15
+
+
+def sign_table_weakly_coupled():
+    import dataclasses
+    from fde import BoundedNonlinearity
+    table = BoundedNonlinearity("sign_table", table={
+        "++": [1.0, 1.0], "+-": [1.0, -1.0], "-+": [-1.0, 1.0],
+        "--": [-1.0, -1.0]})
+    return dataclasses.replace(build_example("weakly-coupled"), g=table)
+
+
+@pytest.mark.parametrize("name", ["weakly-coupled", "sign-table", "beam"])
+def test_sphere_table_matches_direct_evaluation(name, monkeypatch):
+    # the orbit table reads every shifted field off one gamma_tilde call at
+    # the representatives and the strata; a direct call on every element
+    # gives the same fields and N2 gaps
+    import fde.lazer_leach as ll
+    prob = sign_table_weakly_coupled() if name == "sign-table" else build_example(name)
+    rep = resonant_set(prob.P, prob.Lam)
+    calls = []
+
+    def recording(p, w):
+        calls.append(w.amps.shape)
+        return gamma_tilde(p, w)
+
+    monkeypatch.setattr(ll, "gamma_tilde", recording)
+    amps, gammas, gaps = _sphere_table(prob, rep, 256, 0.05)
+    strata = len(_strata(prob, rep))
+    assert strata == (0 if name == "beam" else 2)
+    assert calls == [(256 // ORBIT_PHASES + strata, 2)]
+    assert amps[:256].tobytes() == sphere_design(rep, 256)[0].tobytes()
+    # strata with one slot frequency add their R2 and N2 phases
+    assert len(amps) == 256 + 2 * strata
+    direct = gamma_tilde(prob, KernelElement(rep, amps)).amps
+    d = deviation_eigenvalues(rep, prob.Psi) * amps
+    d /= np.linalg.norm(d, axis=-1, keepdims=True)
+    want = np.real(np.sum(d.conj() * direct, axis=-1)) - 0.05
+    assert np.max(np.abs(gammas - direct)) <= 1e-12
+    assert np.max(np.abs(gaps - want)) <= 1e-12
+
+
+def witness_amps(cert):
+    return np.array([complex(*z) for z in cert["witness"]["amps"]])
+
+
+@pytest.mark.parametrize("c1,c2", [(0.5, 0.4), (4.0 / np.pi, 0.0)])
+def test_strata_carry_the_weakly_coupled_minima(c1, c2):
+    # on a_2 = 0 the second component of Psi w vanishes identically and the
+    # field jumps onto g(0): both minima sit on that stratum, at phases in
+    # closed form, where no sample of the design lands.  With
+    # c1 = 4 / pi the field vanishes there and R2 fails
+    prob = build_example("weakly-coupled", c1=c1, c2=c2)
+    rep = resonant_set(prob.P, prob.Lam)
+    strata = _strata(prob, rep)
+    assert np.array_equal(np.abs(strata), np.eye(2)[::-1] / np.sqrt(2.0))
+    scan = sphere_scan(prob, rep)
+    for cert in (scan.r2, scan.n2):
+        assert cert["stratum"] and cert["samples"] == 32
+        assert cert["orbits"] == 4 and cert["phases"] == ORBIT_PHASES
+    w = KernelElement(rep, witness_amps(scan.r2))
+    assert abs(gamma_tilde(prob, w).coord_norm() - scan.r2["margin"]) <= 1e-12
+    # the closed-form phase is the orbit minimum: a dense scan of the
+    # stratum's time-shift orbit stays above it
+    phis = np.exp(-1j * TWO_PI * np.arange(720) / 720)[:, None]
+    for cert, metric in ((scan.r2, "R2"), (scan.n2, "N2")):
+        orbit = KernelElement(rep, phis * witness_amps(cert))
+        fields = gamma_tilde(prob, orbit).amps
+        if metric == "R2":
+            values = np.linalg.norm(fields, axis=-1)
+        else:
+            d = deviation_eigenvalues(rep, prob.Psi) * orbit.amps
+            d /= np.linalg.norm(d, axis=-1, keepdims=True)
+            values = np.real(np.sum(d.conj() * fields, axis=-1)) - cert["h_budget"]
+        assert values.min() >= cert["margin"] - 1e-12
+        assert values[0] == pytest.approx(cert["margin"], abs=1e-12)
+    if c2 == 0.0:
+        assert not scan.r2["holds"] and scan.r2["margin"] <= 1e-12
+        assert scan.n2["margin"] == pytest.approx(-0.05, abs=1e-9)
+    else:
+        assert scan.r2["margin"] <= 0.4353 and scan.r2["holds"]

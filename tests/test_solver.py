@@ -305,20 +305,22 @@ def brute_seed_table(prob, rep, amps, M):
 
 
 @pytest.mark.parametrize("example", NU1_EXAMPLES + ("shifted-forcing",
-                                                   "time-modulated-duffing"))
+                                                   "time-modulated-duffing",
+                                                   "weakly-coupled", "beam"))
 def test_seed_table_matches_the_full_scan(example):
-    # on the time-shift orbit (every example here but the last, whose h
-    # has an explicit t and takes the full scan) the table is read off one
-    # evaluation at phase 0
+    # on the time-shift orbits (every example here but time-modulated-duffing,
+    # whose h has an explicit t and takes the full scan) the table is read
+    # off one evaluation at the orbit representatives
     prob = seed_problem(example)
     rep = resonant_set(prob.P, prob.Lam)
     a_p = KernelElement.from_poly(rep, prob.p).amps[0]
-    assert rep.nu == 1
+    assert rep.nu == (2 if example in ("weakly-coupled", "beam") else 1)
     assert (abs(a_p.imag) > 0.1) == (example == "shifted-forcing")
-    amps = sphere_design(rep, solver.SEED_SAMPLES)
-    # the samples are shifts by multiples of 2 pi / (64 k), grid translations
-    # of 2048 points, where the pseudospectral N commutes with them exactly
-    # (on other grids the two tables differ by the aliasing error)
+    amps = sphere_design(rep, solver.SEED_SAMPLES)[0]
+    # the samples are shifts by multiples of 2 pi / (P gcd(k)) (P = 64 on a
+    # two-dimensional kernel, else 8), grid translations of 2048 points,
+    # where the pseudospectral N commutes with them exactly (on other grids
+    # the two tables differ by the aliasing error)
     M = 2048
     zero, objs = solver._seed_table(prob, rep, amps, M)
     want_zero, want = brute_seed_table(prob, rep, amps, M)
@@ -347,13 +349,19 @@ def test_seed_scan_on_a_two_dimensional_kernel_is_one_evaluation(example, monkey
     assert len(seeds) > 0
 
 
-@pytest.mark.parametrize("example", ["time-modulated-h", "time-modulated-duffing",
-                                     "weakly-coupled", "beam"])
+@pytest.mark.parametrize("example", ["weakly-coupled", "beam"])
+def test_seed_scan_on_a_four_dimensional_kernel_is_one_evaluation(example, monkeypatch):
+    # the zero element and the seven radii at each of the eight orbit
+    # representatives of the 64-element design, in one batch
+    _, calls = recorded_seed_scan(seed_problem(example), monkeypatch)
+    assert calls == [(64,)]
+
+
+@pytest.mark.parametrize("example", ["time-modulated-h", "time-modulated-duffing"])
 def test_seed_scan_off_the_orbit_is_one_evaluation_per_radius(example, monkeypatch):
-    # an explicit t in h breaks shift equivariance, and a kernel of
-    # dimension four is not one orbit: both take the full scan
+    # an explicit t in h breaks shift equivariance: the full scan
     prob = seed_problem(example)
-    assert (prob.h is not None and prob.h.time_dependent) == example.startswith("time")
+    assert prob.h is not None and prob.h.time_dependent
     _, calls = recorded_seed_scan(prob, monkeypatch)
     assert calls == [()] + [(64,)] * 7
 
