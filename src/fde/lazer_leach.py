@@ -18,19 +18,18 @@ with positive-frequency amplitude vector ``a`` has coordinate norm
 saturating example with limits -+1 and no forcing has range margin
 ``2/pi``, the classical constant.
 
-A two-dimensional kernel sphere is one time-shift orbit, on which the
-projected field is exactly ``c0 e^{-i phi} - a_p``, so its margins and
-degree are closed forms (:func:`_phase_orbit`).  Larger spheres are
-sampled on 8 time shifts of each of a few Sobol points, read off one field
-evaluation per orbit, plus the strata where a component of ``Psi w``
-vanishes identically (:func:`_sphere_table`): a positive verdict there is
+The sphere is scanned on time-shift orbits, read off one field
+evaluation per orbit (:func:`_sphere_table`): 8 shifts of each of a few
+Sobol points, plus the strata where a component of ``Psi w`` vanishes
+identically.  When all slots share one frequency, each orbit also adds
+its closed-form minima.  A two-dimensional kernel sphere is one orbit, so
+there its margins and degree are exact; elsewhere a positive verdict is
 evidence, not a proof, while a failure witness is an exact counterexample
 candidate.  An orbit table, here or in the seed scan, is exact when
-``P gcd(k_s)`` (``P`` its shifts per orbit, 8 here) divides its grid or
-``g_w`` is a step function, else it agrees with a full scan up to
-aliasing.  At each ``w`` the
-field is exact up to rounding when ``g_w`` is a step function, as for
-componentwise and sign-table fields, and for radial ones along a
+``P gcd(k_s)`` (``P`` its shifts per orbit) divides its grid or ``g_w`` is
+a step function, else it agrees with a full scan up to aliasing.  At each
+``w`` the field is exact up to rounding when ``g_w`` is a step function,
+as for componentwise and sign-table fields, and for radial ones along a
 ``Psi w`` on one line through the origin: it jumps only at the zeros of
 ``Psi w``, the unit-circle roots of one companion polynomial per
 component (:func:`_root_angles`).  Other radial ``g_w`` are continuous
@@ -273,19 +272,6 @@ def sphere_samples(report: ResonanceReport, count: int, seed: int) -> list:
     return [SphereSample(report, a) for a in _sobol_amps(report.nu, count, seed)]
 
 
-def _phase_orbit(prob, report: ResonanceReport):
-    """``(c0, a_p, mu_hat)`` of a two-dimensional kernel.  ``g`` is
-    autonomous and ``Psi`` commutes with time shifts, so on the phase loop
-    ``w(phi) ~ sqrt(2) cos(k t - phi)`` the projected field is exactly the
-    clockwise circle ``c0 e^{-i phi} - a_p``, with ``a_p`` the kernel
-    forcing; ``mu_hat`` is the unit deviation eigenvalue, 0 when the
-    deviation annihilates the kernel."""
-    a_p = kernel_forcing_coords(prob, report)[0]
-    c0 = gamma_tilde(prob, SphereSample.single_phase(report, 0.0)).amps[0] + a_p
-    mu = deviation_eigenvalues(report, prob.Psi)[0]
-    return c0, a_p, (mu / abs(mu) if mu else 0j)
-
-
 def _strata(prob, report: ResonanceReport) -> np.ndarray:
     """Unit representatives ``(S, nu)`` of the proper kernel sub-spaces on
     which a component ``c`` of ``Psi w`` vanishes identically, the null
@@ -301,34 +287,41 @@ def _strata(prob, report: ResonanceReport) -> np.ndarray:
 
 
 def _sphere_table(prob, report: ResonanceReport, n_samples: int, budget: float):
-    """``(amps, gammas, gaps)``: the design of :func:`sphere_design`, then
-    the strata (:func:`_strata`), with fields and N2 gaps.  ``g`` is
-    autonomous, so ``Gamma_tilde(S w) = S (Gamma_tilde(w) + a_p) - a_p`` and
-    ``d(S w) = S d(w)``: one :func:`gamma_tilde` call at the representatives
-    fills the table.  On one slot frequency ``S`` is a scalar phase and each
-    stratum adds its R2 and N2 orbit minima at their closed-form phases,
-    else its ``P`` shifts."""
+    """``(amps, gammas, gaps, first_stratum)``: the design of
+    :func:`sphere_design`, then the orbit minima of its representatives,
+    then the strata (:func:`_strata`) from row ``first_stratum`` on, with
+    fields and N2 gaps.  ``g`` is autonomous, so ``d(S w) = S d(w)`` and
+    ``Gamma_tilde(S w) = S (Gamma_tilde(w) + a_p) - a_p``: one
+    :func:`gamma_tilde` call at the representatives and the strata fills
+    the table.  On one slot frequency ``S`` is a scalar phase, and each
+    representative and stratum adds its R2 and N2 orbit minima at their
+    closed-form phases, exact on a two-dimensional kernel, whose sphere is
+    one orbit; else each stratum adds its ``P`` shifts."""
     amps, shifts = sphere_design(report, n_samples)
-    P, R, nu = len(shifts), -(-n_samples // len(shifts)), report.nu
-    strata, a_p = _strata(prob, report), kernel_forcing_coords(prob, report)
+    P, nu = len(shifts), report.nu
+    R, a_p = -(-n_samples // P), kernel_forcing_coords(prob, report)
+    reps = np.concatenate([amps[::P], _strata(prob, report)])
     mus = deviation_eigenvalues(report, prob.Psi)
-    G = gamma_tilde(prob, KernelElement(report, np.concatenate([amps[::P], strata]))).amps + a_p
-    phases = shifts
+    G = gamma_tilde(prob, KernelElement(report, reps)).amps + a_p
+    # after the design: each stratum's P shifts, or two closed-form rows
+    # per representative and stratum
+    phases, extra, first_stratum = shifts, slice(R, None), n_samples
     if len({k for k, _ in report.kernel_slots()}) == 1:
         # z G - a_p is shortest where z <a_p, G> is real positive, and the
         # gap Re <d, G> - Re <z d, a_p> least where <z d, a_p> is
-        phases = np.exp(1j * np.stack([-np.angle(G[R:] @ a_p.conj()),
-                                       np.angle((mus * strata).conj() @ a_p)], -1))[..., None]
-    amps = np.concatenate([amps, (phases * strata[:, None]).reshape(-1, nu)])
+        phases = np.exp(1j * np.stack([-np.angle(G @ a_p.conj()),
+                                       np.angle((mus * reps).conj() @ a_p)], -1))[..., None]
+        extra, first_stratum = slice(None), n_samples + 2 * R
+    amps = np.concatenate([amps, (phases * reps[extra, None]).reshape(-1, nu)])
     gammas = np.concatenate([(shifts * G[:R, None]).reshape(-1, nu)[:n_samples],
-                             (phases * G[R:, None]).reshape(-1, nu)]) - a_p
+                             (phases * G[extra, None]).reshape(-1, nu)]) - a_p
     d = mus * amps
     dn = np.linalg.norm(d, axis=-1)
     # a sample the deviation annihilates gets gap -inf
     d = d / np.where(dn < 1e-14, 1.0, dn)[:, None]
     gaps = np.where(dn < 1e-14, -np.inf,
                     np.real(np.sum(d.conj() * gammas, axis=-1)) - budget)
-    return amps, gammas, gaps
+    return amps, gammas, gaps, first_stratum
 
 
 def sphere_scan(prob, report: ResonanceReport | None = None,
@@ -339,44 +332,35 @@ def sphere_scan(prob, report: ResonanceReport | None = None,
     verdict fails if the projected field (nearly) vanishes.  The
     inner-product test pairs each ``w`` against its own deviated image:
     with ``d = a(Psi w) / |a(Psi w)|`` the gap is
-    ``Re <d, a(g_w) - a(p)> - |h|_inf / sqrt(2)``.  On a two-dimensional
-    kernel both minima are exact (``certified``) on the phase orbit
-    (:func:`_phase_orbit`): ``R2 = ||c0| - |a_p||`` and
-    ``N2 = Re(conj(mu_hat) c0) - |a_p| - |h|_inf / sqrt(2)``, at
-    ``phi = arg c0 - arg a_p`` and ``arg mu_hat - arg a_p``.  Larger kernels
-    take the minimum over the ``n_samples`` elements of
-    :func:`sphere_design` and the stratum elements (:func:`_sphere_table`),
-    an upper bound on the margins; their certificates add the ``orbits``
-    and ``phases`` of the design and whether the witness lies on a
-    ``stratum``.  A margin holds when it is above the gate ``1e-9``.
+    ``Re <d, a(g_w) - a(p)> - |h|_inf / sqrt(2)``, ``-inf`` where the
+    deviation annihilates ``w``.  Both are minima over the table of
+    :func:`_sphere_table`.  On a two-dimensional kernel its closed-form rows
+    are the exact minima (``certified``): ``R2 = ||c0| - |a_p||`` and
+    ``N2 = Re(conj(mu_hat) c0) - |a_p| - |h|_inf / sqrt(2)``, ``c0`` the
+    field plus ``a_p`` at phase 0 and ``mu_hat`` the unit deviation
+    eigenvalue.  Larger kernels give an upper bound on the margins; their
+    certificates add the ``samples``, ``orbits`` and ``phases`` of the
+    design and whether the witness lies on a ``stratum``.  A margin holds
+    when it is above the gate ``1e-9``.
     """
     report = _ensure_report(prob, report)
     if report.nu == 0:
         raise DimensionMismatch("no resonant modes; nothing to certify")
     budget = (prob.h.sup_norm() if prob.h is not None else 0.0) / np.sqrt(2.0)
-
-    if report.nu == 1:
-        c0, a_p, mu_hat = _phase_orbit(prob, report)
-        r2 = abs(abs(c0) - abs(a_p))
-        n2 = np.real(np.conj(mu_hat) * c0) - abs(a_p) - budget
-        r2_wit, n2_wit = SphereSample.single_phase(
-            report, np.array([np.angle(c0) - np.angle(a_p) if a_p else 0.0,
-                              np.angle(mu_hat) - np.angle(a_p)])).amps
-        common = {"note": _ORBIT_NOTE, "certified": True}
-        on = ({}, {})
-    else:
-        amps, gammas, gaps = _sphere_table(prob, report, n_samples, budget)
-        mags = np.linalg.norm(gammas, axis=-1)
-        # argmin keeps the first sample among ties
-        i_r2, i_n2 = np.argmin(mags), np.argmin(gaps)
-        r2, n2, r2_wit, n2_wit = mags[i_r2], gaps[i_n2], amps[i_r2], amps[i_n2]
+    amps, gammas, gaps, first_stratum = _sphere_table(prob, report, n_samples, budget)
+    mags = np.linalg.norm(gammas, axis=-1)
+    # argmin keeps the first sample among ties
+    i_r2, i_n2 = np.argmin(mags), np.argmin(gaps)
+    common, on = {"note": _ORBIT_NOTE, "certified": True}, ({}, {})
+    if report.nu > 1:
         common = {"samples": n_samples, "orbits": -(-n_samples // ORBIT_PHASES),
                   "phases": ORBIT_PHASES, "certified": False}
-        on = [{"stratum": bool(i >= n_samples)} for i in (i_r2, i_n2)]
+        on = [{"stratum": bool(i >= first_stratum)} for i in (i_r2, i_n2)]
 
-    r2_cert = certificate("R2", r2, witness=KernelElement(report, r2_wit).to_dict(),
+    r2, n2 = mags[i_r2], gaps[i_n2]
+    r2_cert = certificate("R2", r2, witness=KernelElement(report, amps[i_r2]).to_dict(),
                           holds=bool(r2 > _GATE), **common, **on[0])
-    n2_cert = certificate("N2", n2, witness=KernelElement(report, n2_wit).to_dict(),
+    n2_cert = certificate("N2", n2, witness=KernelElement(report, amps[i_n2]).to_dict(),
                           holds=bool(n2 > _GATE), h_budget=float(budget), **common, **on[1])
     return SphereScan(r2=r2_cert, n2=n2_cert)
 
@@ -385,9 +369,12 @@ def sphere_scan(prob, report: ResonanceReport | None = None,
 
 
 def degree_winding(prob, report: ResonanceReport | None = None) -> int:
-    """Brouwer degree of the normalized projected field, 2-d kernels only:
-    the phase loop ``c0 e^{-i phi} - a_p`` (:func:`_phase_orbit`) winds
-    ``-1`` when ``|c0| > |a_p|`` and 0 when ``|c0| < |a_p|``.  Raises
+    """Brouwer degree of the normalized projected field, 2-d kernels only.
+    ``g`` is autonomous and ``Psi`` commutes with time shifts, so the
+    kernel sphere is the phase loop ``w(phi) ~ sqrt(2) cos(k t - phi)``,
+    on which the field is the clockwise circle ``c0 e^{-i phi} - a_p``
+    (``c0`` read at ``phi = 0``, :func:`sphere_design`).  It winds ``-1``
+    when ``|c0| > |a_p|`` and 0 when ``|c0| < |a_p|``.  Raises
     :class:`R2ViolationError`, with the phase where the field vanishes as
     witness, when ``||c0| - |a_p||`` is within the gate of
     :func:`sphere_scan`."""
@@ -396,7 +383,8 @@ def degree_winding(prob, report: ResonanceReport | None = None) -> int:
         raise DimensionMismatch(
             "winding degree needs a 2-dimensional kernel; "
             "use degree_product for block-decoupled systems")
-    c0, a_p, _ = _phase_orbit(prob, report)
+    a_p = kernel_forcing_coords(prob, report)[0]
+    c0 = gamma_tilde(prob, KernelElement(report, sphere_design(report, 1)[0][0])).amps[0] + a_p
     gap = abs(c0) - abs(a_p)
     if abs(gap) <= _GATE:
         raise R2ViolationError("projected field vanishes on the phase circle",
@@ -440,7 +428,7 @@ def degree_product(prob, report: ResonanceReport | None = None) -> int:
     sampled projected field does not couple the blocks; refuses otherwise.
 
     Each block's phase loop is a clockwise circle of radius ``|jump| / pi``
-    about ``-phat(k)`` (:func:`_phase_orbit`), so a positive block margin
+    about ``-phat(k)`` (:func:`degree_winding`), so a positive block margin
     ``|jump| / pi - |phat(k)|`` makes every block wind ``-1`` and the
     degree ``(-1)^blocks``.
     """

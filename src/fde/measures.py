@@ -158,9 +158,6 @@ class PolyProfile:
         return {"kind": "poly", "coeffs": [float(c) for c in self.coeffs]}
 
 
-_PROFILE_KINDS = {"const": ConstProfile, "sin": SinProfile, "poly": PolyProfile}
-
-
 def profile_from_dict(d: dict):
     kind = d.get("kind")
     if kind == "const":
@@ -236,13 +233,15 @@ class ScalarMeasure:
     # -- analysis ------------------------------------------------------
 
     def transform(self, k):
-        """``lamhat(k)`` for an integer or an integer array of modes."""
+        """``lamhat(k)`` for an integer or an integer array of modes: each
+        atom adds ``w e^{-ik theta}``, each density its closed-form
+        ``int_a^b profile(s) e^{-iks} ds``."""
         k = np.asarray(k)
         out = np.zeros(k.shape, dtype=complex)
         for theta, w in self.atoms:
-            out += atom_transform(theta, w, k)
+            out += w * np.exp(-1j * k * theta)
         for d in self.densities:
-            out += density_transform(d, k)
+            out += d.profile.transform(d.a, d.b, k)
         return out[()]
 
     def total_variation(self) -> float:
@@ -262,16 +261,6 @@ class ScalarMeasure:
         dens = [Density(e["a"], e["b"], profile_from_dict(e["profile"]))
                 for e in d.get("densities", [])]
         return ScalarMeasure(atoms=atoms, densities=dens)
-
-
-def atom_transform(theta: float, weight: float, k):
-    """Transform of a point mass: ``weight * e^{-ik theta}``."""
-    return weight * np.exp(-1j * k * theta)
-
-
-def density_transform(density: Density, k):
-    """Closed-form ``int_a^b profile(s) e^{-iks} ds``."""
-    return density.profile.transform(density.a, density.b, k)
 
 
 @dataclass

@@ -45,7 +45,7 @@ from .errors import DimensionMismatch, GridTooSmall
 from .measures import MeasureMatrix, ScalarMeasure, apply_deviation
 from .nonlinearity import _h_base_deriv, nemytskii_eval
 from .problem import SolveConfig
-from .lazer_leach import sphere_design
+from .lazer_leach import kernel_forcing_coords, sphere_design
 from .resonance import KernelElement, ResonanceReport, resonant_set, symbol_stack
 from .trigpoly import TrigPoly, differentiate, eval_grid
 
@@ -122,8 +122,14 @@ def pack_residual(R: TrigPoly) -> np.ndarray:
 # -- Jacobian ----------------------------------------------------------
 
 
-def _jacobian_analytic(prob, u: TrigPoly, M: int) -> np.ndarray:
-    kmax, n = u.kmax, u.n
+def coefficient_jacobian(prob, u: TrigPoly) -> np.ndarray:
+    """Jacobian of the packed residual at ``u``, on the grid of
+    :func:`_grid_size`."""
+    if not prob.g.smooth:
+        raise DimensionMismatch(
+            "sign-table nonlinearity is not differentiable; solving needs a "
+            "smooth catalog profile")
+    kmax, n, M = u.kmax, u.n, _grid_size(u, None, prob)
     k = np.arange(kmax + 1)
     # a product A(t) (B u)(t) sends c_j to mode k through Ahat_{k-j} B_j
     # and conj(c_j) through Ahat_{k+j} conj(B_j); DFT indices are mod M
@@ -180,42 +186,29 @@ def _jacobian_analytic(prob, u: TrigPoly, M: int) -> np.ndarray:
     return J
 
 
-def coefficient_jacobian(prob, u: TrigPoly) -> np.ndarray:
-    """Jacobian of the packed residual at ``u``."""
-    if not prob.g.smooth:
-        raise DimensionMismatch(
-            "sign-table nonlinearity is not differentiable; solving needs a "
-            "smooth catalog profile")
-    return _jacobian_analytic(prob, u, _grid_size(u, None, prob))
-
-
 # -- seeding -----------------------------------------------------------
 
 
 def _seed_table(prob, report: ResonanceReport, amps: np.ndarray, M: int):
     """``(zero, objs)``: ``|Proj_ker N|`` on ``M`` points at the zero
     element and at ``SEED_RADII[j] * amps[i]``, ``amps`` the design of
-    :func:`~fde.lazer_leach.sphere_design`.  With no explicit ``t`` in
-    ``h``, ``N(S u) = S N u + p - S p``, so one evaluation at the orbit
-    representatives gives ``objs[r P + l, j] = |D_l (c_rj - a_p) + a_p|``,
-    ``c_rj`` the kernel coordinates at radius ``j`` and ``a_p`` those of the
-    forcing (exact when ``P gcd(k_s)`` divides ``M``, else up to aliasing);
-    a time-modulated ``h`` takes one evaluation per radius.
+    :func:`~fde.lazer_leach.sphere_design`, from one evaluation at the
+    orbit representatives and the zero element.  With no explicit ``t`` in
+    ``h``, ``N(S u) = S N u + p - S p``, so
+    ``objs[r P + l, j] = |D_l (c_rj - a_p) + a_p|``, ``c_rj`` the kernel
+    coordinates at radius ``j`` and ``a_p`` those of the forcing (exact when
+    ``P gcd(k_s)`` divides ``M``, else up to aliasing).  A time-modulated
+    ``h`` takes the one-element shift group: every design element is its
+    own orbit.
     """
-    def coords(a: np.ndarray) -> np.ndarray:
-        N = nemytskii_eval(prob, KernelElement(report, a).to_poly(), M)
-        return KernelElement.from_poly(report, N).amps
-
-    if prob.h is not None and prob.h.time_dependent:
-        zero = float(np.linalg.norm(coords(np.zeros(report.nu))))
-        return zero, np.stack([np.linalg.norm(coords(r * amps), axis=-1)
-                               for r in SEED_RADII], axis=1)
-    shifts = sphere_design(report, len(amps))[1]
+    equivariant = prob.h is None or not prob.h.time_dependent
+    shifts = sphere_design(report, len(amps))[1] if equivariant else np.ones((1, report.nu))
     # the zero element and each radius times each representative
     radii = np.concatenate([[0.0], SEED_RADII])[:, None, None]
-    c = coords((radii * amps[::len(shifts)]).reshape(-1, report.nu))
-    c = c.reshape(len(radii), -1, 1, report.nu)
-    a_p = KernelElement.from_poly(report, prob.p).amps
+    reps = KernelElement(report, (radii * amps[::len(shifts)]).reshape(-1, report.nu))
+    N = nemytskii_eval(prob, reps.to_poly(), M)
+    c = KernelElement.from_poly(report, N).amps.reshape(len(radii), -1, 1, report.nu)
+    a_p = kernel_forcing_coords(prob, report)
     objs = np.hypot.reduce(np.abs(shifts * (c[1:] - a_p) + a_p), axis=-1)
     return np.hypot.reduce(np.abs(c[0, 0, 0])), objs.reshape(len(SEED_RADII), -1).T[:len(amps)]
 

@@ -115,6 +115,23 @@ def test_check_ll_fails_where_the_field_vanishes_on_a_stratum(capsys, tmp_path):
     assert doc["conditions_pass"] is False
 
 
+def test_check_ll_n2_is_minus_infinity_where_the_deviation_annihilates(capsys, tmp_path):
+    # Psi = 0 sends every kernel element to zero, so no sample has a
+    # deviated direction to pair with: N2 is -inf on a two-dimensional
+    # kernel as on larger ones, and the conditions fail
+    _, out, _ = run(capsys, "example", "duffing-delay")
+    doc = json.loads(out)
+    doc["Psi"]["entries"][0][0] = {"atoms": [], "densities": []}
+    path = tmp_path / "zero_psi.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "check-ll", str(path))
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["N2"]["margin"] == "-inf" and doc["N2"]["holds"] is False
+    assert doc["N2"]["certified"] is True
+    assert doc["conditions_pass"] is False
+
+
 def test_check_ll_beam_reports_refusals_without_failing(capsys):
     code, out, _ = run(capsys, "check-ll", "beam")
     assert code == 0

@@ -663,13 +663,31 @@ def sign_table_weakly_coupled():
     return dataclasses.replace(build_example("weakly-coupled"), g=table)
 
 
-@pytest.mark.parametrize("name", ["weakly-coupled", "sign-table", "beam"])
+NU1_EXAMPLES = ("duffing-delay", "duffing-distributed", "gompertz-system",
+                "distributed-uniform", "distributed-sine")
+
+
+def table_problem(name):
+    if name == "sign-table":
+        return sign_table_weakly_coupled()
+    if name == "shifted-forcing":
+        # a time-shifted forcing gives the kernel forcing a complex argument
+        import dataclasses
+        prob = build_example("duffing-delay")
+        return dataclasses.replace(prob, p=prob.p.shift(0.7))
+    return build_example(name)
+
+
+@pytest.mark.parametrize("name", NU1_EXAMPLES + ("shifted-forcing", "weakly-coupled",
+                                                 "sign-table", "beam"))
 def test_sphere_table_matches_direct_evaluation(name, monkeypatch):
     # the orbit table reads every shifted field off one gamma_tilde call at
     # the representatives and the strata; a direct call on every element
-    # gives the same fields and N2 gaps
+    # gives the same fields and N2 gaps.  Rows: the design; on one slot
+    # frequency the R2 and N2 orbit minima of each representative; then
+    # the strata
     import fde.lazer_leach as ll
-    prob = sign_table_weakly_coupled() if name == "sign-table" else build_example(name)
+    prob = table_problem(name)
     rep = resonant_set(prob.P, prob.Lam)
     calls = []
 
@@ -678,19 +696,77 @@ def test_sphere_table_matches_direct_evaluation(name, monkeypatch):
         return gamma_tilde(p, w)
 
     monkeypatch.setattr(ll, "gamma_tilde", recording)
-    amps, gammas, gaps = _sphere_table(prob, rep, 256, 0.05)
+    amps, gammas, gaps, first_stratum = _sphere_table(prob, rep, 256, 0.05)
     strata = len(_strata(prob, rep))
-    assert strata == (0 if name == "beam" else 2)
-    assert calls == [(256 // ORBIT_PHASES + strata, 2)]
+    assert strata == (2 if name in ("weakly-coupled", "sign-table") else 0)
+    reps = 1 if rep.nu == 1 else 256 // ORBIT_PHASES
+    assert calls == [(reps + strata, rep.nu)]
     assert amps[:256].tobytes() == sphere_design(rep, 256)[0].tobytes()
-    # strata with one slot frequency add their R2 and N2 phases
-    assert len(amps) == 256 + 2 * strata
+    closed = 0 if name == "beam" else 2
+    assert first_stratum == 256 + closed * reps
+    assert len(amps) == first_stratum + closed * strata
     direct = gamma_tilde(prob, KernelElement(rep, amps)).amps
     d = deviation_eigenvalues(rep, prob.Psi) * amps
     d /= np.linalg.norm(d, axis=-1, keepdims=True)
     want = np.real(np.sum(d.conj() * direct, axis=-1)) - 0.05
     assert np.max(np.abs(gammas - direct)) <= 1e-12
     assert np.max(np.abs(gaps - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", NU1_EXAMPLES + ("shifted-forcing",))
+def test_two_dimensional_margins_are_the_phase_loop_closed_forms(name):
+    # the field at phase phi is c0 e^{-i phi} - a_p, c0 read off one direct
+    # gamma_tilde call at phase 0: R2 = ||c0| - |a_p|| at phase
+    # arg c0 - arg a_p, and N2 = Re(conj(mu_hat) c0) - |a_p| - budget at
+    # arg mu_hat - arg a_p
+    prob = table_problem(name)
+    rep = resonant_set(prob.P, prob.Lam)
+    a_p = kernel_forcing_coords(prob, rep)[0]
+    c0 = gamma_tilde(prob, SphereSample.single_phase(rep, 0.0)).amps[0] + a_p
+    mu = deviation_eigenvalues(rep, prob.Psi)[0]
+    budget = prob.h.sup_norm() / np.sqrt(2.0) if prob.h is not None else 0.0
+    scan = sphere_scan(prob, rep)
+    assert scan.n2["h_budget"] == budget
+    r2 = abs(abs(c0) - abs(a_p))
+    n2 = np.real(np.conj(mu / abs(mu)) * c0) - abs(a_p) - budget
+    assert abs(scan.r2["margin"] - r2) <= 1e-15
+    assert abs(scan.n2["margin"] - n2) <= 1e-15
+    for cert, phase in ((scan.r2, np.angle(c0) - np.angle(a_p)),
+                        (scan.n2, np.angle(mu) - np.angle(a_p))):
+        want = SphereSample.single_phase(rep, phase).amps
+        assert np.max(np.abs(witness_amps(cert) - want)) <= 1e-15
+
+
+def test_orbit_minima_of_the_representatives_are_closed_forms(monkeypatch):
+    # on one slot frequency each design representative adds its R2 and N2
+    # orbit minima; a 720-phase scan of the orbit through each such row
+    # starts at the row's value and never goes below it.  The rows come
+    # before the strata, so a witness among them is off the strata
+    import fde.lazer_leach as ll
+    prob = build_example("weakly-coupled")
+    rep = resonant_set(prob.P, prob.Lam)
+    amps, gammas, gaps, first_stratum = _sphere_table(prob, rep, 32, 0.05)
+    assert first_stratum == 32 + 2 * (32 // ORBIT_PHASES)
+    mu = deviation_eigenvalues(rep, prob.Psi)
+    phis = np.exp(-1j * TWO_PI * np.arange(720) / 720)[:, None]
+    for i in range(32, first_stratum):
+        orbit = phis * amps[i]
+        fields = gamma_tilde(prob, KernelElement(rep, orbit)).amps
+        if (i - 32) % 2 == 0:
+            values, row = np.linalg.norm(fields, axis=-1), np.linalg.norm(gammas[i])
+        else:
+            d = mu * orbit
+            d /= np.linalg.norm(d, axis=-1, keepdims=True)
+            values, row = np.real(np.sum(d.conj() * fields, axis=-1)) - 0.05, gaps[i]
+        assert abs(values[0] - row) <= 1e-12
+        assert values.min() >= row - 1e-12
+    # without the strata, both minima fall on closed-form rows
+    monkeypatch.setattr(ll, "_strata", lambda prob, report: np.zeros((0, report.nu), complex))
+    scan = sphere_scan(prob, rep)
+    closed = amps[32:first_stratum]
+    for cert in (scan.r2, scan.n2):
+        assert cert["stratum"] is False
+        assert np.min(np.max(np.abs(closed - witness_amps(cert)), axis=-1)) == 0.0
 
 
 def witness_amps(cert):

@@ -308,9 +308,9 @@ def brute_seed_table(prob, rep, amps, M):
                                                    "time-modulated-duffing",
                                                    "weakly-coupled", "beam"))
 def test_seed_table_matches_the_full_scan(example):
-    # on the time-shift orbits (every example here but time-modulated-duffing,
-    # whose h has an explicit t and takes the full scan) the table is read
-    # off one evaluation at the orbit representatives
+    # on the time-shift orbits the table is read off one evaluation at the
+    # orbit representatives; time-modulated-duffing, whose h has an
+    # explicit t, evaluates every design element
     prob = seed_problem(example)
     rep = resonant_set(prob.P, prob.Lam)
     a_p = KernelElement.from_poly(rep, prob.p).amps[0]
@@ -358,12 +358,14 @@ def test_seed_scan_on_a_four_dimensional_kernel_is_one_evaluation(example, monke
 
 
 @pytest.mark.parametrize("example", ["time-modulated-h", "time-modulated-duffing"])
-def test_seed_scan_off_the_orbit_is_one_evaluation_per_radius(example, monkeypatch):
-    # an explicit t in h breaks shift equivariance: the full scan
+def test_seed_scan_off_the_orbit_is_one_evaluation(example, monkeypatch):
+    # an explicit t in h breaks shift equivariance: every design element is
+    # its own orbit, and the zero element and the seven radii at each of
+    # the 64 go in one batch
     prob = seed_problem(example)
     assert prob.h is not None and prob.h.time_dependent
     _, calls = recorded_seed_scan(prob, monkeypatch)
-    assert calls == [()] + [(64,)] * 7
+    assert calls == [(512,)]
 
 
 def test_seed_kernel_unforced_odd_gives_zero_route():
