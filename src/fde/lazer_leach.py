@@ -82,7 +82,9 @@ class SphereSample(KernelElement):
     @staticmethod
     def single_phase(report: ResonanceReport, phase) -> "SphereSample":
         """The sample shaped like ``sqrt(2) cos(k t - phase)`` when the
-        kernel is two dimensional; an array of phases gives a batch."""
+        kernel is two dimensional; an array of phases gives a batch.
+        Public API for building a sample by its phase; the package itself
+        samples kernels through :func:`sphere_design`."""
         if report.nu != 1:
             raise DimensionMismatch("phase parametrization needs a 2-d kernel")
         return SphereSample(report, np.exp(-1j * np.asarray(phase))[..., None]

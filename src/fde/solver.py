@@ -22,8 +22,8 @@ Toeplitz block ``Ahat_{k-j} B_j`` plus a Hankel block
 the residual carries over exactly; the symbol adds ``L_k`` on the
 diagonal.  The full Newton step is an LU solve of that square system;
 least squares (minimum norm) runs only when it is exactly singular.
-A wide band iterates on a coarse band first and continues from there on
-the full band (see :func:`solve_periodic`).
+A wide band iterates on a ladder of doubling bands from a narrow one,
+and the full band confirms (see :func:`solve_periodic`).
 
 A run counts as converged when the coefficient residual meets
 ``tol_residual``, the residual does not move when the grid doubles, and
@@ -63,8 +63,8 @@ MU0, MU_GROW, MU_SHRINK = 1e-4, 8.0, 0.25
 SEED_RADII = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 SEED_SAMPLES = 64
 
-# coarse band: a solve above it runs its Newton iterations there first
-COARSE_KMAX = 64
+# narrowest first rung of the doubling band ladder of :func:`_stages`
+COARSE_KMAX = 16
 
 
 def _grid_size(u: TrigPoly | int, config, prob) -> int:
@@ -193,8 +193,8 @@ def _seed_table(prob, report: ResonanceReport, amps: np.ndarray, M: int):
     """``(zero, objs)``: ``|Proj_ker N|`` on ``M`` points at the zero
     element and at ``SEED_RADII[j] * amps[i]``, ``amps`` the design of
     :func:`~fde.lazer_leach.sphere_design`, from one evaluation at the
-    orbit representatives and the zero element.  With no explicit ``t`` in
-    ``h``, ``N(S u) = S N u + p - S p``, so
+    zero element and at each radius times each orbit representative.  With
+    no explicit ``t`` in ``h``, ``N(S u) = S N u + p - S p``, so
     ``objs[r P + l, j] = |D_l (c_rj - a_p) + a_p|``, ``c_rj`` the kernel
     coordinates at radius ``j`` and ``a_p`` those of the forcing (exact when
     ``P gcd(k_s)`` divides ``M``, else up to aliasing).  A time-modulated
@@ -203,14 +203,14 @@ def _seed_table(prob, report: ResonanceReport, amps: np.ndarray, M: int):
     """
     equivariant = prob.h is None or not prob.h.time_dependent
     shifts = sphere_design(report, len(amps))[1] if equivariant else np.ones((1, report.nu))
-    # the zero element and each radius times each representative
-    radii = np.concatenate([[0.0], SEED_RADII])[:, None, None]
-    reps = KernelElement(report, (radii * amps[::len(shifts)]).reshape(-1, report.nu))
-    N = nemytskii_eval(prob, reps.to_poly(), M)
-    c = KernelElement.from_poly(report, N).amps.reshape(len(radii), -1, 1, report.nu)
+    # the zero element once, then each radius times each representative
+    scaled = (np.array(SEED_RADII)[:, None, None] * amps[::len(shifts)]).reshape(-1, report.nu)
+    reps = KernelElement(report, np.vstack([np.zeros_like(scaled[:1]), scaled]))
+    c = KernelElement.from_poly(report, nemytskii_eval(prob, reps.to_poly(), M)).amps
     a_p = kernel_forcing_coords(prob, report)
-    objs = np.hypot.reduce(np.abs(shifts * (c[1:] - a_p) + a_p), axis=-1)
-    return np.hypot.reduce(np.abs(c[0, 0, 0])), objs.reshape(len(SEED_RADII), -1).T[:len(amps)]
+    rows = c[1:].reshape(len(SEED_RADII), -1, 1, report.nu)
+    objs = np.hypot.reduce(np.abs(shifts * (rows - a_p) + a_p), axis=-1)
+    return np.hypot.reduce(np.abs(c[0])), objs.reshape(len(SEED_RADII), -1).T[:len(amps)]
 
 
 def seed_kernel(prob, report: ResonanceReport | None = None,
@@ -229,9 +229,9 @@ def seed_kernel(prob, report: ResonanceReport | None = None,
     explicit ``t``, the whole table comes from one Nemytskii evaluation at
     the orbit representatives of the design (:func:`_seed_table`).
 
-    ``M`` defaults to the grid of the first Newton stage of
+    ``M`` defaults to the grid of the first Newton rung of
     :func:`solve_periodic` under ``config`` (``prob.solve`` when
-    ``None``), the coarse band's grid when ``config.kmax`` is above it.
+    ``None``), the grid of the band ``kc`` when ``config.kmax`` is above it.
     The objective is the kernel projection of the same Nemytskii map
     whose residual Newton must resolve on that grid, so the grid that
     serves the solve serves the ranking of its seeds.
@@ -297,14 +297,17 @@ def time_shift_gauge(prob) -> bool:
 
 
 def _stages(prob, config: SolveConfig, report: ResonanceReport) -> list:
-    """Settings of each Newton stage of a solve under ``config``, coarse
-    first: the band ``kc = max(COARSE_KMAX, kb, prob.p.kmax)`` on its own
-    ``4 kc`` grid when ``config.kmax`` is above it, then ``config``."""
+    """Settings of each Newton rung of a solve under ``config``, narrowest
+    first: the doubling bands ``kc, 2 kc, 4 kc, ...`` below ``config.kmax``,
+    ``kc = max(COARSE_KMAX, kb, prob.p.kmax)``, each on its own ``4 k``
+    grid, then ``config``."""
     kb = max((k for k, _ in report.kernel_slots()), default=0)
-    kc = max(COARSE_KMAX, kb, prob.p.kmax)
-    if config.kmax <= kc:
-        return [config]
-    return [replace(config, kmax=kc), config]
+    k = max(COARSE_KMAX, kb, prob.p.kmax)
+    rungs = []
+    while k < config.kmax:
+        rungs.append(replace(config, kmax=k))
+        k *= 2
+    return rungs + [config]
 
 
 def _newton(prob, u: TrigPoly, config: SolveConfig, mu: float, it: int,
@@ -331,30 +334,24 @@ def _newton(prob, u: TrigPoly, config: SolveConfig, mu: float, it: int,
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(J, -F, rcond=None)[0]
-        x_try = x + step
-        F_try = fvec(x_try)
+        F_try = fvec(x + step)
         res_try = float(np.linalg.norm(F_try))
-        if np.isfinite(res_try) and res_try < res:
-            x, F, res = x_try, F_try, res_try
-            mu = max(mu * MU_SHRINK, 1e-14)
-        else:
+        if not (np.isfinite(res_try) and res_try < res):
             JtJ = J.T @ J
             JtF = J.T @ F
             eye = np.eye(JtJ.shape[0])
-            accepted = False
             while mu < 1e14:
                 step = np.linalg.solve(JtJ + mu * eye, -JtF)
                 F_try = fvec(x + step)
                 res_try = float(np.linalg.norm(F_try))
                 if np.isfinite(res_try) and res_try < res:
-                    x, F, res = x + step, F_try, res_try
-                    mu = max(mu * MU_SHRINK, 1e-14)
-                    accepted = True
                     break
                 mu *= MU_GROW
-            if not accepted:
+            else:
                 diverged = True
                 break
+        x, F, res = x + step, F_try, res_try
+        mu = max(mu * MU_SHRINK, 1e-14)
         it += 1
         trace.append({"iter": it, "residual": res, "mu": mu, **tag})
     return unpack_coeffs(x, kmax, n), res, mu, it, diverged
@@ -366,14 +363,14 @@ def solve_periodic(prob, seed=None, config: SolveConfig | None = None,
 
     ``seed`` is a :class:`KernelElement`, a :class:`TrigPoly` initial
     guess, or ``None`` for the zero seed; ``config`` defaults to
-    ``prob.solve``.  When ``config.kmax`` is above
-    the coarse band ``kc = max(COARSE_KMAX, kb, prob.p.kmax)`` (``kb`` the
-    highest kernel mode), Newton first runs at ``kc`` on its own ``4 kc``
-    grid; the iterate is then padded to ``kmax`` and Newton continues on
-    the full band.  The two stages share the ``max_iter`` budget, and the
-    trace entries of the coarse stage carry its ``kmax``.  By mesh
-    independence the coarse stage takes the iterations and the full band
-    usually only confirms the result.
+    ``prob.solve``.  When ``config.kmax`` is above the first rung
+    ``kc = max(COARSE_KMAX, kb, prob.p.kmax)`` (``kb`` the highest kernel
+    mode), Newton climbs the doubling bands of :func:`_stages`: each rung
+    pads the last iterate, evaluates its residual on its own ``4 k`` grid
+    and iterates only while that misses the tolerance.  The rungs share
+    the ``max_iter`` budget; trace entries below the full band carry their
+    rung's ``kmax``.  The solutions occupy few modes, so the narrow rungs
+    take the iterations and the wide ones usually only confirm.
 
     Convergence is decided on the full band only.  A converged run
     re-evaluates the residual on a doubled grid; when the two disagree by
@@ -383,8 +380,8 @@ def solve_periodic(prob, seed=None, config: SolveConfig | None = None,
     """
     config = config or prob.solve
     report = resonant_set(prob.P, prob.Lam) if report is None else report
-    stages = _stages(prob, config, report)
-    k0 = stages[0].kmax
+    rungs = _stages(prob, config, report)
+    k0 = rungs[0].kmax
 
     seed_el = None
     if seed is None:
@@ -398,10 +395,10 @@ def solve_periodic(prob, seed=None, config: SolveConfig | None = None,
         raise DimensionMismatch("seed must be a KernelElement or TrigPoly")
 
     mu, it, trace = MU0, 0, []
-    for stage in stages:
-        tag = {"kmax": stage.kmax} if stage is not config else {}
+    for rung in rungs:
+        tag = {"kmax": rung.kmax} if rung is not config else {}
         u, res, mu, it, diverged = _newton(
-            prob, u.pad(stage.kmax), stage, mu, it, trace, tag)
+            prob, u.pad(rung.kmax), rung, mu, it, trace, tag)
     M = _grid_size(u, None, prob)
     converged = bool(res <= config.tol_residual and not diverged)
 

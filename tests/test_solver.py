@@ -17,8 +17,7 @@ from fde.nonlinearity import nemytskii_eval
 from fde.lazer_leach import sphere_design
 from fde.resonance import KernelElement, symbol
 from fde import solver
-from fde.solver import (COARSE_KMAX, _grid_sum, pack_coeffs, pack_residual,
-                        unpack_coeffs)
+from fde.solver import _grid_sum, pack_coeffs, pack_residual, unpack_coeffs
 
 TWO_PI = 2.0 * np.pi
 
@@ -239,9 +238,10 @@ def test_seed_kernel_ties_follow_sample_index(example):
                          + [("duffing-delay", 8), ("weakly-coupled", 8),
                             ("gompertz-system", 256), ("weakly-coupled", 256)])
 def test_seed_kernel_on_solve_grid_matches_fine_grid(example, kmax, monkeypatch):
-    # by default the scan runs on the grid of the solve it seeds (4 kmax,
-    # or 4 COARSE_KMAX when the solve starts on the coarse band); the seeds
-    # and their order are those of a 2048-point grid, bit for bit
+    # by default the scan runs on the grid of the solve it seeds: that of
+    # its first rung, 4 kmax up to the rung of 16 modes the ladder starts
+    # on; the seeds and their order are those of a 2048-point grid, bit
+    # for bit
     from fde import solver
     prob = build_example(example)
     config = None if kmax is None else SolveConfig(kmax=kmax)
@@ -255,8 +255,7 @@ def test_seed_kernel_on_solve_grid_matches_fine_grid(example, kmax, monkeypatch)
     monkeypatch.setattr(solver, "nemytskii_eval", recording)
     coarse = seed_kernel(prob, config=config)
     settings = config or prob.solve
-    solve_grid = 4 * settings.kmax if settings.kmax <= COARSE_KMAX else 4 * COARSE_KMAX
-    assert set(grids) == {solve_grid}
+    assert set(grids) == {4 * min(settings.kmax, 16)}
     fine = seed_kernel(prob, M=2048)
     assert [s.amps.tobytes() for s in coarse] == [s.amps.tobytes() for s in fine]
 
@@ -351,21 +350,21 @@ def test_seed_scan_on_a_two_dimensional_kernel_is_one_evaluation(example, monkey
 
 @pytest.mark.parametrize("example", ["weakly-coupled", "beam"])
 def test_seed_scan_on_a_four_dimensional_kernel_is_one_evaluation(example, monkeypatch):
-    # the zero element and the seven radii at each of the eight orbit
-    # representatives of the 64-element design, in one batch
+    # the zero element once, then the seven radii at each of the eight
+    # orbit representatives of the 64-element design, in one batch
     _, calls = recorded_seed_scan(seed_problem(example), monkeypatch)
-    assert calls == [(64,)]
+    assert calls == [(57,)]
 
 
 @pytest.mark.parametrize("example", ["time-modulated-h", "time-modulated-duffing"])
 def test_seed_scan_off_the_orbit_is_one_evaluation(example, monkeypatch):
     # an explicit t in h breaks shift equivariance: every design element is
-    # its own orbit, and the zero element and the seven radii at each of
-    # the 64 go in one batch
+    # its own orbit, and the zero element once and the seven radii at each
+    # of the 64 go in one batch
     prob = seed_problem(example)
     assert prob.h is not None and prob.h.time_dependent
     _, calls = recorded_seed_scan(prob, monkeypatch)
-    assert calls == [(512,)]
+    assert calls == [(449,)]
 
 
 def test_seed_kernel_unforced_odd_gives_zero_route():
@@ -414,20 +413,20 @@ def test_kmax_doubling_stability():
 
 @pytest.mark.parametrize("example", ["gompertz-system", "weakly-coupled"])
 def test_staged_solve_matches_coarse_band_solution(example):
-    # at kmax 256 Newton iterates on the coarse band and the full band
-    # confirms: the solution is the kmax 64 one, padded
+    # at kmax 256 Newton climbs the rungs 16, 32, 64 and 128 and the full
+    # band confirms: the solution is the kmax 64 one, padded
     prob = build_example(example)
     wide = solve_best(prob, SolveConfig(kmax=256))
     assert wide.converged and wide.u.kmax == 256
     assert wide.pointwise_residual <= 1e-8
-    assert {e["kmax"] for e in wide.trace if "kmax" in e} == {COARSE_KMAX}
+    assert {e["kmax"] for e in wide.trace if "kmax" in e} == {16, 32, 64, 128}
     assert "kmax" not in wide.trace[-1]
     narrow = solve_best(prob, SolveConfig(kmax=64))
     assert np.max(np.abs(wide.u.coeffs - narrow.u.pad(256).coeffs)) <= 1e-12
 
 
 def test_staged_coarse_band_covers_the_forcing():
-    # a forcing mode above COARSE_KMAX widens the coarse band to reach it
+    # a forcing mode above COARSE_KMAX widens the first rung to reach it
     prob = build_example("duffing-delay")
     prob = dataclasses.replace(prob, p=prob.p + TrigPoly.cosine(80, amplitude=0.01))
     res = solve_best(prob, SolveConfig(kmax=128))
@@ -449,6 +448,24 @@ def test_staged_solve_shares_the_iteration_budget():
                            SolveConfig(kmax=256, max_iter=coarse_iters - 1))
     assert not short.converged and short.iterations == coarse_iters - 1
     assert [e["iter"] for e in short.trace if "kmax" not in e] == [coarse_iters - 1]
+
+
+def test_band_ladder_climbs_when_the_narrow_rung_falls_short(monkeypatch):
+    # duffing-delay at kmax 64 converges at 16 modes, but that solution
+    # misses the tolerance once padded to 32: Newton iterates again there,
+    # and the full band only confirms
+    prob = build_example("duffing-delay")
+    config = SolveConfig(kmax=64)
+    res = solve_best(prob, config)
+    assert res.converged and res.iterations == 4
+    # each rung traces its first residual, then one entry per iteration
+    rungs = [e.get("kmax", 64) for e in res.trace]
+    assert [rungs.count(k) - 1 for k in (16, 32, 64)] == [3, 1, 0]
+    # the same solution as Newton on the full band from the start
+    monkeypatch.setattr(solver, "COARSE_KMAX", 64)
+    one = solve_best(prob, config)
+    assert one.converged and all("kmax" not in e for e in one.trace)
+    assert np.max(np.abs(res.u.coeffs - one.u.coeffs)) <= 1e-10
 
 
 def test_explicit_seed_forms():
