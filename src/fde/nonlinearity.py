@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
-from .measures import apply_deviation
-from .trigpoly import TrigPoly, analyze_grid, eval_grid
+from .trigpoly import TrigPoly, eval_grid
 
 
 def _base(kind: str, z):
@@ -394,7 +393,7 @@ class PerturbationTerm:
 
     def tmod(self, t):
         if self.tmod_harmonic == 0 and self.tmod_phase == 0.0:
-            return np.ones_like(t)
+            return 1.0
         return np.cos(self.tmod_harmonic * t + self.tmod_phase)
 
     def to_dict(self):
@@ -427,27 +426,29 @@ class HistoryPerturbation:
     def time_dependent(self) -> bool:
         return any(t.tmod_harmonic != 0 or t.tmod_phase != 0.0 for t in self.terms)
 
-    def tap_signals(self, u: TrigPoly, M: int) -> dict:
-        """Grid samples of every distinct delayed component read, each of
-        shape ``(..., M)`` over the batch axes of ``u``."""
-        out = {}
-        for term in self.terms:
-            for tap in term.taps:
-                key = (tap.component, tap.delay)
-                if key not in out:
-                    col = TrigPoly(u.coeffs[..., [tap.component]]).shift(-tap.delay)
-                    out[key] = eval_grid(col, M)[..., 0]
+    def taps(self) -> list:
+        """Distinct ``(component, delay)`` pairs the terms read, in order."""
+        return list(dict.fromkeys((tp.component, tp.delay) for t in self.terms for tp in t.taps))
+
+    def profiles(self, taps: np.ndarray, base=_h_base) -> list:
+        """``amp * tmod(t) * base(z)`` of each term, ``base`` the profile or its
+        derivative, from the ``(..., M, T)`` grid samples ``taps`` of :meth:`taps`."""
+        t = 2.0 * np.pi * np.arange(taps.shape[-2]) / taps.shape[-2]
+        col = {key: i for i, key in enumerate(self.taps())}
+        return [term.amp * term.tmod(t) * base(term.profile, sum(
+            tp.weight * taps[..., col[tp.component, tp.delay]] for tp in term.taps))
+            for term in self.terms]
+
+    def add_to(self, out: np.ndarray, taps: np.ndarray) -> np.ndarray:
+        """Add ``h(t, u_t)`` on the grid of ``taps`` (:meth:`profiles`) to ``out``."""
+        for term, v in zip(self.terms, self.profiles(taps)):
+            out[..., term.component] += v
         return out
 
     def eval(self, u: TrigPoly, M: int) -> np.ndarray:
         """Samples of ``h(t, u_t)`` on the uniform grid; shape ``(..., M, n_u)``."""
-        t = 2.0 * np.pi * np.arange(M) / M
-        taps = self.tap_signals(u, M)
-        out = np.zeros(u.coeffs.shape[:-2] + (M, u.n))
-        for term in self.terms:
-            z = sum(tap.weight * taps[(tap.component, tap.delay)] for tap in term.taps)
-            out[..., term.component] += term.amp * term.tmod(t) * _h_base(term.profile, z)
-        return out
+        taps = np.stack([eval_grid(u.shift(-d), M)[..., c] for c, d in self.taps()], axis=-1)
+        return self.add_to(np.zeros(u.coeffs.shape[:-2] + (M, u.n)), taps)
 
     def to_dict(self) -> dict:
         return {"terms": [t.to_dict() for t in self.terms]}
@@ -465,20 +466,28 @@ class HistoryPerturbation:
         return HistoryPerturbation(terms)
 
 
-def nemytskii_eval(prob, u: TrigPoly, M: int) -> TrigPoly:
-    """Coefficients of ``N u = p - g(Psi u) - h(t, u_t)`` up to ``u.kmax``.
+def nemytskii_core(prob, c: np.ndarray, M: int):
+    """``(N, samples)`` at the ``(..., kmax+1, n)`` coefficients ``c`` of
+    ``u``: those of ``N u = p - g(Psi u) - h(t, u_t)`` up to ``kmax`` from one
+    spectral pass (one inverse FFT of ``Psi u`` and the taps of ``h`` from
+    ``prob.column_stack``, ``g`` and ``h`` pointwise, one FFT back, the
+    band-limited forcing added in coefficient space), and the ``(..., M, n + T)``
+    samples of ``Psi u`` and the taps.  ``M >= 4 kmax`` keeps aliasing low."""
+    kmax, n = c.shape[-2] - 1, c.shape[-1]
+    need = max(2 * kmax + 1, 4 * kmax, 2 * prob.p.kmax + 1)
+    if M < need:
+        raise DimensionMismatch(f"M={M} undersamples kmax={kmax}; need >= {need}")
+    cols = np.einsum("kij,...kj->...ki", prob.column_stack(kmax), c)
+    samples = np.fft.irfft(cols, M, axis=-2, norm="forward")
+    total = prob.g(samples[..., :n])
+    if samples.shape[-1] > n:
+        prob.h.add_to(total, samples[..., n:])
+    N = np.fft.rfft(total, axis=-2)[..., :kmax + 1, :] / -M
+    N[..., :prob.p.kmax + 1, :] += prob.p.coeffs[:kmax + 1]
+    return N, samples
 
-    Evaluated pseudospectrally: sample on ``M`` points, apply the
-    nonlinearities pointwise, re-analyze.  ``M`` must oversample the band
-    (``M >= 4 kmax``) to keep aliasing below the solver tolerances.  A batch
-    of ``u`` gives the batch of results.
-    """
-    kmax = u.kmax
-    if M < max(2 * kmax + 1, 4 * kmax):
-        raise DimensionMismatch(f"M={M} undersamples kmax={kmax}; need >= {4 * kmax}")
-    # h first and the rest in place: a batch makes every grid array large
-    h = prob.h.eval(u, M) if prob.h is not None and prob.h.terms else 0.0
-    total = prob.g(eval_grid(apply_deviation(prob.Psi, u), M))
-    np.subtract(eval_grid(prob.p, M), total, out=total)
-    total -= h
-    return analyze_grid(total, kmax)
+
+def nemytskii_eval(prob, u: TrigPoly, M: int) -> TrigPoly:
+    """Coefficients of ``N u`` up to ``u.kmax`` (:func:`nemytskii_core`); a
+    batch of ``u`` gives the batch of results."""
+    return TrigPoly(nemytskii_core(prob, u.coeffs, M)[0])

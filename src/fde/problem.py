@@ -121,6 +121,8 @@ class ProblemSpec:
     p: TrigPoly
     h: HistoryPerturbation | None = None
     solve: SolveConfig = field(default_factory=SolveConfig)
+    _columns: np.ndarray | None = field(default=None, init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         n = self.P.n
@@ -139,6 +141,18 @@ class ProblemSpec:
     @property
     def n(self) -> int:
         return self.P.n
+
+    def column_stack(self, kmax: int) -> np.ndarray:
+        """Read-only ``(kmax+1, n + T, n)`` mode multipliers of ``Psi u`` and of
+        the ``T`` taps ``u_c(t - delay)`` of :meth:`HistoryPerturbation.taps`
+        (``e_c e^{-ik delay}``), cached and grown like :meth:`MeasureMatrix.stack`."""
+        if self._columns is None or self._columns.shape[0] <= kmax:
+            k = np.arange(kmax + 1)[:, None, None]
+            taps = self.h.taps() if self.h is not None else []
+            rows = [np.eye(self.n)[[c]] * np.exp(-1j * k * d) for c, d in taps]
+            self._columns = np.concatenate([self.Psi.stack(kmax)] + rows, axis=1)
+            self._columns.flags.writeable = False
+        return self._columns[:kmax + 1]
 
     def to_dict(self) -> dict:
         return {"n": self.n,

@@ -2,40 +2,41 @@
 
 The state is the real coefficient vector of a degree ``kmax`` trig
 polynomial; the residual is ``R(u) = L u - N u`` with the linear symbol
-applied mode by mode and the Nemytskii part evaluated pseudospectrally.
-Damped Gauss-Newton (Levenberg-Marquardt) handles the singular symbol
-blocks at resonant frequencies; seeding along the kernel supplies the
-resonant coordinates a zero initial guess cannot reach.
-
-Packing convention: ``x = [c_0, Re c_1, Im c_1, ..., Re c_K, Im c_K]``
-componentwise, and the packed residual carries sqrt(2) weights on the
-``k >= 1`` rows so its Euclidean norm equals the L2 norm of ``R``.
+applied mode by mode and the Nemytskii part from one spectral pass of
+:func:`~fde.nonlinearity.nemytskii_core`.  Damped Gauss-Newton
+(Levenberg-Marquardt) handles the singular symbol blocks at resonant
+frequencies; seeding along the kernel supplies the resonant coordinates a
+zero initial guess cannot reach.  Newton stays on packed arrays,
+``x = [c_0, Re c_1, Im c_1, ..., Re c_K, Im c_K]`` componentwise, and the
+packed residual carries sqrt(2) weights on the ``k >= 1`` rows so its
+Euclidean norm equals the L2 norm of ``R``.
 
 The Jacobian is assembled alternating frequency and time (Krack & Gross,
-*Harmonic Balance for Nonlinear Vibration Problems*, 2019): the
-linearized Nemytskii part is a sum of products ``A(t) (B u)(t)`` of a grid
-function with a mode multiplier -- ``g'(Psi u)`` with ``psihat(-k)``, and
-for each tap of ``h`` its weight times the profile derivative with the
-delay phase ``e^{-ik tau}``.  One FFT of ``A`` turns each product into a
-Toeplitz block ``Ahat_{k-j} B_j`` plus a Hankel block
-``Ahat_{k+j} conj(B_j)``, with indices mod ``M`` so the grid aliasing of
-the residual carries over exactly; the symbol adds ``L_k`` on the
-diagonal.  The full Newton step is an LU solve of that square system;
-least squares (minimum norm) runs only when it is exactly singular.
-A wide band iterates on a ladder of doubling bands from a narrow one,
-and the full band confirms (see :func:`solve_periodic`).
+*Harmonic Balance for Nonlinear Vibration Problems*, 2019) from the grid
+samples of the residual evaluation at the same iterate: the linearized
+Nemytskii part is a product ``A(t) (B u)(t)`` of grid functions -- the
+entries of ``g'(Psi u)`` and the profile derivative of each tap of ``h``
+-- with the mode multipliers ``psihat(-k)`` and ``e^{-ik tau}``.  One FFT
+of ``A`` turns it into a Toeplitz block ``Ahat_{k-j} B_j`` plus a Hankel
+block ``Ahat_{k+j} conj(B_j)``, with indices mod ``M`` so the grid
+aliasing of the residual carries over exactly; the symbol adds ``L_k`` on
+the diagonal.  The full Newton step is an LU solve of that square system;
+least squares (minimum norm) runs only when it is exactly singular.  A
+wide band iterates on a ladder of doubling bands from a narrow one; after
+a rung that takes no step the full band confirms (:func:`solve_periodic`).
 
 A run counts as converged when the coefficient residual meets
 ``tol_residual``, the residual does not move when the grid doubles, and
 the pointwise defect meets :data:`VERIFY_TOL`, the tolerance ``fde
 verify`` applies.  :func:`verify_pointwise` evaluates every atom of the
-measures directly, as ``u(t + theta)`` from one roots-of-unity sum of the
-shifted polynomials over the grid (:func:`_grid_sum`), so it shares no
-FFT or :func:`apply_deviation` step for atoms with the solver.
+measures and every tap of ``h`` directly, as ``u(t + theta)`` from one
+roots-of-unity sum of the shifted polynomials over the grid
+(:func:`_grid_sum`), so it shares no FFT with the solver.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -43,7 +44,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, GridTooSmall
 from .measures import MeasureMatrix, ScalarMeasure, apply_deviation
-from .nonlinearity import _h_base_deriv, nemytskii_eval
+from .nonlinearity import _h_base_deriv, nemytskii_core, nemytskii_eval
 from .problem import SolveConfig
 from .lazer_leach import kernel_forcing_coords, sphere_design
 from .resonance import KernelElement, ResonanceReport, resonant_set, symbol_stack
@@ -85,12 +86,14 @@ def assemble_residual(prob, u: TrigPoly, M: int | None = None) -> TrigPoly:
     """Coefficients of ``R(u) = L u - N u`` on the band of ``u``, with the
     Nemytskii part on ``M`` points (default :func:`_grid_size`) and the
     symbols from :func:`~fde.resonance.symbol_stack`."""
-    if M is None:
-        M = _grid_size(u, None, prob)
-    N = nemytskii_eval(prob, u, M)
-    L = symbol_stack(prob.P, prob.Lam, u.kmax)
-    R = np.einsum("kij,kj->ki", L, u.coeffs) - N.coeffs
-    return TrigPoly(R)
+    return TrigPoly(_residual(prob, u.coeffs, M or _grid_size(u, None, prob))[0])
+
+
+def _residual(prob, c: np.ndarray, M: int):
+    """``(R(u), samples of nemytskii_core)`` at the coefficients ``c`` of ``u``."""
+    N, samples = nemytskii_core(prob, c, M)
+    L = symbol_stack(prob.P, prob.Lam, c.shape[-2] - 1)
+    return np.einsum("kij,kj->ki", L, c) - N, samples
 
 
 # -- real packing ------------------------------------------------------
@@ -106,12 +109,16 @@ def pack_coeffs(u: TrigPoly) -> np.ndarray:
     return _pack(u.coeffs, 1.0)
 
 
-def unpack_coeffs(x: np.ndarray, kmax: int, n: int) -> TrigPoly:
+def _unpack(x: np.ndarray, kmax: int, n: int) -> np.ndarray:
     tail = x[n:].reshape(kmax, 2, n)
     c = np.empty((kmax + 1, n), dtype=complex)
     c[0] = x[:n]
     c[1:] = tail[:, 0] + 1j * tail[:, 1]
-    return TrigPoly(c)
+    return c
+
+
+def unpack_coeffs(x: np.ndarray, kmax: int, n: int) -> TrigPoly:
+    return TrigPoly(_unpack(x, kmax, n))
 
 
 def pack_residual(R: TrigPoly) -> np.ndarray:
@@ -122,47 +129,33 @@ def pack_residual(R: TrigPoly) -> np.ndarray:
 # -- Jacobian ----------------------------------------------------------
 
 
-def coefficient_jacobian(prob, u: TrigPoly) -> np.ndarray:
-    """Jacobian of the packed residual at ``u``, on the grid of
-    :func:`_grid_size`."""
+def coefficient_jacobian(prob, u: TrigPoly, samples: np.ndarray | None = None) -> np.ndarray:
+    """Jacobian of the packed residual at ``u`` on the grid of :func:`_grid_size`, from
+    the ``samples`` of :func:`~fde.nonlinearity.nemytskii_core` there (computed if None)."""
     if not prob.g.smooth:
         raise DimensionMismatch(
             "sign-table nonlinearity is not differentiable; solving needs a "
             "smooth catalog profile")
     kmax, n, M = u.kmax, u.n, _grid_size(u, None, prob)
-    k = np.arange(kmax + 1)
-    # a product A(t) (B u)(t) sends c_j to mode k through Ahat_{k-j} B_j
-    # and conj(c_j) through Ahat_{k+j} conj(B_j); DFT indices are mod M
-    # (k + j <= 2 kmax < M needs no wrap)
-    toeplitz, hankel = (k[:, None] - k) % M, k[:, None] + k
-
-    def spectra(a):
-        ahat = np.fft.fft(a, axis=-1) / M
-        return np.take(ahat, toeplitz, axis=-1), np.take(ahat, hankel, axis=-1)
-
-    # g'(Psi u) with psihat(-j), contracted over the middle component;
-    # T and H are indexed [row component, column component, k, j]
-    dG = prob.g.deriv(eval_grid(apply_deviation(prob.Psi, u), M))
-    if prob.g.kind == "componentwise":
-        dG = dG[:, :, None] * np.eye(n)
-    At, Ah = spectra(dG.transpose(1, 2, 0))
-    psi = prob.Psi.stack(kmax).transpose(1, 2, 0)[None, :, :, None, :]
-    T = (At[:, :, None] * psi).sum(axis=1)
-    H = (Ah[:, :, None] * psi.conj()).sum(axis=1)
-
-    # each tap of h: its weight times the profile derivative, with e^{-ij tau}
-    if prob.h is not None and prob.h.terms:
-        t = TWO_PI * np.arange(M) / M
-        taps = prob.h.tap_signals(u, M)
-        for term in prob.h.terms:
-            z = sum(tap.weight * taps[(tap.component, tap.delay)] for tap in term.taps)
-            fac = term.amp * term.tmod(t) * _h_base_deriv(term.profile, z)
+    if samples is None:
+        samples = nemytskii_core(prob, u.coeffs, M)[1]
+    # A(t) holds g'(Psi u) and, in the column of each tap, its weight times
+    # the profile derivative of each term that reads it; B is column_stack
+    A = np.zeros((n, samples.shape[-1], M))
+    dG = prob.g.deriv(samples[:, :n])
+    A[:, :n] = dG.T * np.eye(n)[..., None] if prob.g.componentwise else dG.transpose(1, 2, 0)
+    if samples.shape[-1] > n:
+        col = {key: n + f for f, key in enumerate(prob.h.taps())}
+        for term, fac in zip(prob.h.terms, prob.h.profiles(samples[:, n:], _h_base_deriv)):
             for tap in term.taps:
-                at, ah = spectra(tap.weight * fac)
-                phase = np.exp(-1j * k * tap.delay)
-                T[term.component, tap.component] += at * phase
-                H[term.component, tap.component] += ah * phase.conj()
-
+                A[term.component, col[tap.component, tap.delay]] += tap.weight * fac
+    # one FFT of A; k + j <= 2 kmax < M needs no wrap; T and H are indexed
+    # [row component, column component, k, j]
+    k = np.arange(kmax + 1)
+    ahat = np.fft.fft(A, axis=-1) / M
+    psi = prob.column_stack(kmax).transpose(1, 2, 0)[None, :, :, None, :]
+    T = (np.take(ahat, (k[:, None] - k) % M, axis=-1)[:, :, None] * psi).sum(axis=1)
+    H = (np.take(ahat, k[:, None] + k, axis=-1)[:, :, None] * psi.conj()).sum(axis=1)
     H[..., 0] = 0.0                 # the real mean mode has no conjugate twin
     T[:, :, k, k] += symbol_stack(prob.P, prob.Lam, kmax).transpose(1, 2, 0)
     # split c_j = a_j + i b_j into real columns
@@ -319,22 +312,25 @@ def _newton(prob, u: TrigPoly, config: SolveConfig, mu: float, it: int,
     M = _grid_size(u, None, prob)
     x = pack_coeffs(u)
 
+    # packed residual, and the coefficients and grid samples the Jacobian reads
     def fvec(xv):
-        return pack_residual(assemble_residual(prob, unpack_coeffs(xv, kmax, n), M))
+        c = _unpack(xv, kmax, n)
+        R, samples = _residual(prob, c, M)
+        return _pack(R, np.sqrt(2.0)), (c, samples)
 
-    F = fvec(x)
+    F, at = fvec(x)
     res = float(np.linalg.norm(F))
     trace.append({"iter": it, "residual": res, "mu": mu, **tag})
     diverged = False
     while res > config.tol_residual and it < config.max_iter:
-        J = coefficient_jacobian(prob, unpack_coeffs(x, kmax, n))
+        J = coefficient_jacobian(prob, TrigPoly(at[0]), at[1])
         # full Gauss-Newton step first (LU; least squares only when J is
         # exactly singular); damp only when it fails to descend
         try:
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(J, -F, rcond=None)[0]
-        F_try = fvec(x + step)
+        F_try, at_try = fvec(x + step)
         res_try = float(np.linalg.norm(F_try))
         if not (np.isfinite(res_try) and res_try < res):
             JtJ = J.T @ J
@@ -342,7 +338,7 @@ def _newton(prob, u: TrigPoly, config: SolveConfig, mu: float, it: int,
             eye = np.eye(JtJ.shape[0])
             while mu < 1e14:
                 step = np.linalg.solve(JtJ + mu * eye, -JtF)
-                F_try = fvec(x + step)
+                F_try, at_try = fvec(x + step)
                 res_try = float(np.linalg.norm(F_try))
                 if np.isfinite(res_try) and res_try < res:
                     break
@@ -350,11 +346,11 @@ def _newton(prob, u: TrigPoly, config: SolveConfig, mu: float, it: int,
             else:
                 diverged = True
                 break
-        x, F, res = x + step, F_try, res_try
+        x, F, res, at = x + step, F_try, res_try, at_try
         mu = max(mu * MU_SHRINK, 1e-14)
         it += 1
         trace.append({"iter": it, "residual": res, "mu": mu, **tag})
-    return unpack_coeffs(x, kmax, n), res, mu, it, diverged
+    return TrigPoly(at[0]), res, mu, it, diverged
 
 
 def solve_periodic(prob, seed=None, config: SolveConfig | None = None,
@@ -363,14 +359,14 @@ def solve_periodic(prob, seed=None, config: SolveConfig | None = None,
 
     ``seed`` is a :class:`KernelElement`, a :class:`TrigPoly` initial
     guess, or ``None`` for the zero seed; ``config`` defaults to
-    ``prob.solve``.  When ``config.kmax`` is above the first rung
-    ``kc = max(COARSE_KMAX, kb, prob.p.kmax)`` (``kb`` the highest kernel
-    mode), Newton climbs the doubling bands of :func:`_stages`: each rung
-    pads the last iterate, evaluates its residual on its own ``4 k`` grid
-    and iterates only while that misses the tolerance.  The rungs share
-    the ``max_iter`` budget; trace entries below the full band carry their
-    rung's ``kmax``.  The solutions occupy few modes, so the narrow rungs
-    take the iterations and the wide ones usually only confirm.
+    ``prob.solve``.  Newton climbs the doubling bands of :func:`_stages`
+    (one rung when ``config.kmax`` is at most ``kc = max(COARSE_KMAX, kb,
+    prob.p.kmax)``, ``kb`` the highest kernel mode); a :class:`TrigPoly`
+    seed starts on the first rung that holds its live band.  Each rung pads
+    the last iterate, evaluates its residual on its own ``4 k`` grid and
+    iterates only while that misses the tolerance; after a rung that takes
+    no step the full band confirms at once.  The rungs share ``max_iter``;
+    trace entries below the full band carry their rung's ``kmax``.
 
     Convergence is decided on the full band only.  A converged run
     re-evaluates the residual on a doubled grid; when the two disagree by
@@ -381,22 +377,25 @@ def solve_periodic(prob, seed=None, config: SolveConfig | None = None,
     config = config or prob.solve
     report = resonant_set(prob.P, prob.Lam) if report is None else report
     rungs = _stages(prob, config, report)
-    k0 = rungs[0].kmax
 
     seed_el = None
     if seed is None:
-        u = TrigPoly.zero(prob.n, k0)
+        u = TrigPoly.zero(prob.n, rungs[0].kmax)
     elif isinstance(seed, KernelElement):
         seed_el = seed
-        u = seed.to_poly(k0)
+        u = seed.to_poly(rungs[0].kmax)
     elif isinstance(seed, TrigPoly):
-        u = seed.truncate(k0)
+        rungs = [r for r in rungs if not np.any(seed.coeffs[r.kmax + 1:])] or rungs[-1:]
+        u = seed.truncate(rungs[0].kmax)
     else:
         raise DimensionMismatch("seed must be a KernelElement or TrigPoly")
 
-    mu, it, trace = MU0, 0, []
+    mu, it, trace, start = MU0, 0, [], None
     for rung in rungs:
+        if it == start and not diverged and rung is not config:
+            continue        # the last rung took no step: the full band confirms
         tag = {"kmax": rung.kmax} if rung is not config else {}
+        start = it
         u, res, mu, it, diverged = _newton(
             prob, u.pad(rung.kmax), rung, mu, it, trace, tag)
     M = _grid_size(u, None, prob)
@@ -469,19 +468,25 @@ def _apply_measure_grid(mat: MeasureMatrix, u: TrigPoly, shifted: dict,
     values ``u(t + theta)`` from ``shifted``, densities go through their
     closed-form mode transforms."""
     out = np.zeros((M, mat.n))
-    dens = MeasureMatrix.zero(mat.n)
-    any_dens = False
-    for i in range(mat.n):
-        for j in range(mat.n):
-            m = mat.entries[i][j]
+    for i, row in enumerate(mat.entries):
+        for j, m in enumerate(row):
             for theta, wgt in m.atoms:
                 out[:, i] += wgt * shifted[theta][:, j]
-            if m.densities:
-                dens.entries[i][j] = ScalarMeasure(densities=list(m.densities))
-                any_dens = True
-    if any_dens:
-        out += eval_grid(apply_deviation(dens, u), M)
+    if any(m.densities for row in mat.entries for m in row):
+        dens = [[ScalarMeasure(densities=list(m.densities)) for m in row] for row in mat.entries]
+        out += eval_grid(apply_deviation(MeasureMatrix(mat.n, dens), u), M)
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def _root_tables(M: int, K: int):
+    """Read-only ``(L, K)`` and ``(K, Q)`` root-of-unity tables of :func:`_grid_sum`."""
+    L = max(d for d in range(1, math.isqrt(M) + 1) if M % d == 0)
+    roots = np.exp(1j * TWO_PI * np.arange(M) / M)
+    k = np.arange(1, K + 1)
+    A, B = roots[np.outer(np.arange(L), k) % M], roots[np.outer(k, L * np.arange(M // L)) % M]
+    A.flags.writeable = B.flags.writeable = False
+    return A, B
 
 
 def _grid_sum(c: np.ndarray, M: int) -> np.ndarray:
@@ -500,15 +505,9 @@ def _grid_sum(c: np.ndarray, M: int) -> np.ndarray:
     out = np.broadcast_to(c[0].real, (M,) + c.shape[1:]).copy()
     if K == 0:
         return out
-    L = max(d for d in range(1, math.isqrt(M) + 1) if M % d == 0)
-    Q = M // L
-    t = TWO_PI * np.arange(M) / M
-    roots = np.cos(t) + 1j * np.sin(t)
-    k = np.arange(1, K + 1)
-    A = roots[np.outer(np.arange(L), k) % M]                  # (L, K)
-    B = roots[np.outer(L * np.arange(Q), k) % M]              # (Q, K)
-    cols = c[1:].reshape(K, 1, -1)
-    S = A @ (B.T[:, :, None] * cols).reshape(K, -1)
+    A, B = _root_tables(M, K)
+    L, Q = A.shape[0], B.shape[1]
+    S = A @ (B[:, :, None] * c[1:].reshape(K, 1, -1)).reshape(K, -1)
     # row r, column (q, col) is grid point j = r + L q
     out += 2.0 * S.real.reshape(L, Q, -1).transpose(1, 0, 2).reshape(out.shape)
     return out
@@ -520,10 +519,12 @@ def verify_pointwise(prob, u: TrigPoly, M_fine: int | None = None) -> float:
     Independent of the solver path: derivatives are spectral but every
     measure is applied directly and the nonlinearities are evaluated
     pointwise without re-projection.  Each atom ``theta`` of ``Lam`` and
-    ``Psi`` reads ``u(t + theta)`` from one direct sum of the shifted
-    coefficients over the grid (:func:`_grid_sum`), and so does the
-    forcing.  ``M_fine`` and its check follow the declared ``u.kmax``; the
-    sums run only up to the last nonzero mode.
+    ``Psi`` and each tap of ``h`` (``theta = -delay``) reads ``u(t + theta)``
+    from one direct sum of the shifted coefficients over the grid
+    (:func:`_grid_sum`), which also sums the forcing; no FFT of
+    :func:`~fde.nonlinearity.nemytskii_core` is involved.  ``M_fine`` and
+    its check follow the declared ``u.kmax``; the sums run only up to the
+    last nonzero mode (or that of ``p``).
     """
     if M_fine is None:
         M_fine = verify_grid(u.kmax)
@@ -535,16 +536,17 @@ def verify_pointwise(prob, u: TrigPoly, M_fine: int | None = None) -> float:
     acc = np.zeros((M_fine, u.n))
     for j in range(prob.P.degree + 1):
         acc += eval_grid(differentiate(u, j), M_fine) @ prob.P.coeffs[j].T
-    # u(t + theta) for every atom position of Lam and Psi
+    # u(t + theta) at each atom and tap (-delay, wrapped like atoms), then p
+    taps = prob.h.taps() if prob.h is not None else []
     thetas = sorted({theta for mat in (prob.Lam, prob.Psi) for row in mat.entries
-                     for m in row for theta, _ in m.atoms})
-    shifted = {}
-    if thetas:
-        c = np.moveaxis(u.shift(np.array(thetas)).coeffs, 0, 1)   # (K+1, S, n)
-        shifted = dict(zip(thetas, np.moveaxis(_grid_sum(c, M_fine), 1, 0)))
+                     for m in row for theta, _ in m.atoms} | {-d % TWO_PI for _, d in taps})
+    K = max(u.kmax, prob.p.kmax)
+    c = np.concatenate([u.pad(K).shift(np.array(thetas)).coeffs, prob.p.pad(K).coeffs[None]])
+    sums = np.moveaxis(_grid_sum(np.moveaxis(c, 0, 1), M_fine), 1, 0)     # (S+1, M, n)
+    shifted = dict(zip(thetas, sums))
     acc += _apply_measure_grid(prob.Lam, u, shifted, M_fine)
     acc += prob.g(_apply_measure_grid(prob.Psi, u, shifted, M_fine))
-    if prob.h is not None and prob.h.terms:
-        acc += prob.h.eval(u, M_fine)
-    acc -= _grid_sum(prob.p.coeffs, M_fine)
+    if taps:
+        prob.h.add_to(acc, np.stack([shifted[-d % TWO_PI][:, i] for i, d in taps], axis=-1))
+    acc -= sums[-1]
     return float(np.max(np.sqrt(np.sum(acc * acc, axis=1))))

@@ -218,7 +218,7 @@ def test_solve_wide_band_traces_the_coarse_stage(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["converged"] is True and doc["kmax"] == 256
-    assert {e["kmax"] for e in doc["trace"] if "kmax" in e} == {16, 32, 64, 128}
+    assert {e["kmax"] for e in doc["trace"] if "kmax" in e} == {16, 32}
     assert "kmax" not in doc["trace"][-1]
 
 

@@ -13,7 +13,10 @@ from fde import (BoundedNonlinearity, ConstProfile, DelayTap, Density,
                  solve_best, solve_periodic, time_shift_gauge,
                  verify_pointwise)
 from fde.errors import GridTooSmall
-from fde.nonlinearity import nemytskii_eval
+from fde import nonlinearity
+from fde.measures import apply_deviation
+from fde.nonlinearity import _h_base, nemytskii_core, nemytskii_eval
+from fde.trigpoly import analyze_grid, eval_grid
 from fde.lazer_leach import sphere_design
 from fde.resonance import KernelElement, symbol
 from fde import solver
@@ -205,6 +208,39 @@ def test_nemytskii_batch_matches_single_calls(ex):
     got = nemytskii_eval(prob, TrigPoly(coeffs), 64).coeffs
     want = np.stack([nemytskii_eval(prob, TrigPoly(c), 64).coeffs for c in coeffs])
     assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def per_tap_nemytskii(prob, c, M):
+    # the formula before the spectral core: Psi u, every tap of h and the
+    # forcing each sampled on their own, then one analysis of the sum
+    u = TrigPoly(c)
+    total = eval_grid(prob.p, M) - prob.g(eval_grid(apply_deviation(prob.Psi, u), M))
+    t = TWO_PI * np.arange(M) / M
+    for term in (prob.h.terms if prob.h is not None else []):
+        z = sum(tap.weight * eval_grid(TrigPoly(c[..., [tap.component]]).shift(-tap.delay),
+                                       M)[..., 0] for tap in term.taps)
+        total[..., term.component] -= term.amp * term.tmod(t) * _h_base(term.profile, z)
+    return analyze_grid(total, u.kmax).coeffs
+
+
+@pytest.mark.parametrize("example", ALL_EXAMPLES + ("time-modulated-h",
+                                                   "time-modulated-duffing",
+                                                   "radial-two-tap"))
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_nemytskii_core_matches_the_per_tap_formula(example, batch):
+    prob = radial_two_tap() if example == "radial-two-tap" else seed_problem(example)
+    rng = np.random.default_rng(11)
+    shape = batch + (13, prob.n)
+    decay = np.exp(-0.4 * np.arange(13))[:, None]
+    c = 0.6 * decay * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    c[..., 0, :] = c[..., 0, :].real
+    N, samples = nemytskii_core(prob, c, 64)
+    assert np.max(np.abs(N - per_tap_nemytskii(prob, c, 64))) <= 1e-13
+    # the samples the Jacobian reads: Psi u, then one column per tap
+    psi = eval_grid(apply_deviation(prob.Psi, TrigPoly(c)), 64)
+    assert np.max(np.abs(samples[..., :prob.n] - psi)) <= 1e-13
+    taps = prob.h.taps() if prob.h is not None else []
+    assert samples.shape == batch + (64, prob.n + len(taps))
 
 
 def test_seed_kernel_duffing():
@@ -413,13 +449,14 @@ def test_kmax_doubling_stability():
 
 @pytest.mark.parametrize("example", ["gompertz-system", "weakly-coupled"])
 def test_staged_solve_matches_coarse_band_solution(example):
-    # at kmax 256 Newton climbs the rungs 16, 32, 64 and 128 and the full
-    # band confirms: the solution is the kmax 64 one, padded
+    # at kmax 256 Newton iterates on the rung of 16 modes, the rung of 32
+    # takes no step, so the full band confirms at once: the solution is the
+    # kmax 64 one, padded
     prob = build_example(example)
     wide = solve_best(prob, SolveConfig(kmax=256))
     assert wide.converged and wide.u.kmax == 256
     assert wide.pointwise_residual <= 1e-8
-    assert {e["kmax"] for e in wide.trace if "kmax" in e} == {16, 32, 64, 128}
+    assert {e["kmax"] for e in wide.trace if "kmax" in e} == {16, 32}
     assert "kmax" not in wide.trace[-1]
     narrow = solve_best(prob, SolveConfig(kmax=64))
     assert np.max(np.abs(wide.u.coeffs - narrow.u.pad(256).coeffs)) <= 1e-12
@@ -466,6 +503,45 @@ def test_band_ladder_climbs_when_the_narrow_rung_falls_short(monkeypatch):
     one = solve_best(prob, config)
     assert one.converged and all("kmax" not in e for e in one.trace)
     assert np.max(np.abs(res.u.coeffs - one.u.coeffs)) <= 1e-10
+
+
+@pytest.mark.parametrize("kmax", [64, 256])
+def test_wide_solve_makes_one_core_call_per_iteration(kmax, monkeypatch):
+    # the seed scan, the first residual at 16 modes, one per iteration, the
+    # check at 32 modes, the full band and its doubled grid: the Jacobian
+    # reads the samples of the residual that accepted its iterate, and the
+    # rungs between 32 modes and the full band are skipped
+    calls, jacobians = [], []
+    core, jacobian = nonlinearity.nemytskii_core, solver.coefficient_jacobian
+
+    def recording(p, c, M):
+        calls.append(c.shape)
+        return core(p, c, M)
+
+    def recording_jacobian(p, u, samples=None):
+        jacobians.append(u.kmax)
+        return jacobian(p, u, samples)
+
+    monkeypatch.setattr(nonlinearity, "nemytskii_core", recording)
+    monkeypatch.setattr(solver, "nemytskii_core", recording)
+    monkeypatch.setattr(solver, "coefficient_jacobian", recording_jacobian)
+    res = solve_best(build_example("gompertz-system"), SolveConfig(kmax=kmax))
+    assert res.converged and res.iterations == 4
+    assert len(calls) == res.iterations + 5
+    assert set(jacobians) == {16}
+
+
+@pytest.mark.parametrize("example", ["duffing-delay", "duffing-distributed",
+                                     "distributed-sine"])
+def test_warm_start_from_a_converged_solution_takes_no_iteration(example):
+    # the seed starts on the first rung that holds its live band (32 modes
+    # here), where the padded iterate already meets the tolerance
+    prob = build_example(example)
+    first = solve_best(prob)
+    again = solve_periodic(prob, seed=first.u)
+    assert again.converged and again.iterations == 0
+    assert {e.get("kmax") for e in again.trace} == {32, None}
+    assert np.max(np.abs(again.u.coeffs - first.u.coeffs)) == 0.0
 
 
 def test_explicit_seed_forms():
