@@ -8,9 +8,9 @@ over the unit sphere of the kernel.  This module reports quantitative
 margins for the range condition (the projected field never vanishes) and
 for the inner-product test, computes the Brouwer degree of the
 normalized field through winding numbers, and runs the saturation
-diagnostics: the small-set measure, exact from the roots of
-``|w|^2 - eps^2``, and the finite-amplitude distance
-``||g_w - g(s Psi w)||_L2``.
+diagnostics: the small-set measure, in closed form for a ``w`` of one
+frequency and otherwise exact from the roots of ``|w|^2 - eps^2``, and
+the finite-amplitude distance ``||g_w - g(s Psi w)||_L2``.
 
 Margins and gaps are stated in kernel-coordinate norm: a kernel element
 with positive-frequency amplitude vector ``a`` has coordinate norm
@@ -30,13 +30,16 @@ candidate.  An orbit table, here or in the seed scan, is exact when
 a step function, else it agrees with a full scan up to aliasing.  At each
 ``w`` the field is exact up to rounding when ``g_w`` is a step function,
 as for componentwise and sign-table fields, and for radial ones along a
-``Psi w`` on one line through the origin: it jumps only at the zeros of
-``Psi w``, the unit-circle roots of one companion polynomial per
-component (:func:`_root_angles`).  Other radial ``g_w`` are continuous
-and sampled on 4096 points (more for a kernel band above 1024).  The
-finite-amplitude distance lives in layers of width ``1/s`` around the
-same roots, so it is integrated by Gauss-Legendre panels graded from them
-(:func:`gamma_convergence`).
+``Psi w`` on one line through the origin.  A componentwise field on
+slots of one frequency ``k`` makes ``g_w`` a square wave, whose mode
+``k`` is ``jump_c / pi`` times the phase of ``Psi w``, read off in closed
+form.  Any other step ``g_w`` jumps only at the zeros of ``Psi w``, the
+unit-circle roots of one companion polynomial per component
+(:func:`_root_angles`), and is summed over the arcs between them.  Other
+radial ``g_w`` are continuous and sampled on 4096 points (more for a
+kernel band above 1024).  The finite-amplitude distance lives in layers
+of width ``1/s`` around the same roots, so it is integrated by
+Gauss-Legendre panels graded from them (:func:`gamma_convergence`).
 """
 
 from __future__ import annotations
@@ -110,9 +113,7 @@ def _root_angles(coeffs) -> np.ndarray:
     c = np.moveaxis(np.asarray(coeffs, dtype=complex), -1, -2)  # (..., n, kb+1)
     kb = c.shape[-1] - 1
     out = np.zeros(c.shape[:-1] + (2 * kb,))
-    nonzero = c[..., 1:] != 0
-    deg = np.where(nonzero.any(axis=-1),
-                   kb - np.argmax(nonzero[..., ::-1], axis=-1), 0)
+    deg = np.max(np.where(c[..., 1:] != 0, np.arange(1, kb + 1), 0), axis=-1, initial=0)
     for d in np.unique(deg[deg > 0]).tolist():
         pick = deg == d
         cd = c[pick]
@@ -168,28 +169,41 @@ def gamma_tilde(prob, w: KernelElement) -> KernelElement:
     along the deviated kernel element ``Psi w``; a batch of ``w`` gives the
     batch of fields.
 
-    Componentwise and sign-table fields make ``g_w`` a step function with
+    On a componentwise field with every kernel slot at one frequency
+    ``k``, each component of ``Psi w`` is the sinusoid
+    ``2 Re(b_c e^{ikt})`` and ``g_w`` is a square wave whose mode ``k``
+    is ``jump_c / pi * b_c / |b_c|`` (0 where ``b_c = 0``, where ``g_w``
+    is ``g_c(0)``): the field is read off in closed form.  Otherwise,
+    componentwise and sign-table fields make ``g_w`` a step function with
     jumps at the zeros of ``Psi w`` only, so its coordinates are summed
     exactly over the arcs between them (:func:`_step_coefficients`), as is
     a radial ``A y/|y| + b`` along a ``Psi w`` on one line
     (:func:`_on_one_line`).  Other radial ``g_w`` are continuous; they, and
     only they, are sampled by the trapezoid rule on
-    ``max(4096, 4 kb)`` grid points, ``kb`` the kernel band.
+    ``max(4096, 4 kb)`` grid points, ``kb`` the kernel band.  The kernel
+    coordinates of ``p`` are subtracted last, whichever path ran.
     """
     report = w.report
     y = apply_deviation(prob.Psi, w.to_poly())
     c = y.coeffs.reshape((-1,) + y.coeffs.shape[-2:])
-    step = _on_one_line(c) if prob.g.kind == "radial" else np.ones(len(c), bool)
-    amps = np.empty((len(c), report.nu), dtype=complex)
-    if step.any():
-        coeffs = _step_coefficients(prob.g, TrigPoly(c[step])) - prob.p.truncate(y.kmax).coeffs
-        amps[step] = KernelElement.from_poly(report, TrigPoly(coeffs)).amps
-    if not step.all():
-        kb = max(report.kernel_basis.shape[1] - 1, 1, prob.p.kmax)
-        M = max(4096, 4 * kb)
-        vals = prob.g.limit(eval_grid(TrigPoly(c[~step]), M))
-        vals -= eval_grid(prob.p, M)
-        amps[~step] = KernelElement.from_poly(report, analyze_grid(vals, kb)).amps
+    ks = {k for k, _ in report.kernel_slots()}
+    if prob.g.componentwise and len(ks) == 1:
+        k = ks.pop()
+        b = c[:, k]
+        mag = np.abs(b)
+        jumps = np.array([prob.g.jump(j) for j in range(prob.g.n)]) / np.pi
+        amps = (jumps * b / np.where(mag > 0.0, mag, 1.0)) @ report.kernel_basis[:, k].conj().T
+    else:
+        amps = np.empty((len(c), report.nu), dtype=complex)
+        step = _on_one_line(c) if prob.g.kind == "radial" else np.ones(len(c), bool)
+        if step.any():
+            amps[step] = KernelElement.from_poly(
+                report, TrigPoly(_step_coefficients(prob.g, TrigPoly(c[step])))).amps
+        if not step.all():
+            kb = max(report.kernel_basis.shape[1] - 1, 1)
+            vals = prob.g.limit(eval_grid(TrigPoly(c[~step]), max(4096, 4 * kb)))
+            amps[~step] = KernelElement.from_poly(report, analyze_grid(vals, kb)).amps
+    amps -= kernel_forcing_coords(prob, report)
     return KernelElement(report, amps.reshape(y.coeffs.shape[:-2] + (report.nu,)))
 
 
@@ -482,18 +496,31 @@ def ll_margin(prob, report: ResonanceReport | None = None) -> dict:
 
 
 def small_set_measure(w, eps: float) -> float:
-    """Normalized measure of ``{t : |w(t)| < eps}``, summed exactly over
-    the arcs between the roots of ``|w|^2 - eps^2``.
+    """Normalized measure of ``{t : |w(t)| < eps}``.
 
-    That trigonometric polynomial has the self-convolution of each
-    component's two-sided spectrum as coefficients, less ``eps^2`` at mode
-    0; its :func:`_root_angles` cut the circle into arcs on which the sign
-    is constant, read at the midpoint.  Runs of arcs of one sign are merged
-    before their lengths are summed, so a set that is empty or the whole
-    circle measures exactly 0 or 1.
+    A ``w`` with one nonzero mode ``k > 0``, ``v = c_k``, has
+    ``|w|^2 = A + 2 |B| cos(2 k t + arg B)`` with ``A = 2 sum |v_c|^2`` and
+    ``B = sum v_c^2``, so the measure is ``1 - arccos(x) / pi`` at
+    ``x = (eps^2 - A) / (2 |B|)`` clipped to ``[-1, 1]``, and
+    ``[A < eps^2]`` when ``B = 0``.  Any other ``w`` is summed exactly over
+    the arcs between the roots of ``|w|^2 - eps^2``: that trigonometric
+    polynomial has the self-convolution of each component's two-sided
+    spectrum as coefficients, less ``eps^2`` at mode 0; its
+    :func:`_root_angles` cut the circle into arcs on which the sign is
+    constant, read at the midpoint.  Runs of arcs of one sign are merged
+    before their lengths are summed.  Either way a set that is empty or
+    the whole circle measures exactly 0 or 1.
     """
     poly = w.to_poly() if isinstance(w, KernelElement) else w
     c = poly.coeffs
+    live = np.flatnonzero(np.any(c != 0, axis=-1))
+    if len(live) == 1 and live[0] > 0:
+        v = c[live[0]]
+        A, B = 2.0 * np.sum(v.real ** 2 + v.imag ** 2), np.sum(v * v)
+        if B == 0:
+            return float(A < eps * eps)
+        x = (eps * eps - A) / (2.0 * abs(B))
+        return float(1.0 - np.arccos(np.clip(x, -1.0, 1.0)) / np.pi)
     two_sided = np.concatenate([np.conj(c[:0:-1]), c])         # modes -K .. K
     sq = sum(np.convolve(s, s)[2 * poly.kmax:] for s in two_sided.T)
     sq[0] -= eps * eps

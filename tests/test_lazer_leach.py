@@ -171,9 +171,104 @@ def test_gamma_tilde_makes_no_grid_call(monkeypatch):
         assert scan.r2["holds"]
 
 
+ONE_FREQUENCY_EXAMPLES = ("duffing-delay", "duffing-distributed", "gompertz-system",
+                          "weakly-coupled", "distributed-uniform", "distributed-sine")
+
+
+def arc_gamma_tilde(prob, amps):
+    """Kernel coordinates of ``g_w - p`` from the arc sum over the zeros
+    of ``Psi w`` (:func:`_step_coefficients`)."""
+    from fde.lazer_leach import _step_coefficients
+    rep = scalar_report(prob)
+    y = apply_deviation(prob.Psi, KernelElement(rep, amps).to_poly())
+    coeffs = _step_coefficients(prob.g, y)
+    return (KernelElement.from_poly(rep, TrigPoly(coeffs)).amps
+            - kernel_forcing_coords(prob, rep))
+
+
+def forbid_root_finding(monkeypatch):
+    import fde.lazer_leach as ll
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("_root_angles called")
+
+    monkeypatch.setattr(ll, "_root_angles", forbidden)
+
+
+@pytest.mark.parametrize("name,params", [(ex, {}) for ex in ONE_FREQUENCY_EXAMPLES]
+                         + [("duffing-delay", {"c": 0.0}),
+                            ("weakly-coupled", {"c1": 4.0 / np.pi, "c2": 0.0})])
+def test_closed_form_field_matches_the_arc_sum(name, params, monkeypatch):
+    # on a componentwise field with one slot frequency g_w is a square wave
+    # per component; its closed-form mode matches the arc sum on random
+    # batches, off the unit sphere too, and on the strata, where a
+    # component of Psi w vanishes and g_w is g_c(0)
+    prob = build_example(name, **params)
+    rep = scalar_report(prob)
+    rng = np.random.default_rng(11)
+    batch = rng.standard_normal((3, 5, rep.nu)) + 1j * rng.standard_normal((3, 5, rep.nu))
+    strata = _strata(prob, rep)
+    orbit = np.exp(-1j * TWO_PI * np.arange(16) / 16)[:, None, None] * strata
+    cases = [batch, orbit.reshape(-1, rep.nu)] if len(strata) else [batch]
+    wants = [arc_gamma_tilde(prob, a) for a in cases]
+    forbid_root_finding(monkeypatch)
+    for amps, want in zip(cases, wants):
+        got = gamma_tilde(prob, KernelElement(rep, amps)).amps
+        assert got.shape == amps.shape
+        assert np.max(np.abs(got - want)) <= 1e-14
+    if name == "weakly-coupled":
+        # each stratum zeroes one component of Psi w exactly
+        y = apply_deviation(prob.Psi, KernelElement(rep, strata).to_poly()).coeffs
+        assert np.count_nonzero(np.all(y == 0.0, axis=1)) == 2
+
+
+@pytest.mark.parametrize("name", ONE_FREQUENCY_EXAMPLES)
+def test_one_frequency_certificates_find_no_roots(name, monkeypatch, capsys):
+    # every kernel slot at one frequency and a componentwise field: the
+    # sphere scan, the degree, the small set and check-ll run without a
+    # companion eigenvalue problem
+    from fde.cli import main
+    forbid_root_finding(monkeypatch)
+    prob = build_example(name)
+    rep = scalar_report(prob)
+    assert sphere_scan(prob, rep, n_samples=256).r2["holds"]
+    degree = degree_winding(prob, rep) if rep.nu == 1 else degree_product(prob, rep)
+    assert degree == (-1) ** rep.nu
+    w0 = SphereSample(rep, sphere_design(rep, 1)[0][0])
+    assert 0.0 < small_set_measure(w0, 0.1) < 1.0
+    assert main(["check-ll", name]) == 0
+    capsys.readouterr()
+
+
+def test_two_frequency_kernel_keeps_the_arc_path(monkeypatch, capsys):
+    # beam's slots sit at k = 1 and 2: its fields and its small set still
+    # come from the roots, two calls in check-ll (the sphere scan's batch
+    # and the small set), as do a mean or a second mode in w
+    import fde.lazer_leach as ll
+    from fde.cli import main
+    calls = []
+    root_angles = ll._root_angles
+
+    def recording(coeffs):
+        calls.append(np.shape(coeffs))
+        return root_angles(coeffs)
+
+    monkeypatch.setattr(ll, "_root_angles", recording)
+    assert main(["check-ll", "beam"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2
+    calls.clear()
+    small_set_measure(TrigPoly(np.array([[0.2], [0.5]])), 0.5)
+    small_set_measure(TrigPoly(np.array([[0.0], [0.5], [0.1]])), 0.5)
+    const = TrigPoly(np.array([[0.3]]))
+    assert small_set_measure(const, 0.5) == 1.0 and small_set_measure(const, 0.2) == 0.0
+    assert len(calls) == 4
+
+
 def test_gamma_tilde_radial_keeps_the_grid():
     # the radial limit field is continuous: gamma_tilde samples it on its
-    # 4096-point grid, bit for bit the trapezoid formula below
+    # 4096-point grid, bit for bit the trapezoid formula below, and then
+    # subtracts the kernel coordinates of p
     import dataclasses
     from fde import BoundedNonlinearity
     from fde.trigpoly import analyze_grid, eval_grid
@@ -184,8 +279,8 @@ def test_gamma_tilde_radial_keeps_the_grid():
     w = KernelElement(rep, np.array([s.amps for s in sphere_samples(rep, 16, seed=5)]))
     M = 4096
     vals = g.limit(eval_grid(apply_deviation(prob.Psi, w.to_poly()), M))
-    vals -= eval_grid(prob.p, M)
-    want = KernelElement.from_poly(rep, analyze_grid(vals, 1)).amps
+    want = (KernelElement.from_poly(rep, analyze_grid(vals, 1)).amps
+            - kernel_forcing_coords(prob, rep))
     assert gamma_tilde(prob, w).amps.tobytes() == want.tobytes()
 
 
@@ -420,16 +515,33 @@ def test_small_set_arcsine_law_exact(phase):
 
 
 def test_small_set_matches_fine_grid_count_on_four_dimensional_kernel():
-    # the Sobol sample check-ll reports for weakly-coupled; a grid count
-    # is first order, within a few crossings / M of the exact measure
-    prob = build_example("weakly-coupled")
-    w = sphere_samples(scalar_report(prob), 1, seed=0)[0]
+    # the Sobol sample check-ll reports for weakly-coupled, three more, and
+    # four of gompertz-system (n = 2); a grid count is first order, within
+    # a few crossings / M of the exact measure.  Some of the weakly-coupled
+    # sets are empty at eps = 0.1
     M = 2 ** 20
-    vals = eval_grid(w.to_poly(), M)
-    count = np.count_nonzero(np.sum(vals * vals, axis=1) < 0.01) / M
-    val = small_set_measure(w, 0.1)
-    assert 0.0 < val < 1.0
-    assert abs(val - count) <= 2e-6
+    for name in ("weakly-coupled", "gompertz-system"):
+        samples = sphere_samples(scalar_report(build_example(name)), 4, seed=0)
+        assert 0.0 < small_set_measure(samples[0], 0.1) < 1.0
+        for w in samples:
+            sq = np.sum(eval_grid(w.to_poly(), M) ** 2, axis=1)
+            for eps in (0.1, 0.3):
+                frac = np.count_nonzero(sq < eps * eps) / M
+                assert abs(small_set_measure(w, eps) - frac) <= 2e-6
+
+
+def test_small_set_of_a_constant_modulus_element_is_exactly_zero_or_one():
+    # weakly-coupled with amplitudes (1, i)/2 is (cos t, -sin t): |w| = 1
+    # everywhere, so B = sum v_c^2 = 0 and the small set is empty below 1
+    # and the whole circle above it
+    rep = scalar_report(build_example("weakly-coupled"))
+    w = KernelElement(rep, np.array([1.0, 1j]) / 2.0)
+    v = w.to_poly().coeffs[1]
+    assert np.sum(v * v) == 0.0
+    vals = eval_grid(w.to_poly(), 64)
+    assert np.max(np.abs(np.sum(vals * vals, axis=1) - 1.0)) <= 1e-15
+    for eps, want in ((0.5, 0.0), (1.0 - 1e-9, 0.0), (1.0 + 1e-9, 1.0), (2.0, 1.0)):
+        assert small_set_measure(w, eps) == want
 
 
 def test_small_set_empty_is_exactly_zero():
