@@ -27,19 +27,16 @@ there its margins and degree are exact; elsewhere a positive verdict is
 evidence, not a proof, while a failure witness is an exact counterexample
 candidate.  An orbit table, here or in the seed scan, is exact when
 ``P gcd(k_s)`` (``P`` its shifts per orbit) divides its grid or ``g_w`` is
-a step function, else it agrees with a full scan up to aliasing.  At each
-``w`` the field is exact up to rounding when ``g_w`` is a step function,
-as for componentwise and sign-table fields, and for radial ones along a
-``Psi w`` on one line through the origin.  A componentwise field on
-slots of one frequency ``k`` makes ``g_w`` a square wave, whose mode
-``k`` is ``jump_c / pi`` times the phase of ``Psi w``, read off in closed
-form.  Any other step ``g_w`` jumps only at the zeros of ``Psi w``, the
-unit-circle roots of one companion polynomial per component
-(:func:`_root_angles`), and is summed over the arcs between them.  Other
-radial ``g_w`` are continuous and sampled on 4096 points (more for a
-kernel band above 1024).  The finite-amplitude distance lives in layers
-of width ``1/s`` around the same roots, so it is integrated by
-Gauss-Legendre panels graded from them (:func:`gamma_convergence`).
+a step function, else it agrees with a full scan up to aliasing.
+
+A componentwise field on slots of one frequency needs no root finding:
+each component of ``Psi w`` is one sinusoid, so ``g_w`` is a square wave
+read off in closed form (:func:`gamma_tilde`), and the finite-amplitude
+distance is one quarter-period integral (:func:`gamma_convergence`).
+Other inputs find the zeros of ``Psi w``, the unit-circle roots of one
+companion polynomial per component (:func:`_root_angles`): a step ``g_w``
+is summed over the arcs between them, and the distance, which lives in
+layers of width ``1/s`` around them, integrated on panels graded from them.
 """
 
 from __future__ import annotations
@@ -70,11 +67,8 @@ _AXIS_TOL, _COUPLING_TOL = 1e-9, 1e-8
 
 class SphereSample(KernelElement):
     """Kernel element normalized to ``||w||_L2 = 1`` (each element of a
-    batch).
-
-    Its real parametrization coordinates then lie on the sphere of radius
-    sqrt(2).
-    """
+    batch): its real parametrization coordinates lie on the sphere of
+    radius sqrt(2)."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -164,6 +158,12 @@ def _on_one_line(coeffs) -> np.ndarray:
     return sv[:, 1:].max(axis=-1, initial=0.0) <= 1e-12 * sv[:, 0]
 
 
+def _one_frequency(report: ResonanceReport) -> int | None:
+    """The frequency ``k`` that every kernel slot shares, else ``None``."""
+    ks = {k for k, _ in report.kernel_slots()}
+    return ks.pop() if len(ks) == 1 else None
+
+
 def gamma_tilde(prob, w: KernelElement) -> KernelElement:
     """Projected limit field ``Proj_ker (g_w - p)`` in kernel coordinates
     along the deviated kernel element ``Psi w``; a batch of ``w`` gives the
@@ -183,12 +183,17 @@ def gamma_tilde(prob, w: KernelElement) -> KernelElement:
     ``max(4096, 4 kb)`` grid points, ``kb`` the kernel band.  The kernel
     coordinates of ``p`` are subtracted last, whichever path ran.
     """
+    return KernelElement(w.report, _field_coords(prob, w)
+                         - kernel_forcing_coords(prob, w.report))
+
+
+def _field_coords(prob, w: KernelElement) -> np.ndarray:
+    """:func:`gamma_tilde` before the kernel coordinates of ``p`` are subtracted."""
     report = w.report
     y = apply_deviation(prob.Psi, w.to_poly())
     c = y.coeffs.reshape((-1,) + y.coeffs.shape[-2:])
-    ks = {k for k, _ in report.kernel_slots()}
-    if prob.g.componentwise and len(ks) == 1:
-        k = ks.pop()
+    k = _one_frequency(report)
+    if prob.g.componentwise and k is not None:
         b = c[:, k]
         mag = np.abs(b)
         jumps = np.array([prob.g.jump(j) for j in range(prob.g.n)]) / np.pi
@@ -203,8 +208,7 @@ def gamma_tilde(prob, w: KernelElement) -> KernelElement:
             kb = max(report.kernel_basis.shape[1] - 1, 1)
             vals = prob.g.limit(eval_grid(TrigPoly(c[~step]), max(4096, 4 * kb)))
             amps[~step] = KernelElement.from_poly(report, analyze_grid(vals, kb)).amps
-    amps -= kernel_forcing_coords(prob, report)
-    return KernelElement(report, amps.reshape(y.coeffs.shape[:-2] + (report.nu,)))
+    return amps.reshape(y.coeffs.shape[:-2] + (report.nu,))
 
 
 def gamma_unit(prob, w: KernelElement) -> SphereSample:
@@ -308,7 +312,7 @@ def _sphere_table(prob, report: ResonanceReport, n_samples: int, budget: float):
     then the strata (:func:`_strata`) from row ``first_stratum`` on, with
     fields and N2 gaps.  ``g`` is autonomous, so ``d(S w) = S d(w)`` and
     ``Gamma_tilde(S w) = S (Gamma_tilde(w) + a_p) - a_p``: one
-    :func:`gamma_tilde` call at the representatives and the strata fills
+    :func:`_field_coords` call at the representatives and the strata fills
     the table.  On one slot frequency ``S`` is a scalar phase, and each
     representative and stratum adds its R2 and N2 orbit minima at their
     closed-form phases, exact on a two-dimensional kernel, whose sphere is
@@ -318,11 +322,11 @@ def _sphere_table(prob, report: ResonanceReport, n_samples: int, budget: float):
     R, a_p = -(-n_samples // P), kernel_forcing_coords(prob, report)
     reps = np.concatenate([amps[::P], _strata(prob, report)])
     mus = deviation_eigenvalues(report, prob.Psi)
-    G = gamma_tilde(prob, KernelElement(report, reps)).amps + a_p
+    G = _field_coords(prob, KernelElement(report, reps))
     # after the design: each stratum's P shifts, or two closed-form rows
     # per representative and stratum
     phases, extra, first_stratum = shifts, slice(R, None), n_samples
-    if len({k for k, _ in report.kernel_slots()}) == 1:
+    if _one_frequency(report) is not None:
         # z G - a_p is shortest where z <a_p, G> is real positive, and the
         # gap Re <d, G> - Re <z d, a_p> least where <z d, a_p> is
         phases = np.exp(1j * np.stack([-np.angle(G @ a_p.conj()),
@@ -400,7 +404,7 @@ def degree_winding(prob, report: ResonanceReport | None = None) -> int:
             "winding degree needs a 2-dimensional kernel; "
             "use degree_product for block-decoupled systems")
     a_p = kernel_forcing_coords(prob, report)[0]
-    c0 = gamma_tilde(prob, KernelElement(report, sphere_design(report, 1)[0][0])).amps[0] + a_p
+    c0 = _field_coords(prob, KernelElement(report, sphere_design(report, 1)[0][0]))[0]
     gap = abs(c0) - abs(a_p)
     if abs(gap) <= _GATE:
         raise R2ViolationError("projected field vanishes on the phase circle",
@@ -450,14 +454,12 @@ def degree_product(prob, report: ResonanceReport | None = None) -> int:
     """
     report = _ensure_report(prob, report)
     blocks = _component_blocks(prob, report)
-    a_p = kernel_forcing_coords(prob, report)
 
-    # coupling probe: the g-response of a pure block sample must stay in its
-    # own block (the forcing contributes off-block coordinates regardless)
+    # coupling probe: a pure block sample's g-response must stay in its block
     idxs = [idx for c, (k, idx) in sorted(blocks.items())]
     amps = np.zeros((len(idxs), report.nu), dtype=complex)
     amps[np.arange(len(idxs)), idxs] = 1.0 / np.sqrt(2.0)
-    responses = gamma_tilde(prob, SphereSample(report, amps)).amps + a_p
+    responses = _field_coords(prob, SphereSample(report, amps))
     for idx, a_g in zip(idxs, responses):
         off = float(np.linalg.norm(np.delete(a_g, idx)))
         if off > _COUPLING_TOL * (1.0 + np.linalg.norm(a_g)):
@@ -482,12 +484,9 @@ def ll_margin(prob, report: ResonanceReport | None = None) -> dict:
     ``g`` and per-component kernel blocks."""
     report = _ensure_report(prob, report)
     blocks = _component_blocks(prob, report)
-    per = {}
-    worst = np.inf
-    for c, (k, _) in sorted(blocks.items()):
-        m = _block_margin(prob, c, k)
-        per[c] = {"k": k, "margin": float(m)}
-        worst = min(worst, m)
+    per = {c: {"k": k, "margin": float(_block_margin(prob, c, k))}
+           for c, (k, _) in sorted(blocks.items())}
+    worst = min((m["margin"] for m in per.values()), default=np.inf)
     return {"margin": float(worst), "per_component": per,
             "holds": bool(worst > 0.0)}
 
@@ -532,54 +531,71 @@ def small_set_measure(w, eps: float) -> float:
     return float(np.sum(np.diff(cuts[keep])[neg[keep[:-1]]]) / TWO_PI)
 
 
-def _layer_centres(y) -> np.ndarray:
-    """Sorted angles of every root of every component's companion
-    polynomial (:func:`_root_angles`), with 0 and 2 pi.
-
-    A root just off the unit circle marks a near-tangent minimum of
-    ``|y_c|``, which at large amplitude is as thin a layer as a zero.  No
-    root is filtered out: one far from the circle costs a few panels, and
-    no tolerance can tell "near" from "far" for every ``s``.
-    """
-    return np.unique(np.concatenate([[0.0, TWO_PI], _root_angles(y.coeffs).ravel()]))
-
-
-def _panels(centres: np.ndarray, s: float, M: int | None):
+def _panels(centres: np.ndarray, s: float) -> np.ndarray:
     """Edges graded geometrically from ``1/s`` away from each centre up to
-    the midpoints between centres; with ``M``, no wider than ``2 pi / M``."""
+    the midpoints between centres."""
     a, b = centres[:-1], centres[1:]
     half = 0.5 * (b - a)
     d = np.exp2(np.arange(max(int(np.ceil(np.log2(s * half.max()))), 0) + 1)) / s
     inner = d < half[:, None]
-    edges = np.unique(np.concatenate([centres, a + half, (a[:, None] + d)[inner],
-                                      (b[:, None] - d)[inner]]))
-    if M is not None:
-        parts = np.ceil(np.diff(edges) * (M / TWO_PI)).astype(int)
-        edges = np.concatenate(
-            [np.linspace(lo, hi, p, endpoint=False)
-             for lo, hi, p in zip(edges[:-1], edges[1:], parts)] + [edges[-1:]])
-    return edges[:-1], edges[1:]
+    return np.unique(np.concatenate([centres, a + half, (a[:, None] + d)[inner],
+                                     (b[:, None] - d)[inner]]))
 
 
 # 16-point Gauss-Legendre rule on [-1, 1], shared by every panel
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
+def _rule(edges: list, s_values, per_unit: float | None):
+    """``(nodes, weights, s at each node, first node of each s)`` of the
+    Gauss-Legendre panels between the ``edges[i]`` of each ``s_values[i]``,
+    each cut evenly into pieces no wider than ``1 / per_unit`` if given."""
+    nodes, weights = [], []
+    for e in edges:
+        if per_unit is not None:
+            parts = np.ceil(np.diff(e) * per_unit).astype(int)
+            e = np.concatenate([np.linspace(lo, hi, p, endpoint=False)
+                                for lo, hi, p in zip(e[:-1], e[1:], parts)] + [e[-1:]])
+        half = 0.5 * np.diff(e)[:, None]
+        # offsets from the left edge: a rounded panel midpoint would shift
+        # all of a panel's nodes together
+        nodes.append((e[:-1, None] + half * (1.0 + _GL_NODES)).ravel())
+        weights.append((half * _GL_WEIGHTS).ravel())
+    counts = [n.size for n in nodes]
+    return (np.concatenate(nodes), np.concatenate(weights),
+            np.repeat(s_values, counts), np.cumsum(counts) - counts)
+
+
+@cache
+def _quarter_rule(s_values: tuple, per_unit: float | None):
+    """Read-only :func:`_rule` on ``[0, pi/2]``, graded from the zero at 0
+    (edges ``0, 1/s, 2/s, 4/s, ..., pi/2``), with ``sin`` of its nodes."""
+    edges = [np.concatenate([[0.0], np.exp2(np.arange(max(np.ceil(np.log2(s * np.pi / 2)), 0)))
+                             / s, [np.pi / 2]]) for s in s_values]
+    nodes, *rest = _rule(edges, s_values, per_unit)
+    table = (np.sin(nodes), *rest)
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
 def gamma_convergence(prob, w: KernelElement, s_values,
                       M: int | None = None) -> np.ndarray:
     """L2 distance between the limit field and the finite-amplitude field.
 
-    Returns ``||g_w - g(s Psi w)||_L2`` per ``s``: the quantity whose decay
+    Returns ``E(s) = ||g_w - g(s Psi w)||_L2`` per ``s``, whose decay
     certifies that sphere margins survive at large finite amplitude.  The
-    integrand is concentrated in saturation layers of width ``1/s`` around
-    the zeros of ``y = Psi w``, so it is integrated by composite 16-point
-    Gauss-Legendre quadrature on panels that start at width ``1/s`` at
-    every root angle of the components of ``y`` (:func:`_layer_centres`)
-    and double away from it up to the midpoint between neighbouring roots.
-    That is ``O(log s)`` nodes per ``s``.  ``M``, when given, caps every
-    panel at width ``2 pi / M``.  The integrand comes from
-    :meth:`BoundedNonlinearity.limit_gap`, whose tail forms keep their
-    relative accuracy where ``s |y|`` is large.
+    integrand ``sum_c F_c``, ``F_c = limit_gap_c(y, s)^2`` in tail form, lives
+    in layers of width ``1/s`` around the zeros of ``y = Psi w``: 16-point
+    Gauss-Legendre panels start at width ``1/s`` at a zero and double away
+    from it, ``O(log s)`` nodes per ``s``.  A componentwise field on slots of
+    one frequency ``k`` has ``y_c = r_c cos(k t + phi_c)``, so
+    ``E(s)^2 = (1/pi) sum_c int_0^{pi/2} F_c(r_c sin d) + F_c(-r_c sin d) dd``
+    for any ``k`` and phases, on one cached table (:func:`_quarter_rule`)
+    graded from ``1/(s R)``, ``R >= max r_c`` a power of two.  Other inputs
+    grade from every root angle of each component (:func:`_root_angles`) up
+    to the midpoints between them.  ``M``, when given, caps every panel at
+    width ``2 pi / M`` in ``t``.
     """
     s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
     if np.any(~np.isfinite(s_values) | (s_values <= 0.0)):
@@ -587,18 +603,23 @@ def gamma_convergence(prob, w: KernelElement, s_values,
     if not s_values.size:
         return np.zeros(0)
     y = apply_deviation(prob.Psi, w.to_poly())
-    centres = _layer_centres(y)
-    nodes, weights, counts = [], [], []
-    for s in s_values:
-        lo, hi = _panels(centres, s, M)
-        half = 0.5 * (hi - lo)[:, None]
-        # offsets from the left edge: a rounded panel midpoint would shift
-        # all of a panel's nodes together
-        nodes.append((lo[:, None] + half * (1.0 + _GL_NODES)).ravel())
-        weights.append((half * _GL_WEIGHTS).ravel())
-        counts.append(nodes[-1].size)
-    vals = y.eval(np.concatenate(nodes))
-    diff = prob.g.limit_gap(vals, np.repeat(s_values, counts))
-    sq = np.concatenate(weights) * np.sum(diff * diff, axis=-1)
-    sums = np.add.reduceat(sq, np.cumsum(counts) - counts)
-    return np.sqrt(sums / TWO_PI)
+    k = _one_frequency(w.report)
+    if prob.g.componentwise and k is not None:
+        # the gap depends on s y alone, so s R and r / R (R >= max r a power
+        # of two, exact) give the same integrand on panels graded from 1/(s R)
+        r = 2.0 * np.abs(y.coeffs[k])
+        R = np.ldexp(1.0, max(np.frexp(r.max())[1], 0))
+        sines, weights, s_at, starts = _quarter_rule(
+            tuple((s_values * R).tolist()), None if M is None else M / (TWO_PI * k))
+        ys = sines[:, None] * (r / R)
+        vals, period = np.stack([ys, -ys]), np.pi
+    else:
+        # every root angle, also of a root just off the unit circle: that
+        # marks a near-tangent minimum of |y_c|, as thin a layer as a zero
+        centres = np.unique(np.concatenate([[0.0, TWO_PI], _root_angles(y.coeffs).ravel()]))
+        nodes, weights, s_at, starts = _rule([_panels(centres, s) for s in s_values], s_values,
+                                             None if M is None else M / TWO_PI)
+        vals, period = y.eval(nodes), TWO_PI
+    diff = prob.g.limit_gap(vals, s_at)
+    sq = np.sum(diff * diff, axis=-1).reshape(-1, len(weights)).sum(axis=0)
+    return np.sqrt(np.add.reduceat(weights * sq, starts) / period)

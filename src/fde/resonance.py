@@ -160,15 +160,13 @@ def scan_bound(P: MatrixPolynomial, Lam: MeasureMatrix) -> int:
     the total-variation bound on the measure term.
     """
     tv = total_variation_bound(Lam)
-    lead = np.linalg.svd(P.coeffs[-1], compute_uv=False)[-1]
-    lower_norms = [np.linalg.norm(P.coeffs[j], 2) for j in range(P.degree)]
-    k = 1
-    while k <= _HARD_CAP:
+    sv = np.linalg.svd(P.coeffs, compute_uv=False)
+    lead, lower_norms = sv[-1, -1], sv[:-1, 0].tolist()
+    for k in range(1, _HARD_CAP + 1):
         bound = lead * float(k) ** P.degree - sum(
             a * float(k) ** j for j, a in enumerate(lower_norms))
         if bound > tv + 1.0:
             return k
-        k += 1
     raise ScanBoundExceeded("resonance scan bound exceeds 10^6; rescale the system")
 
 

@@ -187,12 +187,18 @@ def arc_gamma_tilde(prob, amps):
 
 
 def forbid_root_finding(monkeypatch):
+    # no companion eigenvalues, no panels graded from their angles and no
+    # evaluation of Psi w at the panel nodes
     import fde.lazer_leach as ll
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("_root_angles called")
+    def forbid(owner, name):
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        monkeypatch.setattr(owner, name, forbidden)
 
-    monkeypatch.setattr(ll, "_root_angles", forbidden)
+    forbid(ll, "_root_angles")
+    forbid(ll, "_panels")
+    forbid(TrigPoly, "eval")
 
 
 @pytest.mark.parametrize("name,params", [(ex, {}) for ex in ONE_FREQUENCY_EXAMPLES]
@@ -236,8 +242,78 @@ def test_one_frequency_certificates_find_no_roots(name, monkeypatch, capsys):
     assert degree == (-1) ** rep.nu
     w0 = SphereSample(rep, sphere_design(rep, 1)[0][0])
     assert 0.0 < small_set_measure(w0, 0.1) < 1.0
+    E = gamma_convergence(prob, w0, (1e2, 1e3, 1e4))
+    assert E[0] > E[1] > E[2] > 0.0
     assert main(["check-ll", name]) == 0
     capsys.readouterr()
+
+
+def panel_convergence(prob, w, s_values, M, monkeypatch):
+    """``gamma_convergence`` on the panel path graded from the root angles
+    of ``Psi w``, which every input takes when the frequency test fails."""
+    import fde.lazer_leach as ll
+    with monkeypatch.context() as m:
+        m.setattr(ll, "_one_frequency", lambda report: None)
+        return gamma_convergence(prob, w, s_values, M=M)
+
+
+@pytest.mark.parametrize("name", ONE_FREQUENCY_EXAMPLES)
+def test_closed_form_convergence_matches_the_panel_path(name, monkeypatch):
+    # each component of Psi w is r_c cos(k t + phi_c), so E(s)^2 is a
+    # quarter-period integral in delta = k t + phi_c - pi/2.  Checked on
+    # random w off the unit sphere, the strata (a component of Psi w is 0)
+    # and w = 0: against the panel path at s = 1e2, 1e4, within the 2e-12
+    # that its own rounding of Psi w near a zero reaches at 1e4 (1e-10 at
+    # 1e6 and 1e-7 at 1e9), and against the tanh tail law
+    # E^2 = (2/pi)(2 ln 2 - 1) sum_c half_c^2 / (s r_c) + O(s^-3) at
+    # s = 1e6, 1e9.  A cap M leaves the value unchanged
+    import fde.lazer_leach as ll
+    prob = build_example(name)
+    rep = scalar_report(prob)
+    assert {(p.kind, p.scale, p.shift) for p in prob.g.components} == {("tanh", 1.0, 0.0)}
+    half = np.array([p.half for p in prob.g.components])
+    rng = np.random.default_rng(23)
+    cases = [0.3 * rng.standard_normal((2, rep.nu)) + 0.3j * rng.standard_normal((2, rep.nu)),
+             _strata(prob, rep), np.zeros((1, rep.nu))]
+    s_values = np.array([1e2, 1e4, 1e6, 1e9])
+    caps, rule = [], ll._rule
+
+    def recording(edges, s, per_unit):
+        caps.append(per_unit)
+        return rule(edges, s, per_unit)
+
+    ll._quarter_rule.cache_clear()
+    monkeypatch.setattr(ll, "_rule", recording)
+    for amps in np.concatenate(cases):
+        w = KernelElement(rep, amps)
+        E = gamma_convergence(prob, w, s_values)
+        np.testing.assert_allclose(gamma_convergence(prob, w, s_values, M=64), E, rtol=1e-14)
+        if not amps.any():
+            assert not E.any()
+            continue
+        np.testing.assert_allclose(
+            E[:2], panel_convergence(prob, w, s_values[:2], 4096, monkeypatch), rtol=2e-12)
+        r = 2.0 * np.abs(apply_deviation(prob.Psi, w.to_poly()).coeffs[rep.K[-1]])
+        tail = (2.0 / np.pi) * (2.0 * np.log(2.0) - 1.0) * np.sum(half[r > 0] ** 2 / r[r > 0])
+        np.testing.assert_allclose(E[2:], np.sqrt(tail / s_values[2:]), rtol=1e-12)
+    # M caps each panel at 2 pi / M in t, which is 2 pi k / M in delta
+    k = rep.K[-1]
+    assert sorted(set(caps) - {None, 4096 / TWO_PI}) == [64 / (TWO_PI * k)]
+
+
+def test_closed_form_convergence_resolves_a_steep_layer(monkeypatch):
+    # a large Psi w makes the saturation layer 1/(s r) far thinner than
+    # 1/s: the closed form grades its panels from 1/(s R), R >= r a power
+    # of two, and keeps the tail law; the panel path, graded from 1/s
+    # whatever the slope of Psi w, misses it
+    prob = build_example("duffing-delay")
+    rep = scalar_report(prob)
+    w = KernelElement(rep, [1000.0])
+    r = 2.0 * abs(apply_deviation(prob.Psi, w.to_poly()).coeffs[1, 0])
+    s_values = np.array([1e4, 1e6])
+    want = np.sqrt((2.0 / np.pi) * (2.0 * np.log(2.0) - 1.0) / (s_values * r))
+    np.testing.assert_allclose(gamma_convergence(prob, w, s_values), want, rtol=1e-12)
+    assert np.all(panel_convergence(prob, w, s_values, None, monkeypatch) < 1e-3 * want)
 
 
 def test_two_frequency_kernel_keeps_the_arc_path(monkeypatch, capsys):
@@ -257,6 +333,11 @@ def test_two_frequency_kernel_keeps_the_arc_path(monkeypatch, capsys):
     assert main(["check-ll", "beam"]) == 0
     capsys.readouterr()
     assert len(calls) == 2
+    calls.clear()
+    # and gamma_convergence grades its panels from those roots
+    prob = build_example("beam")
+    gamma_convergence(prob, sphere_samples(scalar_report(prob), 1, seed=0)[0], [1e2, 1e3])
+    assert len(calls) == 1
     calls.clear()
     small_set_measure(TrigPoly(np.array([[0.2], [0.5]])), 0.5)
     small_set_measure(TrigPoly(np.array([[0.0], [0.5], [0.1]])), 0.5)
@@ -599,6 +680,17 @@ def test_gamma_convergence_quad_profiles(kind):
     assert_matches_quad(prob, w, [1e2, 1e4, 1e6], rel=1e-9)
 
 
+def test_gamma_convergence_quad_shifted_profile():
+    # a shifted profile makes g_w - g(s y) differ between y and -y, so both
+    # halves of the quarter-period integral count
+    import dataclasses
+    from fde import saturating
+    prob = dataclasses.replace(build_example("duffing-delay"),
+                               g=saturating(-1.0, 1.0, shift=0.4))
+    w = sphere_samples(scalar_report(prob), 1, seed=0)[0]
+    assert_matches_quad(prob, w, [1e2, 1e4, 1e6], rel=1e-9)
+
+
 def test_gamma_convergence_quad_radial():
     # a layer where |Psi w| vanishes (gompertz: second component is zero)
     # and none at all, only a near-tangent minimum of |Psi w| (weakly-coupled)
@@ -793,8 +885,9 @@ def table_problem(name):
 @pytest.mark.parametrize("name", NU1_EXAMPLES + ("shifted-forcing", "weakly-coupled",
                                                  "sign-table", "beam"))
 def test_sphere_table_matches_direct_evaluation(name, monkeypatch):
-    # the orbit table reads every shifted field off one gamma_tilde call at
-    # the representatives and the strata; a direct call on every element
+    # the orbit table reads every shifted field off one field evaluation
+    # (_field_coords, gamma_tilde before the forcing is subtracted) at the
+    # representatives and the strata; a direct gamma_tilde on every element
     # gives the same fields and N2 gaps.  Rows: the design; on one slot
     # frequency the R2 and N2 orbit minima of each representative; then
     # the strata
@@ -803,11 +896,13 @@ def test_sphere_table_matches_direct_evaluation(name, monkeypatch):
     rep = resonant_set(prob.P, prob.Lam)
     calls = []
 
+    field_coords = ll._field_coords
+
     def recording(p, w):
         calls.append(w.amps.shape)
-        return gamma_tilde(p, w)
+        return field_coords(p, w)
 
-    monkeypatch.setattr(ll, "gamma_tilde", recording)
+    monkeypatch.setattr(ll, "_field_coords", recording)
     amps, gammas, gaps, first_stratum = _sphere_table(prob, rep, 256, 0.05)
     strata = len(_strata(prob, rep))
     assert strata == (2 if name in ("weakly-coupled", "sign-table") else 0)

@@ -103,11 +103,31 @@ def test_distributed_uniform_only_m1():
 
 
 def test_scan_bound_values():
-    cases = {"duffing-delay": 2, "gompertz-system": 5,
-             "weakly-coupled": 2, "beam": 3}
+    # k_star of every example, pinned
+    cases = {"duffing-delay": 2, "duffing-distributed": 2, "gompertz-system": 5,
+             "weakly-coupled": 2, "distributed-uniform": 3, "distributed-sine": 4,
+             "beam": 3}
+    assert set(cases) == set(EXAMPLE_IDS)
     for ex, kstar in cases.items():
         prob = build_example(ex)
         assert scan_bound(prob.P, prob.Lam) == kstar, ex
+
+
+def test_scan_bound_is_the_first_k_past_the_symbol_bound():
+    # sigma_min(A_m) k^m - sum_j |A_j|_2 k^j > TV(Lam) + 1, each term read
+    # per matrix, on leading coefficients whose singular values differ
+    from fde.measures import total_variation_bound
+    rng = np.random.default_rng(3)
+    for m in (1, 2, 3):
+        coeffs = rng.standard_normal((m + 1, 3, 3))
+        coeffs[-1] = np.diag([1.0, 2.5, 4.0]) + 0.1 * coeffs[-1]
+        P = MatrixPolynomial(coeffs)
+        Lam = MeasureMatrix.diagonal([ScalarMeasure.point_delay(1.0, 3.0)] * 3)
+        lead = np.linalg.norm(coeffs[-1], -2)
+        norms = [np.linalg.norm(a, 2) for a in coeffs[:-1]]
+        want = next(k for k in range(1, 10 ** 4) if lead * k ** m - sum(
+            a * k ** j for j, a in enumerate(norms)) > total_variation_bound(Lam) + 1.0)
+        assert scan_bound(P, Lam) == want > 1
 
 
 def test_no_late_resonances():
