@@ -20,12 +20,12 @@ from .nonlinearity import (BoundedNonlinearity, ComponentProfile, DelayTap,
 from .problem import MatrixPolynomial, ProblemSpec, SolveConfig
 from .resonance import (ConditionFlags, KernelElement, ResonanceReport,
                         ResonantMode, apply_symbol, check_linear_conditions,
-                        image_defect, project_kernel, resonant_set,
-                        right_inverse, right_inverse_gain, scan_bound, symbol)
+                        project_kernel, resonant_set, right_inverse,
+                        scan_bound, symbol)
 from .lazer_leach import (SphereSample, SphereScan, degree_product,
                           degree_winding, gamma_convergence, gamma_tilde,
-                          gamma_unit, ll_margin, small_set_measure,
-                          sphere_samples, sphere_scan)
+                          ll_margin, small_set_measure, sphere_samples,
+                          sphere_scan)
 from .solver import (SolveResult, assemble_residual, coefficient_jacobian,
                      seed_kernel, solve_best, solve_periodic,
                      time_shift_gauge, verify_pointwise)
@@ -50,12 +50,11 @@ __all__ = [
     "HistoryPerturbation", "PerturbationTerm", "nemytskii_eval", "saturating",
     "MatrixPolynomial", "ProblemSpec", "SolveConfig",
     "ConditionFlags", "KernelElement", "ResonanceReport", "ResonantMode",
-    "apply_symbol", "check_linear_conditions", "image_defect",
-    "project_kernel", "resonant_set", "right_inverse", "right_inverse_gain",
-    "scan_bound", "symbol",
+    "apply_symbol", "check_linear_conditions", "project_kernel",
+    "resonant_set", "right_inverse", "scan_bound", "symbol",
     "SphereSample", "SphereScan", "degree_product", "degree_winding",
-    "gamma_convergence", "gamma_tilde", "gamma_unit", "ll_margin",
-    "small_set_measure", "sphere_samples", "sphere_scan",
+    "gamma_convergence", "gamma_tilde", "ll_margin", "small_set_measure",
+    "sphere_samples", "sphere_scan",
     "SolveResult", "assemble_residual", "coefficient_jacobian", "seed_kernel",
     "solve_best", "solve_periodic", "time_shift_gauge", "verify_pointwise",
     "EXAMPLE_IDS", "build_example", "emit_example",

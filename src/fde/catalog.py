@@ -293,6 +293,13 @@ def _schema_error(doc) -> tuple[str, str] | None:
     return error and error[1:]
 
 
+def finite_float(token: str) -> float:
+    """``float(token)``, refusing the ``NaN``, ``Infinity`` and ``1e999`` it would read."""
+    if not np.isfinite(value := float(token)):
+        raise ValueError(f"non-finite number {token}")
+    return value
+
+
 def parse_problem(text: str) -> ProblemSpec:
     """Validated problem from JSON text.
 
@@ -301,8 +308,8 @@ def parse_problem(text: str) -> ProblemSpec:
     :class:`ProblemFormatError` locating the offending entry.
     """
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, parse_float=finite_float, parse_constant=finite_float)
+    except ValueError as exc:
         raise ProblemFormatError(f"not valid JSON: {exc}", path="$") from None
     error = _schema_error(doc)
     if error is not None:

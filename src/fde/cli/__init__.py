@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from ..catalog import emit_example, load_problem
+from ..catalog import emit_example, finite_float, load_problem
 from ..errors import BlockStructureError, DimensionMismatch, FdeError, ProblemFormatError
 from ..lazer_leach import (SphereSample, certificate, degree_product,
                            degree_winding, ll_margin, small_set_measure,
@@ -148,10 +148,10 @@ def _load_solution(path: str, kmax_flag: int | None) -> TrigPoly:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if path.endswith(".json"):
-        doc = json.loads(text)
-        if isinstance(doc, dict) and "u" in doc:
-            doc = doc["u"]
         try:
+            doc = json.loads(text, parse_float=finite_float, parse_constant=finite_float)
+            if isinstance(doc, dict) and "u" in doc:
+                doc = doc["u"]
             return TrigPoly.from_dict(doc)
         except (KeyError, TypeError, ValueError) as exc:
             raise ProblemFormatError("solution JSON must be a polynomial {n, kmax, coeffs} "
@@ -159,7 +159,7 @@ def _load_solution(path: str, kmax_flag: int | None) -> TrigPoly:
     rows = [line.split(",") for line in text.strip().splitlines()]
     if len(rows) < 2 or rows[0][0] != "t" or any(len(r) != len(rows[0]) for r in rows):
         raise ProblemFormatError("solution CSV must be a header t,u1,... and a row per grid point")
-    data = np.array([[float(v) for v in r] for r in rows[1:]])
+    data = np.array([[finite_float(v) for v in r] for r in rows[1:]])
     M = data.shape[0]
     t = data[:, 0]
     expected = 2.0 * np.pi * np.arange(M) / M

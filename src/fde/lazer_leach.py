@@ -36,7 +36,7 @@ distance is one quarter-period integral (:func:`gamma_convergence`).
 Other inputs find the zeros of ``Psi w``, the unit-circle roots of one
 companion polynomial per component (:func:`_root_angles`): a step ``g_w``
 is summed over the arcs between them, and the distance, which lives in
-layers of width ``1/s`` around them, integrated on panels graded from them.
+layers of width ``1/(s |Psi w'|)`` around them, on panels graded from them.
 """
 
 from __future__ import annotations
@@ -209,15 +209,6 @@ def _field_coords(prob, w: KernelElement) -> np.ndarray:
             vals = prob.g.limit(eval_grid(TrigPoly(c[~step]), max(4096, 4 * kb)))
             amps[~step] = KernelElement.from_poly(report, analyze_grid(vals, kb)).amps
     return amps.reshape(y.coeffs.shape[:-2] + (report.nu,))
-
-
-def gamma_unit(prob, w: KernelElement) -> SphereSample:
-    """Normalized projected limit field; raises when it (nearly) vanishes."""
-    gt = gamma_tilde(prob, w)
-    if gt.coord_norm() <= _GATE:
-        raise R2ViolationError("projected limit field vanishes at a sample",
-                              witness=w)
-    return SphereSample(w.report, gt.amps / (np.sqrt(2.0) * gt.coord_norm()))
 
 
 def kernel_forcing_coords(prob, report: ResonanceReport) -> np.ndarray:
@@ -586,16 +577,16 @@ def gamma_convergence(prob, w: KernelElement, s_values,
     Returns ``E(s) = ||g_w - g(s Psi w)||_L2`` per ``s``, whose decay
     certifies that sphere margins survive at large finite amplitude.  The
     integrand ``sum_c F_c``, ``F_c = limit_gap_c(y, s)^2`` in tail form, lives
-    in layers of width ``1/s`` around the zeros of ``y = Psi w``: 16-point
-    Gauss-Legendre panels start at width ``1/s`` at a zero and double away
-    from it, ``O(log s)`` nodes per ``s``.  A componentwise field on slots of
-    one frequency ``k`` has ``y_c = r_c cos(k t + phi_c)``, so
+    in layers of width ``1/(s |y'|)`` around the zeros of ``y = Psi w``.  A
+    componentwise field on slots of one frequency ``k`` has
+    ``y_c = r_c cos(k t + phi_c)``, so
     ``E(s)^2 = (1/pi) sum_c int_0^{pi/2} F_c(r_c sin d) + F_c(-r_c sin d) dd``
     for any ``k`` and phases, on one cached table (:func:`_quarter_rule`)
     graded from ``1/(s R)``, ``R >= max r_c`` a power of two.  Other inputs
-    grade from every root angle of each component (:func:`_root_angles`) up
-    to the midpoints between them.  ``M``, when given, caps every panel at
-    width ``2 pi / M`` in ``t``.
+    put 16-point Gauss-Legendre panels of width ``1/(s S)`` at every root
+    angle of each component (:func:`_root_angles`), ``S > 2 max_c sum_k k
+    |c_kc| >= |y'|`` a power of two, doubling up to the midpoints between
+    them.  ``M``, when given, caps every panel at width ``2 pi / M`` in ``t``.
     """
     s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
     if np.any(~np.isfinite(s_values) | (s_values <= 0.0)):
@@ -617,8 +608,11 @@ def gamma_convergence(prob, w: KernelElement, s_values,
         # every root angle, also of a root just off the unit circle: that
         # marks a near-tangent minimum of |y_c|, as thin a layer as a zero
         centres = np.unique(np.concatenate([[0.0, TWO_PI], _root_angles(y.coeffs).ravel()]))
-        nodes, weights, s_at, starts = _rule([_panels(centres, s) for s in s_values], s_values,
-                                             None if M is None else M / TWO_PI)
+        # a layer is 1/(s |y'|) wide: grade from 1/(s S), S > slope >= |y'| as R above
+        slope = 2.0 * np.max(np.arange(y.kmax + 1) @ np.abs(y.coeffs))
+        S = np.ldexp(1.0, max(np.frexp(slope)[1], 0))
+        nodes, weights, s_at, starts = _rule([_panels(centres, s * S) for s in s_values],
+                                             s_values, None if M is None else M / TWO_PI)
         vals, period = y.eval(nodes), TWO_PI
     diff = prob.g.limit_gap(vals, s_at)
     sq = np.sum(diff * diff, axis=-1).reshape(-1, len(weights)).sum(axis=0)

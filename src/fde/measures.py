@@ -309,9 +309,6 @@ class MeasureMatrix:
                     out.entries[i][j] = ScalarMeasure.dirac(0.0, A[i, j])
         return out
 
-    def transform(self, k) -> np.ndarray:
-        return matrix_transform(self, k)
-
     def stack(self, kmax: int) -> np.ndarray:
         """Read-only ``(kmax+1, n, n)`` array of ``lamhat(-k)``, ``k = 0..kmax``.
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
-from .trigpoly import TrigPoly, eval_grid
+from .trigpoly import TrigPoly
 
 
 def _base(kind: str, z):
@@ -92,18 +92,6 @@ class ComponentProfile:
 
     def deriv(self, x):
         return self.half * self.scale * _base_deriv(self.kind, self.scale * (np.asarray(x) - self.shift))
-
-    def tail_bound(self, y: float) -> float:
-        """Upper bound on ``|value(x) - nearest limit|`` for ``|x| >= y``."""
-        jump = abs(self.hi - self.lo)
-        z = self.scale * (y - abs(self.shift))
-        if z <= 0:
-            return jump
-        if self.kind == "tanh":
-            return jump * min(1.0, np.exp(-2.0 * z))
-        if self.kind == "atan":
-            return jump * min(1.0, 1.0 / (np.pi * z))
-        return jump * min(1.0, 0.25 / (z * z))
 
     def to_dict(self):
         return {"profile": self.kind, "lo": self.lo, "hi": self.hi,
@@ -391,6 +379,10 @@ class PerturbationTerm:
     tmod_harmonic: int = 0
     tmod_phase: float = 0.0
 
+    def __post_init__(self):
+        if self.profile not in ("tanh", "sech", "sin", "cos"):
+            raise DimensionMismatch(f"unknown perturbation profile {self.profile!r}")
+
     def tmod(self, t):
         if self.tmod_harmonic == 0 and self.tmod_phase == 0.0:
             return 1.0
@@ -444,11 +436,6 @@ class HistoryPerturbation:
         for term, v in zip(self.terms, self.profiles(taps)):
             out[..., term.component] += v
         return out
-
-    def eval(self, u: TrigPoly, M: int) -> np.ndarray:
-        """Samples of ``h(t, u_t)`` on the uniform grid; shape ``(..., M, n_u)``."""
-        taps = np.stack([eval_grid(u.shift(-d), M)[..., c] for c, d in self.taps()], axis=-1)
-        return self.add_to(np.zeros(u.coeffs.shape[:-2] + (M, u.n)), taps)
 
     def to_dict(self) -> dict:
         return {"terms": [t.to_dict() for t in self.terms]}

@@ -279,12 +279,6 @@ class KernelElement:
     def coord_norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def sphere_coords(self) -> np.ndarray:
-        """Real parametrization coordinates; unit-norm elements land on the
-        sphere of radius sqrt(2)."""
-        c = 2.0 * self.amps
-        return np.concatenate([c.real, c.imag])
-
     def to_poly(self, kmax: int | None = None) -> TrigPoly:
         basis = self.report.kernel_basis
         top = basis.shape[1] - 1
@@ -329,40 +323,19 @@ def project_kernel(u: TrigPoly, report: ResonanceReport) -> TrigPoly:
     return TrigPoly(c)
 
 
-def image_defect(phi: TrigPoly, report: ResonanceReport) -> dict:
-    """Per resonant frequency, the mass of ``phi`` along the kernel
-    directions; zero is necessary for solvability of ``L u = phi``."""
-    out = {}
-    for k in sorted(report.modes):
-        th = report.modes[k].theta
-        out[k] = float(np.linalg.norm(th.conj().T @ phi.coeff(k)))
-    return out
-
-
 def apply_symbol(u: TrigPoly, report: ResonanceReport) -> TrigPoly:
     """``L u``: mode ``k`` picks up ``L_k``."""
     Ls = symbol_stack(report.P, report.Lam, u.kmax)
     return TrigPoly(np.einsum("kij,kj->ki", Ls, u.coeffs))
 
 
-def _symbol_svd(report: ResonanceReport, ks: np.ndarray):
-    """SVD ``U, inv, Vh`` of ``L_k`` over the modes ``ks``, with ``inv``
-    the inverted singular values.  Resonant modes invert through the
-    pseudoinverse, which cuts singular values at or below
-    ``10 tol sigma_max``: their inverse is 0."""
-    U, sig, Vh = np.linalg.svd(symbol(report.P, report.Lam, ks))
-    resonant = np.isin(ks, list(report.modes))[:, None]
-    keep = ~(resonant & (sig <= 10 * report.tol * sig[:, :1]))
-    inv = np.divide(1.0, sig, out=np.zeros_like(sig), where=keep)
-    return U, inv, Vh
-
-
 def right_inverse(phi: TrigPoly, report: ResonanceReport,
                   kmax: int | None = None) -> TrigPoly:
     """Solve ``L u = phi`` with zero kernel component.
 
-    Nonresonant modes invert directly; resonant modes use the pseudoinverse,
-    which selects the minimal-norm (kernel-orthogonal) solution.  Raises
+    Each mode inverts through the SVD of its :func:`symbol_stack` symbol; on
+    resonant modes singular values at or below ``10 tol sigma_max`` count as
+    zero, which selects the minimal-norm (kernel-orthogonal) solution.  Raises
     :class:`NotInImageError` when ``phi`` has kernel-direction mass beyond
     ``1e-10`` relative scale.
     """
@@ -373,15 +346,9 @@ def right_inverse(phi: TrigPoly, report: ResonanceReport,
         defect = np.linalg.norm(mode.theta.conj().T @ phi.coeff(k))
         if k <= kmax and defect > _IMAGE_TOL * scale:
             raise NotInImageError(f"mode {k} carries kernel mass {defect:.3e}")
-    U, inv, Vh = _symbol_svd(report, np.arange(kmax + 1))
+    U, sig, Vh = np.linalg.svd(symbol_stack(report.P, report.Lam, kmax))
+    cut = np.isin(np.arange(kmax + 1), list(report.modes))[:, None] & (
+        sig <= 10 * report.tol * sig[:, :1])
+    inv = np.divide(1.0, sig, out=np.zeros_like(sig), where=~cut)
     rhs = inv * np.einsum("kji,kj->ki", U.conj(), phi.truncate(kmax).coeffs)
     return TrigPoly(np.einsum("kji,kj->ki", Vh.conj(), rhs))
-
-
-def right_inverse_gain(report: ResonanceReport, kmax: int) -> float:
-    """Reported bound ``kappa`` with ``|(K phi)'|_inf <= kappa |phi|_inf``
-    on the ``kmax`` truncation."""
-    ks = np.arange(1, kmax + 1)
-    # the gain of each mode is its largest inverted singular value
-    _, inv, _ = _symbol_svd(report, ks)
-    return float(np.sum(2.0 * ks * np.max(inv, axis=1)))

@@ -117,10 +117,6 @@ def _unpack(x: np.ndarray, kmax: int, n: int) -> np.ndarray:
     return c
 
 
-def unpack_coeffs(x: np.ndarray, kmax: int, n: int) -> TrigPoly:
-    return TrigPoly(_unpack(x, kmax, n))
-
-
 def pack_residual(R: TrigPoly) -> np.ndarray:
     """Real residual vector whose Euclidean norm is ``||R||_L2``."""
     return _pack(R.coeffs, np.sqrt(2.0))

@@ -177,6 +177,8 @@ class TrigPoly:
     @staticmethod
     def from_dict(d: dict) -> "TrigPoly":
         n, kmax = int(d["n"]), int(d["kmax"])
+        if kmax < 0:
+            raise DimensionMismatch(f"kmax must be nonnegative, got {kmax}")
         c = np.zeros((kmax + 1, n), dtype=complex)
         for entry in d.get("coeffs", []):
             k = int(entry["k"])
@@ -210,18 +212,6 @@ def analyze_grid(samples: np.ndarray, kmax: int) -> TrigPoly:
     if M < 2 * kmax + 1:
         raise GridTooSmall(f"M={M} cannot resolve kmax={kmax}")
     return TrigPoly(np.fft.rfft(s, axis=-2)[..., :kmax + 1, :] / M)
-
-
-def l2_inner(u: TrigPoly, v: TrigPoly) -> complex:
-    """L2 inner product over the normalized circle, summed over components."""
-    if u.n != v.n:
-        raise DimensionMismatch("component counts differ")
-    kmax = min(u.kmax, v.kmax)
-    a, b = u.coeffs[: kmax + 1], v.coeffs[: kmax + 1]
-    s = np.sum(a[0] * np.conj(b[0]))
-    if kmax > 0:
-        s += 2.0 * np.real(np.sum(a[1:] * np.conj(b[1:])))
-    return complex(s)
 
 
 def differentiate(u: TrigPoly, order: int = 1) -> TrigPoly:

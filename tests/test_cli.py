@@ -14,6 +14,8 @@ from fde import (EXAMPLE_IDS, TrigPoly, analyze_grid, build_example, eval_grid,
                  parse_problem)
 from fde.cli import main
 
+TWO_PI = 2.0 * np.pi
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -351,6 +353,67 @@ def test_malformed_untyped_member_exits_4(capsys, tmp_path, member, value):
     assert err.startswith("error: $: malformed field:")
 
 
+def test_negative_forcing_kmax_exits_4(capsys, tmp_path):
+    doc = fde.emit_example("duffing-delay")
+    doc["p"].update(kmax=-1, coeffs=[])
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 4 and out == ""
+    assert err == "error: $: kmax must be nonnegative, got -1\n"
+
+
+def test_negative_solution_kmax_exits_4(capsys, tmp_path):
+    path = tmp_path / "negative.json"
+    path.write_text('{"n": 1, "kmax": -1, "coeffs": []}')
+    code, out, err = run(capsys, "verify", "duffing-delay", "--solution", str(path))
+    assert code == 4 and out == ""
+    assert err == "error: kmax must be nonnegative, got -1\n"
+
+
+@pytest.mark.parametrize("cmd, member, literal", [
+    ("solve", "delay", "NaN"), ("check-ll", "amp", "Infinity"), ("analyze", "amp", "-1e999"),
+])
+def test_non_finite_number_exits_4(capsys, tmp_path, cmd, member, literal):
+    # Python's json reads NaN, Infinity and an overflowing literal as
+    # floats; a NaN delay crashed solve and an infinite h passed check-ll
+    doc = fde.emit_example("gompertz-system")
+    term = doc["h"]["terms"][0]
+    (term["taps"][0] if member == "delay" else term)[member] = 1234.5
+    text = json.dumps(doc)
+    assert text.count("1234.5") == 1
+    path = tmp_path / "non_finite.json"
+    path.write_text(text.replace("1234.5", literal))
+    code, out, err = run(capsys, cmd, str(path))
+    assert code == 4 and out == ""
+    assert err == f"error: $: not valid JSON: non-finite number {literal}\n"
+
+
+@pytest.mark.parametrize("name, text", [
+    ("nan.json", '{"n": 1, "kmax": 1, "coeffs": [{"k": 1, "re": [NaN], "im": [0]}]}'),
+    ("nan.csv", "t,u1\n" + "".join(f"{TWO_PI * j / 4!r},{'nan' if j == 2 else 0.0}\n"
+                                   for j in range(4))),
+], ids=["json", "csv"])
+def test_non_finite_solution_exits_4(capsys, tmp_path, name, text):
+    # a NaN cell made verify report a failed check (exit 3)
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", "duffing-delay", "--solution", str(path))
+    assert code == 4 and out == ""
+    assert err.startswith("error: ") and "non-finite number" in err
+
+
+@pytest.mark.parametrize("cmd", ["analyze", "check-ll", "solve"])
+def test_unknown_perturbation_profile_exits_4(capsys, tmp_path, cmd):
+    doc = fde.emit_example("gompertz-system")
+    doc["h"]["terms"][0]["profile"] = "bogus"
+    path = tmp_path / "bogus.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, cmd, str(path))
+    assert code == 4 and out == ""
+    assert err == "error: $: unknown perturbation profile 'bogus'\n"
+
+
 def test_legacy_jacobian_keys_load_and_sign_table_solve_fails(capsys, tmp_path):
     # files written when the solver had a finite-difference Jacobian mode
     # still load; a sign-table g still cannot be solved (no derivative)
@@ -493,6 +556,14 @@ def test_check_ll_on_a_two_dimensional_kernel_loads_no_scipy():
                          "assert main(['check-ll', 'duffing-delay']) == 0; "
                          "assert main(['solve', 'duffing-delay', '--out', os.devnull]) == 0; "
                          "assert 'scipy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_exported_name_resolves():
+    proc = _python("-c", "import fde; missing = [n for n in fde.__all__ if not hasattr(fde, n)]; "
+                         "assert not missing, missing; "
+                         "assert len(set(fde.__all__)) == len(fde.__all__); "
+                         "exec('from fde import *')")
     assert proc.returncode == 0, proc.stderr
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from fde import (KernelElement, TrigPoly, apply_deviation, build_example,
                  degree_product, eval_grid, degree_winding, gamma_convergence,
-                 gamma_tilde, gamma_unit, ll_margin, project_kernel,
+                 gamma_tilde, ll_margin, project_kernel,
                  resonant_set, small_set_measure, sphere_samples, sphere_scan)
 from fde.catalog import EXAMPLE_IDS
 from fde.errors import (BlockStructureError, DimensionMismatch,
@@ -18,6 +18,7 @@ import oracles
 
 TWO_PI = 2.0 * np.pi
 TWO_OVER_PI = 2.0 / np.pi
+EPS = np.finfo(float).eps
 
 # frozen oracle constants (tests/oracles.py prints them)
 TAIL_CONSTANT = 0.1738935581
@@ -28,6 +29,12 @@ PRED_E_1E4 = 0.0041700547
 
 def scalar_report(prob):
     return resonant_set(prob.P, prob.Lam)
+
+
+def pow2_above(x):
+    """Smallest power of two above ``x``, at least 1 (``R`` and ``S`` of
+    :func:`gamma_convergence`)."""
+    return np.ldexp(1.0, max(np.frexp(x)[1], 0))
 
 
 # -- projection formula ------------------------------------------------
@@ -304,8 +311,9 @@ def test_closed_form_convergence_matches_the_panel_path(name, monkeypatch):
 def test_closed_form_convergence_resolves_a_steep_layer(monkeypatch):
     # a large Psi w makes the saturation layer 1/(s r) far thinner than
     # 1/s: the closed form grades its panels from 1/(s R), R >= r a power
-    # of two, and keeps the tail law; the panel path, graded from 1/s
-    # whatever the slope of Psi w, misses it
+    # of two, and keeps the tail law.  The panel path grades from 1/(s S),
+    # S >= max |(Psi w)'| = r a power of two, and keeps it too, up to the
+    # rounding of Psi w near its zeros (about s S eps relative)
     prob = build_example("duffing-delay")
     rep = scalar_report(prob)
     w = KernelElement(rep, [1000.0])
@@ -313,7 +321,8 @@ def test_closed_form_convergence_resolves_a_steep_layer(monkeypatch):
     s_values = np.array([1e4, 1e6])
     want = np.sqrt((2.0 / np.pi) * (2.0 * np.log(2.0) - 1.0) / (s_values * r))
     np.testing.assert_allclose(gamma_convergence(prob, w, s_values), want, rtol=1e-12)
-    assert np.all(panel_convergence(prob, w, s_values, None, monkeypatch) < 1e-3 * want)
+    got = panel_convergence(prob, w, s_values, None, monkeypatch)
+    assert np.all(np.abs(got - want) <= s_values * pow2_above(r) * EPS * want)
 
 
 def test_two_frequency_kernel_keeps_the_arc_path(monkeypatch, capsys):
@@ -408,16 +417,6 @@ def test_antipodal_symmetry():
         a = gamma_tilde(prob, SphereSample.single_phase(rep, phi)).amps
         b = gamma_tilde(prob, SphereSample.single_phase(rep, phi + np.pi)).amps
         assert np.max(np.abs(a + b)) < 1e-10
-
-
-def test_gamma_unit_rejects_vanishing():
-    # forcing tuned to cancel the projected field at one phase: c = 4/pi
-    # puts the scan minimum at zero for the aligned sample
-    prob = build_example("duffing-delay", c=4.0 / np.pi, tau=0.0)
-    rep = scalar_report(prob)
-    w = SphereSample.single_phase(rep, 0.0)
-    with pytest.raises(R2ViolationError):
-        gamma_unit(prob, w)
 
 
 # -- margins -----------------------------------------------------------
@@ -751,6 +750,37 @@ def test_gamma_convergence_near_tangent_zero(eps):
     assert_matches_quad(prob, w, [1e6], rel=1e-6)
 
 
+def radial_gompertz():
+    import dataclasses
+    from fde import BoundedNonlinearity
+    g = BoundedNonlinearity("radial", A=[[1.0, 0.3], [-0.2, 0.8]], b=[0.1, -0.05])
+    return dataclasses.replace(build_example("gompertz-system"), g=g)
+
+
+@pytest.mark.parametrize("make", [lambda: build_example("beam"), radial_gompertz],
+                         ids=["beam", "radial"])
+def test_panel_convergence_resolves_a_steep_layer(make):
+    # the panel path grades from 1/(s S), S >= max_c sum_k 2 k |c_kc| >=
+    # |(Psi w)'| a power of two, so the layer 1/(s |(Psi w)'|) stays resolved
+    # when w grows (graded from 1/s, beam was off by 4e-3 at scale 30 and
+    # 0.9 at 300).  E depends on s Psi w alone, so the scales 1, 30, 300 at
+    # s = 1e2, 1e3 share five 20-digit mpmath values.  The float rounding
+    # of Psi w near its zeros costs up to about s S eps relative
+    pytest.importorskip("mpmath")
+    prob = make()
+    w = sphere_samples(scalar_report(prob), 1, seed=0)[0]
+    y = apply_deviation(prob.Psi, w.to_poly())
+    slope = 2.0 * np.max(np.arange(y.kmax + 1) @ np.abs(y.coeffs))
+    ref = {}
+    for scale in (1.0, 30.0, 300.0):
+        for s in (1e2, 1e3):
+            if s * scale not in ref:
+                ref[s * scale] = oracles.gamma_convergence_mp(prob.g, y, s * scale)
+            tol = max(1e-12, s * pow2_above(scale * slope) * EPS)
+            assert gamma_convergence(prob, w * scale, [s])[0] == pytest.approx(
+                ref[s * scale], rel=tol), (scale, s)
+
+
 @pytest.mark.parametrize("s", [0.0, -10.0, np.inf, np.nan])
 def test_gamma_convergence_rejects_bad_amplitude(s):
     prob = build_example("duffing-delay")
@@ -763,17 +793,16 @@ def test_gamma_convergence_rejects_bad_amplitude(s):
 
 
 def test_gamma_unit_homogeneity():
-    # scaling g and p together rescales the projected field but not its
-    # normalization
+    # scaling g and p together scales the projected field by the same factor
     import dataclasses
     from fde import saturating
     prob = build_example("duffing-delay")
     rep = scalar_report(prob)
     tripled = dataclasses.replace(prob, g=saturating(-3.0, 3.0), p=prob.p * 3.0)
     for w in sphere_samples(rep, 8, seed=9):
-        a = gamma_unit(prob, w).amps
-        b = gamma_unit(tripled, w).amps
-        assert np.max(np.abs(a - b)) < 1e-12
+        a = gamma_tilde(prob, w).amps
+        b = gamma_tilde(tripled, w).amps
+        assert np.max(np.abs(b - 3.0 * a)) < 1e-12
 
 
 def test_scan_r2_margin_is_projected_forcing_when_g_vanishes():

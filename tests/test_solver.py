@@ -20,7 +20,7 @@ from fde.trigpoly import analyze_grid, eval_grid
 from fde.lazer_leach import sphere_design
 from fde.resonance import KernelElement, symbol
 from fde import solver
-from fde.solver import _grid_sum, pack_coeffs, pack_residual, unpack_coeffs
+from fde.solver import _grid_sum, _unpack, pack_coeffs, pack_residual
 
 TWO_PI = 2.0 * np.pi
 
@@ -159,7 +159,7 @@ def test_jacobian_matches_directional_fd(ex, kmax):
 
     def F(xv):
         return pack_residual(assemble_residual(
-            prob, unpack_coeffs(xv, kmax, n)))
+            prob, TrigPoly(_unpack(xv, kmax, n))))
 
     eps = 1e-6
     for _ in range(20):

@@ -5,7 +5,7 @@ import pytest
 
 from fde import TrigPoly, analyze_grid, differentiate, eval_grid
 from fde.errors import GridTooSmall
-from fde.trigpoly import l2_inner, sobolev_norm
+from fde.trigpoly import sobolev_norm
 
 TWO_PI = 2.0 * np.pi
 
@@ -91,15 +91,7 @@ def test_parseval():
         u = random_poly(rng, n=2, kmax=6)
         vals = eval_grid(u, 4096)
         quad = np.mean(np.sum(vals ** 2, axis=1))
-        assert abs(l2_inner(u, u).real - quad) < 1e-10 * (1 + quad)
         assert u.norm_l2() == pytest.approx(np.sqrt(quad), abs=1e-9)
-
-
-def test_inner_product_matches_quadrature():
-    rng = np.random.default_rng(2)
-    u, v = random_poly(rng), random_poly(rng)
-    vals = np.sum(eval_grid(u, 2048) * eval_grid(v, 2048), axis=1)
-    assert l2_inner(u, v).real == pytest.approx(np.mean(vals), abs=1e-10)
 
 
 def test_differentiate():
