@@ -20,7 +20,7 @@ saturating example with limits -+1 and no forcing has range margin
 
 The sphere is scanned on time-shift orbits, read off one field
 evaluation per orbit (:func:`_sphere_table`): 8 shifts of each of a few
-Sobol points, plus the strata where a component of ``Psi w`` vanishes
+lattice points, plus the strata where a component of ``Psi w`` vanishes
 identically.  When all slots share one frequency, each orbit also adds
 its closed-form minima.  A two-dimensional kernel sphere is one orbit, so
 there its margins and degree are exact; elsewhere a positive verdict is
@@ -48,8 +48,7 @@ import numpy as np
 
 from .errors import BlockStructureError, DimensionMismatch, R2ViolationError
 from .measures import apply_deviation
-from .resonance import (KernelElement, ResonanceReport, deviation_eigenvalues,
-                        resonant_set)
+from .resonance import KernelElement, ResonanceReport, deviation_eigenvalues
 from .trigpoly import TrigPoly, analyze_grid, eval_grid
 
 TWO_PI = 2.0 * np.pi
@@ -89,7 +88,7 @@ class SphereSample(KernelElement):
 
 
 def _ensure_report(prob, report):
-    return resonant_set(prob.P, prob.Lam) if report is None else report
+    return prob.resonance_report() if report is None else report
 
 
 def _root_angles(coeffs) -> np.ndarray:
@@ -256,12 +255,25 @@ def _sobol_amps(nu: int, count: int, seed: int) -> np.ndarray:
     return amps
 
 
+def _lattice_amps(nu: int, count: int) -> np.ndarray:
+    """``(count, nu)`` L2-unit amplitudes from the Kronecker lattice
+    ``x_i = frac(i alpha)``, ``i = 1..count``, in ``[0, 1)^{2 nu}``, ``alpha_j =
+    phi^-j``, ``phi^{2 nu + 1} = phi + 1``, through Box-Muller: slot ``c`` gets
+    modulus ``sqrt(-2 ln(1 - x_c))`` and phase ``2 pi x_{nu+c}``."""
+    phi = 2.0
+    for _ in range(64):
+        phi = (1.0 + phi) ** (1.0 / (2 * nu + 1))
+    x = np.arange(1, count + 1)[:, None] * phi ** -np.arange(1.0, 2 * nu + 1) % 1.0
+    a = np.sqrt(-2.0 * np.log1p(-x[:, :nu])) * np.exp(TWO_PI * 1j * x[:, nu:])
+    return a / (np.sqrt(2.0) * np.linalg.norm(a, axis=1, keepdims=True))
+
+
 @cache
 def _orbit_design(ks: tuple, count: int):
     nu, P, k = len(ks), count if len(ks) == 1 else ORBIT_PHASES, np.array(ks)
     shifts = np.exp(-1j * ((TWO_PI * np.arange(P) / P)[:, None] * (k // np.gcd.reduce(k))))
     amps = (shifts / np.sqrt(2.0) if nu == 1 else
-            _sobol_amps(nu, -(-count // P), 0)[:, None] * shifts).reshape(-1, nu)[:count]
+            _lattice_amps(nu, -(-count // P))[:, None] * shifts).reshape(-1, nu)[:count]
     amps.flags.writeable = shifts.flags.writeable = False
     return amps, shifts
 
@@ -273,13 +285,16 @@ def sphere_design(report: ResonanceReport, count: int):
     of the time shifts ``phi_l = 2 pi l / (P gcd(k_s))``.  Element
     ``r P + l`` is representative ``r`` shifted by ``phi_l``: ``P = count``
     phases of one orbit on a two-dimensional kernel, else ``P = 8`` shifts
-    of each of the first ``ceil(count / 8)`` seed-0 Sobol points.  Both are
+    of each of the first ``ceil(count / 8)`` points of a Kronecker lattice
+    (:func:`_lattice_amps`), deterministic and numpy only.  Both are
     read-only and built once per process."""
     return _orbit_design(tuple(k for k, _ in report.kernel_slots()), count)
 
 
 def sphere_samples(report: ResonanceReport, count: int, seed: int) -> list:
-    """``count`` Sobol points of the kernel sphere, whatever its dimension."""
+    """``count`` scrambled Sobol points of the kernel sphere, whatever its
+    dimension; the package's one scipy user, which no command, solve or
+    certificate calls, kept for callers that pin a seeded draw (perfbench)."""
     return [SphereSample(report, a) for a in _sobol_amps(report.nu, count, seed)]
 
 

@@ -123,6 +123,7 @@ class ProblemSpec:
     solve: SolveConfig = field(default_factory=SolveConfig)
     _columns: np.ndarray | None = field(default=None, init=False, repr=False,
                                         compare=False)
+    _report: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.P.n
@@ -153,6 +154,14 @@ class ProblemSpec:
             self._columns = np.concatenate([self.Psi.stack(kmax)] + rows, axis=1)
             self._columns.flags.writeable = False
         return self._columns[:kmax + 1]
+
+    def resonance_report(self):
+        """The default-``tol`` :func:`~fde.resonance.resonant_set` of ``P`` and
+        ``Lam``, computed once; shared by every caller, so not to be modified."""
+        if self._report is None:
+            from .resonance import resonant_set
+            self._report = resonant_set(self.P, self.Lam)
+        return self._report
 
     def to_dict(self) -> dict:
         return {"n": self.n,

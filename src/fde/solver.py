@@ -47,7 +47,7 @@ from .measures import MeasureMatrix, ScalarMeasure, apply_deviation
 from .nonlinearity import _h_base_deriv, nemytskii_core, nemytskii_eval
 from .problem import SolveConfig
 from .lazer_leach import kernel_forcing_coords, sphere_design
-from .resonance import KernelElement, ResonanceReport, resonant_set, symbol_stack
+from .resonance import KernelElement, ResonanceReport, symbol_stack
 from .trigpoly import TrigPoly, differentiate, eval_grid
 
 TWO_PI = 2.0 * np.pi
@@ -225,7 +225,7 @@ def seed_kernel(prob, report: ResonanceReport | None = None,
     whose residual Newton must resolve on that grid, so the grid that
     serves the solve serves the ranking of its seeds.
     """
-    report = resonant_set(prob.P, prob.Lam) if report is None else report
+    report = prob.resonance_report() if report is None else report
     if report.nu == 0:
         return []
     amps = sphere_design(report, SEED_SAMPLES)[0]
@@ -371,7 +371,7 @@ def solve_periodic(prob, seed=None, config: SolveConfig | None = None,
     defect on the :func:`verify_grid` must also meet :data:`VERIFY_TOL`.
     """
     config = config or prob.solve
-    report = resonant_set(prob.P, prob.Lam) if report is None else report
+    report = prob.resonance_report() if report is None else report
     rungs = _stages(prob, config, report)
 
     seed_el = None
@@ -443,7 +443,7 @@ def solve_best(prob, config: SolveConfig | None = None,
     first converged run, else the lowest-residual attempt.  ``config``
     defaults to ``prob.solve``."""
     config = config or prob.solve
-    report = resonant_set(prob.P, prob.Lam) if report is None else report
+    report = prob.resonance_report() if report is None else report
     seeds = seed_kernel(prob, report, config=config)
     best = None
     for seed in seeds[:4] + [None]:
@@ -493,19 +493,19 @@ def _grid_sum(c: np.ndarray, M: int) -> np.ndarray:
 
     A direct sum without an FFT.  The Cooley-Tukey index map ``j = r + L q``
     (``L`` the largest divisor of ``M`` not above ``sqrt(M)``, ``Q = M / L``)
-    factors ``w^{jk} = w^{rk} w^{Lqk}``, so the sum is one product of an
-    ``(L, K)`` table with the ``(Q, K)`` table times ``c``, and both tables
-    are read from the ``M`` roots of unity by integer index.
+    factors ``w^{jk} = w^{rk} w^{Lqk}``, so each column of ``c`` is one
+    ``(L, Q)`` product of an ``(L, K)`` table with the ``(K, Q)`` table times
+    it, both read from the ``M`` roots of unity by integer index.
     """
     K = c.shape[0] - 1
     out = np.broadcast_to(c[0].real, (M,) + c.shape[1:]).copy()
     if K == 0:
         return out
     A, B = _root_tables(M, K)
-    L, Q = A.shape[0], B.shape[1]
-    S = A @ (B[:, :, None] * c[1:].reshape(K, 1, -1)).reshape(K, -1)
-    # row r, column (q, col) is grid point j = r + L q
-    out += 2.0 * S.real.reshape(L, Q, -1).transpose(1, 0, 2).reshape(out.shape)
+    cols, flat = c[1:].reshape(K, -1), out.reshape(M, -1)
+    for j in range(cols.shape[1]):
+        # entry (r, q) is grid point r + L q
+        flat[:, j] += 2.0 * (A @ (B * cols[:, j, None])).real.T.ravel()
     return out
 
 

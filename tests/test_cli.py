@@ -551,10 +551,32 @@ def test_import_loads_no_scipy(tmp_path):
 
 def test_check_ll_on_a_two_dimensional_kernel_loads_no_scipy():
     # its certificates are closed form, and the small-set diagnostic and
-    # the seed scan of solve read the phase circle instead of a Sobol draw
+    # the seed scan of solve read the phase circle instead of a Sobol draw.
+    # Larger kernels read a numpy Kronecker lattice: each command runs cold
     proc = _python("-c", "import os, sys; from fde.cli import main; "
                          "assert main(['check-ll', 'duffing-delay']) == 0; "
                          "assert main(['solve', 'duffing-delay', '--out', os.devnull]) == 0; "
+                         "assert 'scipy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+    for cmd in ("check-ll beam", "check-ll weakly-coupled", "solve weakly-coupled"):
+        proc = _python("-c", "import os, sys; from fde.cli import main; "
+                             f"assert main({cmd.split()!r} + ['--out', os.devnull]) == 0; "
+                             "assert 'scipy' not in sys.modules")
+        assert proc.returncode == 0, (cmd, proc.stderr)
+
+
+def test_library_certificates_and_solves_load_no_scipy():
+    # the sphere scan, the product degree, the solve and its pointwise
+    # check on kernels of dimension 4, in a fresh process
+    proc = _python("-c", "import sys, fde\n"
+                         "for name in ('beam', 'weakly-coupled'):\n"
+                         "    prob = fde.build_example(name)\n"
+                         "    fde.sphere_scan(prob)\n"
+                         "    try:\n"
+                         "        fde.degree_product(prob)\n"
+                         "    except fde.BlockStructureError:\n"
+                         "        pass\n"
+                         "    fde.verify_pointwise(prob, fde.solve_best(prob).u)\n"
                          "assert 'scipy' not in sys.modules")
     assert proc.returncode == 0, proc.stderr
 

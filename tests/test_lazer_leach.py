@@ -248,7 +248,18 @@ def test_one_frequency_certificates_find_no_roots(name, monkeypatch, capsys):
     degree = degree_winding(prob, rep) if rep.nu == 1 else degree_product(prob, rep)
     assert degree == (-1) ** rep.nu
     w0 = SphereSample(rep, sphere_design(rep, 1)[0][0])
-    assert 0.0 < small_set_measure(w0, 0.1) < 1.0
+    # w0 = 2 Re(e^{ikt} v) has |w0|^2 = 2|v|^2 + 2|v.v| cos(2kt + arg v.v),
+    # so {|w0| < eps} is where that cosine lies below x, an arc of measure
+    # 1 - arccos(x)/pi (0 when eps is below min |w0|, as on weakly-coupled)
+    poly = w0.to_poly()
+    k = int(np.flatnonzero(np.any(poly.coeffs != 0, axis=-1))[0])
+    v = poly.coeffs[k]
+    A, B = 2.0 * np.vdot(v, v).real, np.sum(v * v)
+    t = TWO_PI * np.arange(256) / 256
+    assert np.allclose(np.sum(eval_grid(poly, 256) ** 2, axis=-1),
+                       A + 2.0 * abs(B) * np.cos(2 * k * t + np.angle(B)), rtol=0, atol=1e-12)
+    x = np.clip((0.1 ** 2 - A) / (2.0 * abs(B)), -1.0, 1.0)
+    assert small_set_measure(w0, 0.1) == pytest.approx(1.0 - np.arccos(x) / np.pi, abs=1e-12)
     E = gamma_convergence(prob, w0, (1e2, 1e3, 1e4))
     assert E[0] > E[1] > E[2] > 0.0
     assert main(["check-ll", name]) == 0
@@ -853,25 +864,30 @@ def test_degree_product_single_component_matches_winding():
     assert degree_product(prob) == degree_winding(prob) == -1
 
 
-def test_sobol_design_is_drawn_once_and_read_only():
-    # sphere_samples and sphere_design share one seed-0 Sobol draw per
-    # process: the design's orbit representatives are its first points, and
-    # element r P + l is representative r times the shift diagonal l.  The
-    # composed design and its shifts are built once and cannot be written
+def test_orbit_design_is_built_once_and_read_only():
+    # element r P + l of the design is orbit representative r times the
+    # shift diagonal l, and representatives lie on the unit sphere.  The
+    # design and its shifts are built once per process and cannot be
+    # written.  sphere_samples keeps its seed-0 scrambled Sobol draw
+    from scipy.special import ndtri
+    from scipy.stats import qmc
     prob = build_example("weakly-coupled")
     rep = resonant_set(prob.P, prob.Lam)
-    first = sphere_samples(rep, 1, seed=0)[0].amps
     design, shifts = sphere_design(rep, 64)
-    assert first.tobytes() == design[:1].tobytes()
-    assert shifts.shape == (ORBIT_PHASES, 2)
-    reps = np.array([w.amps for w in sphere_samples(rep, 64 // ORBIT_PHASES, seed=0)])
-    assert design[::ORBIT_PHASES].tobytes() == reps.tobytes()
+    assert design.shape == (64, 2) and shifts.shape == (ORBIT_PHASES, 2)
+    reps = design[::ORBIT_PHASES]
+    assert np.allclose(np.sqrt(2.0) * np.linalg.norm(reps, axis=-1), 1.0, rtol=0, atol=1e-15)
     assert design.tobytes() == (reps[:, None] * shifts).reshape(-1, 2).tobytes()
     assert sphere_design(rep, 64)[0] is design and sphere_design(rep, 64)[1] is shifts
+    first = sphere_samples(rep, 1, seed=0)[0].amps
     for amps in (design, shifts, first):
         with pytest.raises(ValueError):
             amps[0] = 0.0
-    assert sphere_samples(rep, 1, seed=0)[0].amps.tobytes() == first.tobytes()
+    z = ndtri(np.clip(qmc.Sobol(d=4, scramble=True, seed=0).random_base2(3), 1e-12, 1 - 1e-12))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    sobol = (z[:, :2] + 1j * z[:, 2:]) / np.sqrt(2.0)
+    assert np.array([w.amps for w in sphere_samples(rep, 8, seed=0)]).tobytes() == sobol.tobytes()
+    assert sphere_samples(rep, 1, seed=0)[0].amps.tobytes() == first.tobytes() == sobol[:1].tobytes()
 
 
 def test_orbit_shifts_are_time_shifts():

@@ -251,6 +251,23 @@ def test_seed_kernel_duffing():
     # objective sorted ascending, so the leading seed drives solve_best
 
 
+def test_default_report_is_computed_once_per_problem(monkeypatch):
+    # solve_best and seed_kernel without a report read the one that the
+    # problem caches; a replaced problem gets its own
+    import fde.resonance
+    calls = []
+    original = fde.resonance.resonant_set
+    monkeypatch.setattr(fde.resonance, "resonant_set",
+                        lambda *args: calls.append(args) or original(*args))
+    prob = build_example("weakly-coupled")
+    first, second = solve_best(prob), solve_best(prob)
+    seed_kernel(prob)
+    assert len(calls) == 1 and prob.resonance_report() is prob.resonance_report()
+    assert first.u.coeffs.tobytes() == second.u.coeffs.tobytes()
+    assert prob.resonance_report().modes.keys() == resonant_set(prob.P, prob.Lam).modes.keys()
+    assert dataclasses.replace(prob).resonance_report() is not prob.resonance_report()
+
+
 @pytest.mark.parametrize("example", ["duffing-delay", "distributed-uniform"])
 def test_seed_kernel_ties_follow_sample_index(example):
     # mirror-image samples about the best seed tie in exact arithmetic;
