@@ -538,9 +538,9 @@ def _python(*args):
 
 
 def test_import_loads_no_scipy(tmp_path):
-    # importing scipy costs about a second; the package loads it only when
-    # it first samples a kernel sphere.  Problem files are validated
-    # without jsonschema, which only the tests use
+    # importing scipy costs about a second, and no package path loads it.
+    # Problem files are validated without jsonschema, which only the tests
+    # use
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(fde.emit_example("gompertz-system")))
     proc = _python("-c", "import fde, sys; assert 'scipy' not in sys.modules; "
@@ -578,6 +578,55 @@ def test_library_certificates_and_solves_load_no_scipy():
                          "        pass\n"
                          "    fde.verify_pointwise(prob, fde.solve_best(prob).u)\n"
                          "assert 'scipy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_certificate_calls_load_no_scipy():
+    # the calls of the benchmark's certificate task, on every example, in a
+    # fresh process: sphere_samples draws its Sobol points with numpy
+    proc = _python("-c", "import sys, fde\n"
+                         "for name in fde.EXAMPLE_IDS:\n"
+                         "    prob = fde.build_example(name)\n"
+                         "    rep = fde.resonant_set(prob.P, prob.Lam)\n"
+                         "    fde.sphere_scan(prob, rep, n_samples=256)\n"
+                         "    for cert in (fde.degree_product, fde.ll_margin):\n"
+                         "        try:\n"
+                         "            cert(prob, rep)\n"
+                         "        except fde.BlockStructureError:\n"
+                         "            pass\n"
+                         "    if rep.nu == 1:\n"
+                         "        fde.degree_winding(prob, rep)\n"
+                         "    w = fde.sphere_samples(rep, 1, seed=0)[0]\n"
+                         "    fde.small_set_measure(w, 0.1)\n"
+                         "    fde.gamma_convergence(prob, w, (1e2, 1e3, 1e4))\n"
+                         "assert 'scipy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_run_with_scipy_unimportable(tmp_path):
+    # numpy is the only runtime dependency: with every scipy import made to
+    # fail, each command exits 0 on every example
+    proc = _python("-c", "import sys\n"
+                         "sys.modules['scipy'] = None\n"
+                         "import os\n"
+                         "from fde import EXAMPLE_IDS\n"
+                         "from fde.cli import main\n"
+                         "for name in EXAMPLE_IDS:\n"
+                         "    sol = os.path.join(sys.argv[1], name + '.json')\n"
+                         "    for argv in (['analyze', name, '--out', os.devnull],\n"
+                         "                 ['check-ll', name, '--out', os.devnull],\n"
+                         "                 ['solve', name, '--out', sol],\n"
+                         "                 ['verify', name, '--solution', sol, '--out', os.devnull]):\n"
+                         "        assert main(argv) == 0, argv", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_check_ll_beam_loads_no_numpy_ma():
+    # np.unique imports numpy.ma (10-17 ms) on first use; beam's root and
+    # panel breakpoints are deduplicated without it
+    proc = _python("-c", "import os, sys; from fde.cli import main; "
+                         "assert main(['check-ll', 'beam', '--out', os.devnull]) == 0; "
+                         "assert 'numpy.ma' not in sys.modules")
     assert proc.returncode == 0, proc.stderr
 
 

@@ -10,8 +10,9 @@ from fde import (KernelElement, TrigPoly, apply_deviation, build_example,
 from fde.catalog import EXAMPLE_IDS
 from fde.errors import (BlockStructureError, DimensionMismatch,
                         R2ViolationError)
-from fde.lazer_leach import (ORBIT_PHASES, SphereSample, _sphere_table, _strata,
-                             kernel_forcing_coords, sphere_design)
+from fde.lazer_leach import (ORBIT_PHASES, SphereSample, _ndtri, _sobol_amps,
+                             _sobol_points, _sorted_distinct, _sphere_table,
+                             _strata, kernel_forcing_coords, sphere_design)
 from fde.resonance import deviation_eigenvalues
 
 import oracles
@@ -888,6 +889,50 @@ def test_orbit_design_is_built_once_and_read_only():
     sobol = (z[:, :2] + 1j * z[:, 2:]) / np.sqrt(2.0)
     assert np.array([w.amps for w in sphere_samples(rep, 8, seed=0)]).tobytes() == sobol.tobytes()
     assert sphere_samples(rep, 1, seed=0)[0].amps.tobytes() == first.tobytes() == sobol[:1].tobytes()
+
+
+def test_sobol_points_match_scipy_bit_for_bit():
+    # the numpy port draws scipy's scrambled Sobol points: the same Joe-Kuo
+    # direction numbers, the same LMS and shift from default_rng(seed)
+    from scipy.stats import qmc
+    for d in range(1, 9):
+        for m in range(9):
+            for seed in range(6):
+                want = qmc.Sobol(d=d, scramble=True, seed=seed).random_base2(m)
+                assert _sobol_points(d, m, seed).tobytes() == want.tobytes(), (d, m, seed)
+
+
+def test_ndtri_matches_scipy_bit_for_bit():
+    from scipy.special import ndtri
+    # the tail sets take over below exp(-2) and above 1 - exp(-2), and
+    # split at x = sqrt(-2 ln y) = 8, i.e. y = exp(-32)
+    cut, tail = np.exp(-2.0), np.exp(-32.0) * np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9])
+    x = np.sqrt(-2.0 * np.log(tail))
+    assert x[0] > 8.0 > x[2]
+    edges = [1e-12, 1.0 - 1e-12, 0.5, *tail, *(1.0 - tail)]
+    for c in (cut, 1.0 - cut):
+        edges += [np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)]
+    ys = np.concatenate([edges, [1e-15, 1e-100, 1e-300, 1.0 - 1e-16],
+                         np.random.default_rng(3).random(10**5)])
+    mine = np.array([_ndtri(y) for y in ys.tolist()])
+    assert np.all(np.isfinite(mine))
+    assert mine.tobytes() == ndtri(ys).tobytes()
+
+
+def test_sobol_draw_refuses_more_than_eight_dimensions():
+    # the direction numbers are tabulated for d <= 8, i.e. nu <= 4
+    assert _sobol_amps(4, 2, 0).shape == (2, 4)
+    with pytest.raises(ValueError):
+        _sobol_amps(5, 1, 0)
+    with pytest.raises(ValueError):
+        _sobol_points(9, 0, 0)
+
+
+def test_sorted_distinct_is_np_unique():
+    rng = np.random.default_rng(0)
+    for a in (np.zeros(0), np.array([3, 1, 3, 2, 1]), rng.integers(0, 5, (4, 6)),
+              np.round(rng.random(200), 1), np.array([0.0, -0.0, 1.0, 0.0])):
+        assert _sorted_distinct(a).tobytes() == np.unique(a).tobytes()
 
 
 def test_orbit_shifts_are_time_shifts():
