@@ -461,6 +461,8 @@ def nemytskii_core(prob, c: np.ndarray, M: int):
     band-limited forcing added in coefficient space), and the ``(..., M, n + T)``
     samples of ``Psi u`` and the taps.  ``M >= 4 kmax`` keeps aliasing low."""
     kmax, n = c.shape[-2] - 1, c.shape[-1]
+    if n != prob.n:
+        raise DimensionMismatch(f"u has {n} components, the problem {prob.n}")
     need = max(2 * kmax + 1, 4 * kmax, 2 * prob.p.kmax + 1)
     if M < need:
         raise DimensionMismatch(f"M={M} undersamples kmax={kmax}; need >= {need}")

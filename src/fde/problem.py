@@ -124,6 +124,8 @@ class ProblemSpec:
     _columns: np.ndarray | None = field(default=None, init=False, repr=False,
                                         compare=False)
     _report: object = field(default=None, init=False, repr=False, compare=False)
+    _verify_stack: np.ndarray | None = field(default=None, init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self):
         n = self.P.n

@@ -28,10 +28,10 @@ a rung that takes no step the full band confirms (:func:`solve_periodic`).
 A run counts as converged when the coefficient residual meets
 ``tol_residual``, the residual does not move when the grid doubles, and
 the pointwise defect meets :data:`VERIFY_TOL`, the tolerance ``fde
-verify`` applies.  :func:`verify_pointwise` evaluates every atom of the
-measures and every tap of ``h`` directly, as ``u(t + theta)`` from one
-roots-of-unity sum of the shifted polynomials over the grid
-(:func:`_grid_sum`), so it shares no FFT with the solver.
+verify`` applies.  :func:`verify_pointwise` folds everything linear in
+``u`` in coefficient space with its own multipliers (:func:`_verify_stack`)
+and samples it with one roots-of-unity sum over the grid (:func:`_grid_sum`),
+so it makes no FFT and shares no stack with the solver.
 """
 
 from __future__ import annotations
@@ -43,12 +43,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionMismatch, GridTooSmall
-from .measures import MeasureMatrix, ScalarMeasure, apply_deviation
 from .nonlinearity import _h_base_deriv, nemytskii_core, nemytskii_eval
 from .problem import SolveConfig
 from .lazer_leach import kernel_forcing_coords, sphere_design
 from .resonance import KernelElement, ResonanceReport, symbol_stack
-from .trigpoly import TrigPoly, differentiate, eval_grid
+from .trigpoly import TrigPoly
 
 TWO_PI = 2.0 * np.pi
 
@@ -458,29 +457,15 @@ def solve_best(prob, config: SolveConfig | None = None,
 # -- verification ------------------------------------------------------
 
 
-def _apply_measure_grid(mat: MeasureMatrix, u: TrigPoly, shifted: dict,
-                        M: int) -> np.ndarray:
-    """Measure term on the grid by direct application: atoms read the exact
-    values ``u(t + theta)`` from ``shifted``, densities go through their
-    closed-form mode transforms."""
-    out = np.zeros((M, mat.n))
-    for i, row in enumerate(mat.entries):
-        for j, m in enumerate(row):
-            for theta, wgt in m.atoms:
-                out[:, i] += wgt * shifted[theta][:, j]
-    if any(m.densities for row in mat.entries for m in row):
-        dens = [[ScalarMeasure(densities=list(m.densities)) for m in row] for row in mat.entries]
-        out += eval_grid(apply_deviation(MeasureMatrix(mat.n, dens), u), M)
-    return out
-
-
 @functools.lru_cache(maxsize=8)
 def _root_tables(M: int, K: int):
-    """Read-only ``(L, K)`` and ``(K, Q)`` root-of-unity tables of :func:`_grid_sum`."""
+    """Read-only tables of :func:`_grid_sum`: ``w^{rk}``, complex ``(K, L)``,
+    and ``[Re w^{Lqk}, -Im w^{Lqk}]``, real ``(Q, 2K)``."""
     L = max(d for d in range(1, math.isqrt(M) + 1) if M % d == 0)
     roots = np.exp(1j * TWO_PI * np.arange(M) / M)
     k = np.arange(1, K + 1)
-    A, B = roots[np.outer(np.arange(L), k) % M], roots[np.outer(k, L * np.arange(M // L)) % M]
+    A, B = roots[np.outer(k, np.arange(L)) % M], roots[np.outer(L * np.arange(M // L), k) % M]
+    B = np.hstack([B.real, -B.imag])
     A.flags.writeable = B.flags.writeable = False
     return A, B
 
@@ -493,56 +478,65 @@ def _grid_sum(c: np.ndarray, M: int) -> np.ndarray:
 
     A direct sum without an FFT.  The Cooley-Tukey index map ``j = r + L q``
     (``L`` the largest divisor of ``M`` not above ``sqrt(M)``, ``Q = M / L``)
-    factors ``w^{jk} = w^{rk} w^{Lqk}``, so each column of ``c`` is one
-    ``(L, Q)`` product of an ``(L, K)`` table with the ``(K, Q)`` table times
-    it, both read from the ``M`` roots of unity by integer index.
+    factors ``w^{jk} = w^{rk} w^{Lqk}``, so the real part of the sum over all
+    ``C`` columns is one real ``(Q, 2K)`` by ``(2K, L C)`` product; its row
+    ``q`` holds grid points ``L q .. L q + L - 1``.
     """
     K = c.shape[0] - 1
-    out = np.broadcast_to(c[0].real, (M,) + c.shape[1:]).copy()
     if K == 0:
-        return out
+        return np.broadcast_to(c[0].real, (M,) + c.shape[1:]).copy()
     A, B = _root_tables(M, K)
-    cols, flat = c[1:].reshape(K, -1), out.reshape(M, -1)
-    for j in range(cols.shape[1]):
-        # entry (r, q) is grid point r + L q
-        flat[:, j] += 2.0 * (A @ (B * cols[:, j, None])).real.T.ravel()
-    return out
+    Y = A[:, :, None] * c[1:].reshape(K, 1, -1)                 # (K, L, C)
+    R = B @ np.concatenate([Y.real, Y.imag]).reshape(2 * K, -1)
+    return (2.0 * R).reshape((M,) + c.shape[1:]) + c[0].real
+
+
+def _verify_stack(prob, K: int) -> np.ndarray:
+    """Read-only ``(K+1, 2n + T, n)`` multipliers of the columns :func:`verify_pointwise`
+    sums, ``sum_j (ik)^j P_j + Lam``, ``Psi`` and ``e_c e^{-ik delay}`` per tap of ``h``:
+    each atom adds ``w e^{ik theta}`` and each density its closed form at ``-k``, read
+    from the measures' entries and not from the solver's stacks; cached on ``prob``."""
+    W = prob._verify_stack
+    if W is None or W.shape[0] <= K:
+        n, k = prob.n, np.arange(K + 1)
+        taps = prob.h.taps() if prob.h is not None else []
+        W = np.zeros((K + 1, 2 * n + len(taps), n), dtype=complex)
+        W[:, :n] = sum((1j * k[:, None, None]) ** j * A for j, A in enumerate(prob.P.coeffs))
+        for r, mat in enumerate((prob.Lam, prob.Psi)):
+            for i, row in enumerate(mat.entries):
+                for j, m in enumerate(row):
+                    W[:, r * n + i, j] += sum(w * np.exp(1j * k * theta) for theta, w in m.atoms)
+                    W[:, r * n + i, j] += sum(d.profile.transform(d.a, d.b, -k) for d in m.densities)
+        for f, (c, delay) in enumerate(taps):
+            W[:, 2 * n + f, c] = np.exp(-1j * k * delay)
+        W.flags.writeable = False
+        prob._verify_stack = W
+    return W[:K + 1]
 
 
 def verify_pointwise(prob, u: TrigPoly, M_fine: int | None = None) -> float:
     """Sup-norm defect of ``u`` in the original equation on a fine grid.
 
-    Independent of the solver path: derivatives are spectral but every
-    measure is applied directly and the nonlinearities are evaluated
-    pointwise without re-projection.  Each atom ``theta`` of ``Lam`` and
-    ``Psi`` and each tap of ``h`` (``theta = -delay``) reads ``u(t + theta)``
-    from one direct sum of the shifted coefficients over the grid
-    (:func:`_grid_sum`), which also sums the forcing; no FFT of
-    :func:`~fde.nonlinearity.nemytskii_core` is involved.  ``M_fine`` and
-    its check follow the declared ``u.kmax``; the sums run only up to the
-    last nonzero mode (or that of ``p``).
+    Independent of the solver path: everything linear in ``u`` is folded in
+    coefficient space (:func:`_verify_stack`) into the ``n`` columns of
+    ``P(D) u + Lam u - p``, the ``n`` of ``Psi u`` and one per tap of ``h``;
+    one direct sum (:func:`_grid_sum`, no FFT) samples them, and ``g`` and ``h``
+    are applied pointwise without re-projection.  ``M_fine`` and its check
+    follow the declared ``u.kmax``; the sum runs only up to the last nonzero
+    mode (or that of ``p``).
     """
-    if M_fine is None:
-        M_fine = verify_grid(u.kmax)
+    if u.n != prob.n:
+        raise DimensionMismatch(f"u has {u.n} components, the problem {prob.n}")
+    M_fine = verify_grid(u.kmax) if M_fine is None else M_fine
     if M_fine < max(VERIFY_OVERSAMPLE * u.kmax, 2 * u.kmax + 1):
         raise GridTooSmall(f"verification grid {M_fine} undersamples kmax={u.kmax}")
     # trailing zero modes add exactly nothing: evaluate the live band only
-    live = np.flatnonzero(np.any(u.coeffs != 0, axis=-1))
-    u = u.truncate(int(live[-1]) if live.size else 0)
-    acc = np.zeros((M_fine, u.n))
-    for j in range(prob.P.degree + 1):
-        acc += eval_grid(differentiate(u, j), M_fine) @ prob.P.coeffs[j].T
-    # u(t + theta) at each atom and tap (-delay, wrapped like atoms), then p
-    taps = prob.h.taps() if prob.h is not None else []
-    thetas = sorted({theta for mat in (prob.Lam, prob.Psi) for row in mat.entries
-                     for m in row for theta, _ in m.atoms} | {-d % TWO_PI for _, d in taps})
-    K = max(u.kmax, prob.p.kmax)
-    c = np.concatenate([u.pad(K).shift(np.array(thetas)).coeffs, prob.p.pad(K).coeffs[None]])
-    sums = np.moveaxis(_grid_sum(np.moveaxis(c, 0, 1), M_fine), 1, 0)     # (S+1, M, n)
-    shifted = dict(zip(thetas, sums))
-    acc += _apply_measure_grid(prob.Lam, u, shifted, M_fine)
-    acc += prob.g(_apply_measure_grid(prob.Psi, u, shifted, M_fine))
-    if taps:
-        prob.h.add_to(acc, np.stack([shifted[-d % TWO_PI][:, i] for i, d in taps], axis=-1))
-    acc -= sums[-1]
-    return float(np.max(np.sqrt(np.sum(acc * acc, axis=1))))
+    live, n = np.flatnonzero(u.coeffs), u.n
+    K = max(int(live[-1]) // n if live.size else 0, prob.p.kmax)
+    cols = np.einsum("kij,kj->ki", _verify_stack(prob, K), u.truncate(K).coeffs)
+    cols[:prob.p.kmax + 1, :n] -= prob.p.coeffs
+    vals = _grid_sum(cols, M_fine)
+    acc = vals[:, :n] + prob.g(vals[:, n:2 * n])
+    if vals.shape[1] > 2 * n:
+        prob.h.add_to(acc, vals[:, 2 * n:])
+    return float(np.sqrt(np.max(np.einsum("ij,ij->i", acc, acc))))

@@ -162,6 +162,18 @@ def test_solve_then_verify_json(capsys, tmp_path):
     assert rep["pointwise_residual"] < 1e-8
 
 
+@pytest.mark.parametrize("ex", EXAMPLE_IDS)
+def test_solve_and_verify_report_the_same_defect(capsys, tmp_path, ex):
+    # exit 0 from solve means the defect fde verify reads, bit for bit
+    sol = tmp_path / "sol.json"
+    code, _, _ = run(capsys, "solve", ex, "--out", str(sol))
+    assert code == 0
+    solved = json.loads(sol.read_text())["pointwise_residual"]
+    code, out, _ = run(capsys, "verify", ex, "--solution", str(sol))
+    assert code == 0
+    assert json.loads(out)["pointwise_residual"] == solved
+
+
 def test_solve_csv_roundtrip(capsys, tmp_path):
     sol = tmp_path / "sol.csv"
     code, _, _ = run(capsys, "solve", "duffing-delay",

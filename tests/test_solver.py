@@ -12,15 +12,17 @@ from fde import (BoundedNonlinearity, ConstProfile, DelayTap, Density,
                  coefficient_jacobian, resonant_set, saturating, seed_kernel,
                  solve_best, solve_periodic, time_shift_gauge,
                  verify_pointwise)
-from fde.errors import GridTooSmall
-from fde import nonlinearity
+from fde.errors import DimensionMismatch, GridTooSmall
+from fde import nonlinearity, resonance
 from fde.measures import apply_deviation
 from fde.nonlinearity import _h_base, nemytskii_core, nemytskii_eval
 from fde.trigpoly import analyze_grid, eval_grid
 from fde.lazer_leach import sphere_design
 from fde.resonance import KernelElement, symbol
 from fde import solver
-from fde.solver import _grid_sum, _unpack, pack_coeffs, pack_residual
+from fde.solver import _grid_sum, _unpack, pack_coeffs, pack_residual, verify_grid
+
+import oracles
 
 TWO_PI = 2.0 * np.pi
 
@@ -641,6 +643,81 @@ def test_verify_pointwise_matches_direct_evaluation(example, monkeypatch):
     want = [verify_pointwise(prob, v) for v in (u, wrong)]
     assert got[1] > 1e-3
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-14
+
+
+@pytest.mark.parametrize("example", ALL_EXAMPLES)
+def test_verify_pointwise_is_one_grid_sum_off_the_solver_path(example, monkeypatch):
+    # with every FFT and every stack the solver reads made to raise, a
+    # problem that has cached nothing yet still verifies, through one
+    # direct sum of the 2n + T folded columns
+    prob = build_example(example)
+    u = solve_best(prob).u
+    want = verify_pointwise(prob, u)
+    fresh = build_example(example)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify_pointwise reached the solver path")
+
+    for name in np.fft.__all__:
+        monkeypatch.setattr(np.fft, name, forbidden)
+    for mod in (solver, nonlinearity):
+        monkeypatch.setattr(mod, "nemytskii_core", forbidden)
+    for mod in (solver, resonance):
+        monkeypatch.setattr(mod, "symbol_stack", forbidden)
+    monkeypatch.setattr(ProblemSpec, "column_stack", forbidden)
+    monkeypatch.setattr(MatrixPolynomial, "stack", forbidden)
+    for mat in (fresh.Lam, fresh.Psi):
+        monkeypatch.setattr(mat, "stack", forbidden)
+    shapes = []
+    grid_sum = solver._grid_sum
+
+    def counted(c, M):
+        shapes.append(c.shape)
+        return grid_sum(c, M)
+
+    monkeypatch.setattr(solver, "_grid_sum", counted)
+    assert verify_pointwise(fresh, u) == want
+    taps = len(prob.h.taps()) if prob.h is not None else 0
+    assert len(shapes) == 1 and shapes[0][1:] == (2 * prob.n + taps,)
+
+
+# absolute quadrature tolerance of the oracle's density integrals
+ORACLE_QUAD_EPSABS = 1e-13
+
+
+@pytest.mark.parametrize("example", ALL_EXAMPLES)
+def test_verify_pointwise_matches_the_defect_oracle(example):
+    # the oracle sums modes as cos/sin series at each grid point, reads each
+    # atom as u(t + theta) and integrates each density by quadrature; 1e-12
+    # absolute, plus ten quadrature tolerances where a density enters
+    prob = build_example(example)
+    u = solve_best(prob).u
+    wrong = u + TrigPoly.cosine(3, amplitude=0.01, n=u.n, kmax=u.kmax)
+    M = verify_grid(u.kmax)
+    dens = any(m.densities for mat in (prob.Lam, prob.Psi) for row in mat.entries for m in row)
+    tol = 1e-12 + (10 * ORACLE_QUAD_EPSABS if dens else 0.0)
+    for v in (u, wrong):
+        want = oracles.defect_direct(prob, v, M, ORACLE_QUAD_EPSABS)
+        assert abs(verify_pointwise(prob, v, M) - want) <= tol
+    assert want > 1e-3
+
+
+WIDTH_ENTRY_POINTS = {
+    "nemytskii_eval": lambda prob, u: nemytskii_eval(prob, u, 64),
+    "assemble_residual": assemble_residual,
+    "verify_pointwise": verify_pointwise,
+    "solve_periodic": solve_periodic,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(WIDTH_ENTRY_POINTS))
+@pytest.mark.parametrize("example, n", [("duffing-delay", 2), ("weakly-coupled", 1)])
+def test_wrong_component_count_raises_dimension_mismatch(entry, example, n):
+    # a u of the other width must not broadcast against the problem
+    prob = build_example(example)
+    assert prob.n != n
+    with pytest.raises(DimensionMismatch):
+        WIDTH_ENTRY_POINTS[entry](prob, TrigPoly.cosine(1, amplitude=0.3, n=n, kmax=8))
 
 
 def test_verify_pointwise_detects_wrong_solution():
