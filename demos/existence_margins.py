@@ -13,9 +13,8 @@ Run with:  python3 demos/existence_margins.py
 
 import numpy as np
 
-from fde import (SphereSample, build_example, degree_product, degree_winding,
-                 gamma_convergence, ll_margin, resonant_set, small_set_measure,
-                 sphere_scan)
+from fde import (SphereSample, build_example, certify, gamma_convergence,
+                 ll_margin, resonant_set, small_set_measure, sphere_scan)
 
 
 def banner(text):
@@ -68,14 +67,16 @@ print("                perturbation, already subtracted from the margin)")
 # number is closed form: -1 when |c0| > |a_p|, 0 otherwise.  A nonzero
 # winding decides existence outright.  For kernels that split across
 # components the Brouwer degree factors into a product of per-component
-# windings.
+# windings.  `certify` picks the degree the kernel allows and returns it
+# in the existence record that `fde check-ll` prints.
 # ---------------------------------------------------------------------
 
 banner("topological degree")
-deg = degree_winding(build_example("duffing-delay"))
-print(f"winding degree, delayed Duffing      {deg:+d}")
-deg = degree_product(build_example("weakly-coupled"))
-print(f"product degree, weakly coupled pair  {deg:+d}")
+for label, name in (("winding degree, delayed Duffing     ", "duffing-delay"),
+                    ("product degree, weakly coupled pair ", "weakly-coupled")):
+    doc = certify(build_example(name))
+    print(f"{label} {doc['degree']['degree']:+d}"
+          f"   (conditions pass: {doc['conditions_pass']})")
 
 # ---------------------------------------------------------------------
 # 4. Why finite amplitudes inherit the sphere margins.

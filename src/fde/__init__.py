@@ -22,7 +22,7 @@ from .resonance import (ConditionFlags, KernelElement, ResonanceReport,
                         ResonantMode, apply_symbol, check_linear_conditions,
                         project_kernel, resonant_set, right_inverse,
                         scan_bound, symbol)
-from .lazer_leach import (SphereSample, SphereScan, degree_product,
+from .lazer_leach import (SphereSample, SphereScan, certify, degree_product,
                           degree_winding, gamma_convergence, gamma_tilde,
                           ll_margin, small_set_measure, sphere_samples,
                           sphere_scan)
@@ -52,7 +52,7 @@ __all__ = [
     "ConditionFlags", "KernelElement", "ResonanceReport", "ResonantMode",
     "apply_symbol", "check_linear_conditions", "project_kernel",
     "resonant_set", "right_inverse", "scan_bound", "symbol",
-    "SphereSample", "SphereScan", "degree_product", "degree_winding",
+    "SphereSample", "SphereScan", "certify", "degree_product", "degree_winding",
     "gamma_convergence", "gamma_tilde", "ll_margin", "small_set_measure",
     "sphere_samples", "sphere_scan",
     "SolveResult", "assemble_residual", "coefficient_jacobian", "seed_kernel",

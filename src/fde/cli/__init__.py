@@ -27,10 +27,8 @@ import sys
 import numpy as np
 
 from ..catalog import emit_example, finite_float, load_problem
-from ..errors import BlockStructureError, DimensionMismatch, FdeError, ProblemFormatError
-from ..lazer_leach import (SphereSample, certificate, degree_product,
-                           degree_winding, ll_margin, small_set_measure,
-                           sphere_design, sphere_scan)
+from ..errors import FdeError, ProblemFormatError
+from ..lazer_leach import certify
 from ..problem import ProblemSpec
 from ..resonance import check_linear_conditions, resonant_set
 from ..solver import (VERIFY_OVERSAMPLE, VERIFY_TOL, solve_best, verify_grid,
@@ -87,36 +85,8 @@ def cmd_analyze(prob: ProblemSpec, args) -> tuple[dict, int]:
 
 
 def cmd_check_ll(prob: ProblemSpec, args) -> tuple[dict, int]:
-    report = _report(prob, args)
-    scan = sphere_scan(prob, report, n_samples=32 if args.samples is None else args.samples)
-    doc = scan.to_dict()
-    doc["linear"] = report.flags.to_dict()
-
-    try:
-        deg = (degree_winding if report.nu == 1 else degree_product)(prob, report)
-        doc["degree"] = certificate("R3", margin=doc["R2"]["margin"],
-                                    degree=deg, note=doc["R2"]["note"])
-    except FdeError as exc:
-        doc["degree"] = None
-        doc["degree_note"] = str(exc)
-        deg = None
-
-    try:
-        doc["ll_margin"] = ll_margin(prob, report)
-    except (BlockStructureError, DimensionMismatch) as exc:
-        doc["ll_margin"] = None
-        doc["ll_note"] = str(exc)
-
-    # on a 2-d kernel the small-set measure is the same at every phase
-    w0 = SphereSample(report, sphere_design(report, 1)[0][0])
-    doc["diagnostics"] = {
-        "c_psi": report.flags.c_psi,
-        "small_set": {"eps": 0.1, "value": small_set_measure(w0, 0.1)},
-    }
-    ok = bool(doc["R2"]["holds"]
-              and (doc["N2"]["holds"] or (deg is not None and deg != 0)))
-    doc["conditions_pass"] = ok
-    return doc, 0 if ok else 2
+    doc = certify(prob, _report(prob, args), 32 if args.samples is None else args.samples)
+    return doc, 0 if doc["conditions_pass"] else 2
 
 
 def _solution_csv(u: TrigPoly, M: int) -> str:

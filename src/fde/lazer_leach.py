@@ -7,7 +7,8 @@ At resonance, solvability hinges on the projected limit field
 over the unit sphere of the kernel.  This module reports quantitative
 margins for the range condition (the projected field never vanishes) and
 for the inner-product test, computes the Brouwer degree of the
-normalized field through winding numbers, and runs the saturation
+normalized field through winding numbers, combines them into one
+existence verdict (:func:`certify`), and runs the saturation
 diagnostics: the small-set measure, in closed form for a ``w`` of one
 frequency and otherwise exact from the roots of ``|w|^2 - eps^2``, and
 the finite-amplitude distance ``||g_w - g(s Psi w)||_L2``.
@@ -47,15 +48,18 @@ from functools import cache
 
 import numpy as np
 
-from .errors import BlockStructureError, DimensionMismatch, R2ViolationError
+from .errors import BlockStructureError, DimensionMismatch, FdeError, R2ViolationError
 from .measures import apply_deviation
-from .resonance import KernelElement, ResonanceReport, deviation_eigenvalues
+from .resonance import (KernelElement, ResonanceReport, check_linear_conditions,
+                        deviation_eigenvalues)
 from .trigpoly import TrigPoly, analyze_grid, eval_grid
 
 TWO_PI = 2.0 * np.pi
 
 _NOTE = "sampling-based evidence, not a proof"
 _ORBIT_NOTE = "exact: the kernel sphere is one time-shift orbit"
+_NO_KERNEL_NOTE = ("no resonant modes: L is invertible, so bounded g and h "
+                   "give a periodic solution")
 # a projected field this close to zero counts as vanishing
 _GATE = 1e-9
 # time shifts per orbit of a sampled kernel sphere of dimension four or more
@@ -526,9 +530,10 @@ def degree_winding(prob, report: ResonanceReport | None = None) -> int:
     return -1 if gap > 0 else 0
 
 
-def _component_blocks(prob, report: ResonanceReport) -> dict:
-    """Map component -> (frequency, slot index) when every kernel direction
-    is a coordinate axis and no component resonates twice."""
+def _blocks(prob, report: ResonanceReport) -> dict:
+    """Map component -> (frequency, slot index, classical margin
+    ``|jump_c| / pi - |phat_c(k)|``) when every kernel direction is a
+    coordinate axis and no component resonates twice."""
     if prob.g.kind != "componentwise":
         raise BlockStructureError("product degree needs a componentwise field")
     blocks: dict = {}
@@ -545,13 +550,8 @@ def _component_blocks(prob, report: ResonanceReport) -> dict:
             raise BlockStructureError(
                 f"component {c} resonates at several frequencies; "
                 "unsupported: provide block structure")
-        blocks[c] = (k, idx)
-    return blocks
-
-
-def _block_margin(prob, c: int, k: int) -> float:
-    """Classical margin ``|jump_c| / pi - |phat_c(k)|`` of one kernel block."""
-    return abs(prob.g.jump(c)) / np.pi - abs(prob.p.coeff(k)[c])
+        blocks[c] = (k, idx, abs(prob.g.jump(c)) / np.pi - abs(prob.p.coeff(k)[c]))
+    return dict(sorted(blocks.items()))
 
 
 def degree_product(prob, report: ResonanceReport | None = None) -> int:
@@ -567,10 +567,10 @@ def degree_product(prob, report: ResonanceReport | None = None) -> int:
     degree ``(-1)^blocks``.
     """
     report = _ensure_report(prob, report)
-    blocks = _component_blocks(prob, report)
+    blocks = _blocks(prob, report)
 
     # coupling probe: a pure block sample's g-response must stay in its block
-    idxs = [idx for c, (k, idx) in sorted(blocks.items())]
+    idxs = [idx for _, idx, _ in blocks.values()]
     amps = np.zeros((len(idxs), report.nu), dtype=complex)
     amps[np.arange(len(idxs)), idxs] = 1.0 / np.sqrt(2.0)
     responses = _field_coords(prob, SphereSample(report, amps))
@@ -581,8 +581,7 @@ def degree_product(prob, report: ResonanceReport | None = None) -> int:
                 f"coupled response detected (off-block mass {off:.2e}); "
                 "fall back to the sphere_scan report")
 
-    for c, (k, _) in sorted(blocks.items()):
-        margin = _block_margin(prob, c, k)
+    for c, (_, _, margin) in blocks.items():
         if margin <= 0:
             raise BlockStructureError(
                 f"component {c}: block margin {margin:.3e} is not positive")
@@ -596,13 +595,55 @@ def ll_margin(prob, report: ResonanceReport | None = None) -> dict:
     """Inner-product margins ``|jump_j| / pi - |phat_j(k_j)|`` per resonant
     component; the overall margin is the worst one.  Needs componentwise
     ``g`` and per-component kernel blocks."""
-    report = _ensure_report(prob, report)
-    blocks = _component_blocks(prob, report)
-    per = {c: {"k": k, "margin": float(_block_margin(prob, c, k))}
-           for c, (k, _) in sorted(blocks.items())}
+    per = {c: {"k": k, "margin": float(m)}
+           for c, (k, _, m) in _blocks(prob, _ensure_report(prob, report)).items()}
     worst = min((m["margin"] for m in per.values()), default=np.inf)
     return {"margin": float(worst), "per_component": per,
             "holds": bool(worst > 0.0)}
+
+
+# -- the existence record ----------------------------------------------
+
+
+def certify(prob, report: ResonanceReport | None = None, n_samples: int = 32) -> dict:
+    """The existence record that ``fde check-ll`` prints.
+
+    ``R2`` and ``N2`` are the certificates of :func:`sphere_scan`.
+    ``degree`` is an ``R3`` certificate carrying :func:`degree_winding` on a
+    two-dimensional kernel and :func:`degree_product` on larger ones, or
+    ``None`` with the refusal in ``degree_note``; ``ll_margin`` is
+    :func:`ll_margin`, or ``None`` with its refusal in ``ll_note``.
+    ``linear`` holds the flags of
+    :func:`~fde.resonance.check_linear_conditions` (``report.flags`` when
+    set), and ``diagnostics`` the deviation constant ``c_psi`` and the
+    small-set measure at ``eps = 0.1`` of the first design element.  The
+    conditions pass when R2 holds and N2 holds or the degree is nonzero
+    (Mawhin's coincidence degree).  Without resonant modes ``L`` is
+    invertible and bounded ``g`` and ``h`` give a solution, so the
+    conditions pass with the certificates ``None`` and a ``note``.
+    """
+    report = _ensure_report(prob, report)
+    flags = report.flags or check_linear_conditions(report, prob.Psi)
+    doc = {"linear": flags.to_dict(), "diagnostics": {"c_psi": flags.c_psi, "small_set": None}}
+    if report.nu == 0:
+        return {**doc, "R2": None, "N2": None, "degree": None, "ll_margin": None,
+                "note": _NO_KERNEL_NOTE, "conditions_pass": True}
+    doc.update(sphere_scan(prob, report, n_samples).to_dict())
+    try:
+        deg = (degree_winding if report.nu == 1 else degree_product)(prob, report)
+        doc["degree"] = certificate("R3", margin=doc["R2"]["margin"], degree=deg,
+                                    note=doc["R2"]["note"])
+    except FdeError as exc:
+        doc["degree"], doc["degree_note"], deg = None, str(exc), 0
+    try:
+        doc["ll_margin"] = ll_margin(prob, report)
+    except BlockStructureError as exc:
+        doc["ll_margin"], doc["ll_note"] = None, str(exc)
+    # on a 2-d kernel the small-set measure is the same at every phase
+    w0 = SphereSample(report, sphere_design(report, 1)[0][0])
+    doc["diagnostics"]["small_set"] = {"eps": 0.1, "value": small_set_measure(w0, 0.1)}
+    doc["conditions_pass"] = bool(doc["R2"]["holds"] and (doc["N2"]["holds"] or deg != 0))
+    return doc
 
 
 # -- saturation diagnostics -------------------------------------------

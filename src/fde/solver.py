@@ -7,7 +7,7 @@ applied mode by mode and the Nemytskii part from one spectral pass of
 (Levenberg-Marquardt) handles the singular symbol blocks at resonant
 frequencies; seeding along the kernel supplies the resonant coordinates a
 zero initial guess cannot reach.  Newton stays on packed arrays,
-``x = [c_0, Re c_1, Im c_1, ..., Re c_K, Im c_K]`` componentwise, and the
+``x = [c_0, Re c_1, ..., Re c_K, Im c_1, ..., Im c_K]`` componentwise, and the
 packed residual carries sqrt(2) weights on the ``k >= 1`` rows so its
 Euclidean norm equals the L2 norm of ``R``.
 
@@ -99,9 +99,8 @@ def _residual(prob, c: np.ndarray, M: int):
 
 
 def _pack(c: np.ndarray, weight: float) -> np.ndarray:
-    """``[Re c_0, w Re c_1, w Im c_1, ...]`` for a ``(kmax+1, n)`` array."""
-    tail = np.stack([c[1:].real, c[1:].imag], axis=1)      # (kmax, 2, n)
-    return np.concatenate([c[0].real, (weight * tail).ravel()])
+    """``[Re c_0, w Re c_1, ..., w Re c_K, w Im c_1, ..., w Im c_K]`` for a ``(K+1, n)`` array."""
+    return np.concatenate([c[0].real, weight * c[1:].real.ravel(), weight * c[1:].imag.ravel()])
 
 
 def pack_coeffs(u: TrigPoly) -> np.ndarray:
@@ -109,10 +108,8 @@ def pack_coeffs(u: TrigPoly) -> np.ndarray:
 
 
 def _unpack(x: np.ndarray, kmax: int, n: int) -> np.ndarray:
-    tail = x[n:].reshape(kmax, 2, n)
-    c = np.empty((kmax + 1, n), dtype=complex)
-    c[0] = x[:n]
-    c[1:] = tail[:, 0] + 1j * tail[:, 1]
+    c = x[:n * (kmax + 1)].reshape(kmax + 1, n).astype(complex)
+    c[1:].imag = x[n * (kmax + 1):].reshape(kmax, n)
     return c
 
 
@@ -153,23 +150,11 @@ def coefficient_jacobian(prob, u: TrigPoly, samples: np.ndarray | None = None) -
     H = (np.take(ahat, k[:, None] + k, axis=-1)[:, :, None] * psi.conj()).sum(axis=1)
     H[..., 0] = 0.0                 # the real mean mode has no conjugate twin
     T[:, :, k, k] += symbol_stack(prob.P, prob.Lam, kmax).transpose(1, 2, 0)
-    # split c_j = a_j + i b_j into real columns
-    Da, Db = T + H, 1j * (T - H)
-
-    # rows (k, re/im, i) and columns (j, a/b, l), without Im of mode 0 and
-    # the b-column of the real mean coefficient: the mean row and column
-    # are n wide, every other mode 2n, and each block is written in place
-    J = np.empty((n * (2 * kmax + 1),) * 2)
-    J[:n, :n] = Da.real[:, :, 0, 0]
-    top = J[:n, n:].reshape(n, kmax, 2, n)
-    left = J[n:, :n].reshape(kmax, 2, n, n)
-    body = J[n:, n:].reshape(kmax, 2, n, kmax, 2, n)
-    left[:, 0] = Da.real[:, :, 1:, 0].transpose(2, 0, 1)
-    left[:, 1] = Da.imag[:, :, 1:, 0].transpose(2, 0, 1)
-    for c, D in enumerate((Da, Db)):
-        top[:, :, c] = D.real[:, :, 0, 1:].transpose(0, 2, 1)
-        body[:, 0, :, :, c] = D.real[:, :, 1:, 1:].transpose(2, 0, 3, 1)
-        body[:, 1, :, :, c] = D.imag[:, :, 1:, 1:].transpose(2, 0, 3, 1)
+    # split c_j = a_j + i b_j into real columns: rows (k, i) of Re R_k
+    # and Im R_k against columns (j, l) of a_j and b_j, without Im R_0 and
+    # the b-column of the real mean coefficient
+    Da, Db = (D.transpose(2, 0, 3, 1).reshape((kmax + 1) * n, -1) for D in (T + H, 1j * (T - H)))
+    J = np.block([[Da.real, Db.real[:, n:]], [Da.imag[n:], Db.imag[n:, n:]]])
     J[n:] *= np.sqrt(2.0)
     return J
 

@@ -1,9 +1,12 @@
-"""The names the benchmark harness under ``perfbench/`` reads from ``fde``.
+"""The names the benchmark harness under ``perfbench/`` reads from ``fde``,
+and the correctness gates of its tasks.
 
-The harness is frozen between benchmark changes, so a rename or deletion
-in the package would only show when the benchmark runs, as a failed run.
-These tests read the harness sources without importing them into this
-process and check every name against a fresh ``import fde``.
+The harness is frozen between benchmark changes, so a rename, a deletion
+or a changed verdict in the package would only show when the benchmark
+runs, as a failed run or a lower ``ok_ratio``.  These tests read the
+harness sources without importing them as packages: they check every name
+against a fresh ``import fde``, and run every library task on the seed-7
+pool of its workload.
 """
 
 import importlib.util
@@ -13,6 +16,10 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import fde
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench"
@@ -27,6 +34,16 @@ def traced_pairs() -> list:
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     return [list(pair) for pair in spans.TRACED]
+
+
+def load_workloads(monkeypatch):
+    """``perfbench/workloads.py`` as a module; registered in ``sys.modules``
+    while a test runs, because ``@dataclass`` looks its module up there."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def used_names() -> list:
@@ -75,3 +92,17 @@ def test_benchmark_names_resolve_in_a_fresh_import():
 def test_the_probe_reports_a_missing_name():
     assert probe([["solver", "no_such_function"]], ["solver.no_such_name"]) == [
         "fde.solver.no_such_function", "fde.solver.no_such_name"]
+
+
+@pytest.mark.parametrize("name", ["sweep-warm", "wide-band", "certify-dense"])
+def test_every_library_task_passes_on_the_seed_7_pool(name, monkeypatch, tmp_path):
+    # the gates behind ok_ratio, among them the refusals of the product
+    # degree and the classical margin on beam that certify-dense expects
+    workloads = load_workloads(monkeypatch)
+    assert sorted(workloads.LIBRARY_TASKS) == sorted(workloads.WORKLOADS)
+    task = workloads.LIBRARY_TASKS[name]
+    manifest = workloads.generate(fde, workloads.WORKLOADS[name], 7, str(tmp_path))
+    fails = {Path(m["file"]).name: task(fde, fde.load_problem(m["file"]), m)
+             for m in manifest}
+    assert len(fails) == len(manifest) > 0
+    assert {f: v for f, v in fails.items() if v} == {}

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import fde
-from fde import (EXAMPLE_IDS, TrigPoly, analyze_grid, build_example, eval_grid,
-                 parse_problem)
-from fde.cli import main
+from fde import (EXAMPLE_IDS, TrigPoly, analyze_grid, build_example, certify,
+                 emit_example, eval_grid, load_problem, parse_problem)
+from fde.cli import emit_json, main
 
 TWO_PI = 2.0 * np.pi
 
@@ -141,6 +141,64 @@ def test_check_ll_beam_reports_refusals_without_failing(capsys):
     assert doc["conditions_pass"] is True
     assert doc["degree"] is None and "degree_note" in doc
     assert doc["ll_margin"] is None and "ll_note" in doc
+
+
+def variant_file(tmp_path, family, params) -> str:
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(emit_example(family, **params)))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", EXAMPLE_IDS)
+def test_check_ll_prints_the_certify_record(capsys, name):
+    code, out, _ = run(capsys, "check-ll", name)
+    assert code == 0
+    assert out == emit_json(certify(build_example(name)))
+
+
+# (family, params, check-ll exit code).  On two-dimensional kernels R2, N2
+# and the degree are closed forms, so the code is pinned (the critical gain
+# of duffing-delay is 4/pi); the four-dimensional kernels of weakly-coupled
+# and beam are sampled, so only the record is pinned and exact coverings of
+# their spheres may still move a verdict (None)
+CHECK_LL_VARIANTS = [
+    *[("duffing-delay", {"c": c}, 0) for c in (0.5, 1.25, 1.26, 1.27, 1.272)],
+    ("duffing-delay", {"tau": 1.0}, 0),
+    ("duffing-delay", {"c": 1.3}, 2), ("duffing-delay", {"c": 2.0}, 2),
+    ("duffing-distributed", {"c": 1.3}, 2), ("gompertz-system", {"c": 1.5}, 2),
+    ("distributed-uniform", {"c": 1.5}, 2), ("distributed-sine", {"m": 3}, 0),
+    *[("weakly-coupled", {"c1": c}, None) for c in (1.25, 1.27, 1.30, 2.0)],
+    ("weakly-coupled", {"c1": 1.2732395447351628, "c2": 0}, None),
+    ("beam", {"c1": 0.3, "c2": 0.15}, None), ("beam", {"c1": 1.0}, None),
+]
+
+
+@pytest.mark.parametrize("family, params, want", CHECK_LL_VARIANTS)
+def test_check_ll_prints_the_record_of_each_variant(capsys, tmp_path, family, params, want):
+    path = variant_file(tmp_path, family, params)
+    prob = load_problem(path)
+    assert prob.resonance_report().nu == (2 if want is None else 1)
+    code, out, _ = run(capsys, "check-ll", path)
+    doc = certify(prob)
+    assert out == emit_json(doc)
+    assert code == (0 if doc["conditions_pass"] else 2)
+    if want is not None:
+        assert code == want
+
+
+def test_check_ll_passes_without_resonance(capsys, tmp_path):
+    # u' + u(t - tau) resonates at k = 1 only for tau = pi/2: at tau = 1
+    # L is invertible, and bounded g and h give a solution
+    path = variant_file(tmp_path, "gompertz-system", {"tau": 1.0})
+    code, out, _ = run(capsys, "analyze", path)
+    assert code == 0 and json.loads(out)["K"] == []
+    code, out, err = run(capsys, "check-ll", path)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["conditions_pass"] is True
+    assert [doc[key] for key in ("R2", "N2", "degree", "ll_margin")] == [None] * 4
+    assert "invertible" in doc["note"]
+    assert run(capsys, "solve", path)[0] == 0
 
 
 # -- solve / verify ----------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fde import (KernelElement, TrigPoly, apply_deviation, build_example,
-                 degree_product, eval_grid, degree_winding, gamma_convergence,
+                 certify, degree_product, eval_grid, degree_winding, gamma_convergence,
                  gamma_tilde, ll_margin, project_kernel,
                  resonant_set, small_set_measure, sphere_samples, sphere_scan)
 from fde.catalog import EXAMPLE_IDS
@@ -245,9 +245,8 @@ def test_one_frequency_certificates_find_no_roots(name, monkeypatch, capsys):
     forbid_root_finding(monkeypatch)
     prob = build_example(name)
     rep = scalar_report(prob)
-    assert sphere_scan(prob, rep, n_samples=256).r2["holds"]
-    degree = degree_winding(prob, rep) if rep.nu == 1 else degree_product(prob, rep)
-    assert degree == (-1) ** rep.nu
+    doc = certify(prob, rep, n_samples=256)
+    assert doc["R2"]["holds"] and doc["degree"]["degree"] == (-1) ** rep.nu
     w0 = SphereSample(rep, sphere_design(rep, 1)[0][0])
     # w0 = 2 Re(e^{ikt} v) has |w0|^2 = 2|v|^2 + 2|v.v| cos(2kt + arg v.v),
     # so {|w0| < eps} is where that cosine lies below x, an arc of measure
