@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
-from .trigpoly import TrigPoly
+from .trigpoly import TrigPoly, cached_stack
 
 TWO_PI = 2.0 * np.pi
 
@@ -310,15 +310,10 @@ class MeasureMatrix:
         return out
 
     def stack(self, kmax: int) -> np.ndarray:
-        """Read-only ``(kmax+1, n, n)`` array of ``lamhat(-k)``, ``k = 0..kmax``.
-
-        Computed once and sliced on later calls; recomputed only when a
-        larger ``kmax`` is asked for.
-        """
-        if self._stack is None or self._stack.shape[0] <= kmax:
-            self._stack = matrix_transform(self, -np.arange(kmax + 1))
-            self._stack.flags.writeable = False
-        return self._stack[:kmax + 1]
+        """Read-only ``(kmax+1, n, n)`` array of ``lamhat(-k)``, ``k = 0..kmax``
+        (:func:`~fde.trigpoly.cached_stack`)."""
+        return cached_stack(self, "_stack", kmax,
+                            lambda K: matrix_transform(self, -np.arange(K + 1)))
 
     def to_dict(self) -> dict:
         return {"n": self.n,

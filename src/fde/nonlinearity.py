@@ -110,7 +110,8 @@ class BoundedNonlinearity:
     Exactly one of the three parameter groups is populated depending on
     ``kind``: ``components`` (componentwise), ``A``/``b`` (radial with
     ``G(v) = A v + b`` and ``phi(r) = r / sqrt(1 + r^2)``), or ``table`` and
-    ``zero_value`` (sign table, constant on each open orthant).
+    ``zero_value`` (sign table, constant on each open orthant).  The arrays
+    the field reads are built here, so these must not change afterwards.
     """
 
     kind: str
@@ -124,6 +125,8 @@ class BoundedNonlinearity:
         if self.kind == "componentwise":
             if not self.components:
                 raise DimensionMismatch("componentwise nonlinearity needs profiles")
+            self.lo = np.array([p.lo for p in self.components])
+            self.hi = np.array([p.hi for p in self.components])
         elif self.kind == "radial":
             self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
             if self.b is None:
@@ -144,6 +147,10 @@ class BoundedNonlinearity:
             if self.zero_value is None:
                 self.zero_value = np.mean(list(self.table.values()), axis=0)
             self.zero_value = np.asarray(self.zero_value, dtype=float)
+            # one row per pattern; bit j of the row index set means x_j > 0
+            self._lookup = np.empty((2 ** n, n))
+            for key, val in self.table.items():
+                self._lookup[sum(1 << j for j, s in enumerate(key) if s == "+")] = val
         else:
             raise DimensionMismatch(f"unknown nonlinearity kind {self.kind!r}")
 
@@ -182,20 +189,11 @@ class BoundedNonlinearity:
             phi = r / np.sqrt(1.0 + r * r)
             return phi * np.where(r > 0, G, 0.0)
         idx = ((x > 0.0).astype(int) << np.arange(self.n)).sum(axis=-1)
-        out = self._table_array()[idx]
+        out = self._lookup[idx]
         null = np.any(x == 0.0, axis=-1)
         if np.any(null):
             out[null] = self.zero_value
         return out
-
-    def _table_array(self) -> np.ndarray:
-        """Table flattened for vectorized lookup; bit j set means x_j > 0."""
-        n = self.n
-        arr = np.empty((2 ** n, n))
-        for key, val in self.table.items():
-            i = sum(1 << j for j, s in enumerate(key) if s == "+")
-            arr[i] = val
-        return arr
 
     def deriv(self, x: np.ndarray) -> np.ndarray:
         """Jacobian of the field at each sample.
@@ -228,11 +226,7 @@ class BoundedNonlinearity:
         (shape ``(..., n)``); zero rows (and zero components, for
         componentwise and sign-table fields) fall back to ``g(0)``."""
         if self.kind == "componentwise":
-            hi = np.array([p.hi for p in self.components])
-            lo = np.array([p.lo for p in self.components])
-            out = np.where(y < 0, lo, self.value_at_zero())
-            np.copyto(out, hi, where=y > 0)
-            return out
+            return np.where(y > 0, self.hi, np.where(y < 0, self.lo, self.value_at_zero()))
         if self.kind == "radial":
             r = np.linalg.norm(y, axis=-1)
             safe = np.where(r > 0, r, 1.0)
@@ -264,11 +258,7 @@ class BoundedNonlinearity:
         return self.limit(y) - self(x)
 
     def value_at_zero(self) -> np.ndarray:
-        if self.kind == "componentwise":
-            return np.array([p.value(0.0) for p in self.components])
-        if self.kind == "radial":
-            return np.zeros(self.n)
-        return self.zero_value.copy()
+        return self(np.zeros(self.n))[0]
 
     def jump(self, j: int) -> float:
         """Limit gap ``g_j(+inf) - g_j(-inf)`` of one component (componentwise)."""
@@ -402,10 +392,19 @@ class HistoryPerturbation:
 
     ``sup`` and ``kernel_orthogonal`` keys in a problem file are ignored:
     the bound always comes from the terms, and nothing checks a declared
-    orthogonality to the kernel.
+    orthogonality to the kernel.  The terms must not change after
+    construction, which builds each term's ``reads``: the columns of its
+    taps among :meth:`taps` (a repeated tap repeats its column) and their
+    weights.
     """
 
     terms: list = field(default_factory=list)
+
+    def __post_init__(self):
+        col = {key: i for i, key in enumerate(self.taps())}
+        self.reads = [(np.array([col[tp.component, tp.delay] for tp in t.taps], dtype=int),
+                       np.array([tp.weight for tp in t.taps], dtype=float))
+                      for t in self.terms]
 
     def sup_norm(self) -> float:
         """Bound on ``sup |h|`` (profiles are bounded by one)."""
@@ -426,10 +425,9 @@ class HistoryPerturbation:
         """``amp * tmod(t) * base(z)`` of each term, ``base`` the profile or its
         derivative, from the ``(..., M, T)`` grid samples ``taps`` of :meth:`taps`."""
         t = 2.0 * np.pi * np.arange(taps.shape[-2]) / taps.shape[-2]
-        col = {key: i for i, key in enumerate(self.taps())}
         return [term.amp * term.tmod(t) * base(term.profile, sum(
-            tp.weight * taps[..., col[tp.component, tp.delay]] for tp in term.taps))
-            for term in self.terms]
+            w * taps[..., c] for c, w in zip(cols, weights)))
+            for term, (cols, weights) in zip(self.terms, self.reads)]
 
     def add_to(self, out: np.ndarray, taps: np.ndarray) -> np.ndarray:
         """Add ``h(t, u_t)`` on the grid of ``taps`` (:meth:`profiles`) to ``out``."""

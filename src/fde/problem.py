@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DimensionMismatch, ProblemFormatError
 from .measures import MeasureMatrix
 from .nonlinearity import BoundedNonlinearity, HistoryPerturbation
-from .trigpoly import TrigPoly
+from .trigpoly import TrigPoly, cached_stack
 
 
 @dataclass
@@ -60,12 +60,9 @@ class MatrixPolynomial:
         return out
 
     def stack(self, kmax: int) -> np.ndarray:
-        """Read-only ``(kmax+1, n, n)`` array of ``P(ik)``, ``k = 0..kmax``,
-        cached and grown like :meth:`MeasureMatrix.stack`."""
-        if self._stack is None or self._stack.shape[0] <= kmax:
-            self._stack = self(1j * np.arange(kmax + 1))
-            self._stack.flags.writeable = False
-        return self._stack[:kmax + 1]
+        """Read-only ``(kmax+1, n, n)`` array of ``P(ik)``, ``k = 0..kmax``
+        (:func:`~fde.trigpoly.cached_stack`)."""
+        return cached_stack(self, "_stack", kmax, lambda K: self(1j * np.arange(K + 1)))
 
     @staticmethod
     def from_scalar(coeffs) -> "MatrixPolynomial":
@@ -148,14 +145,13 @@ class ProblemSpec:
     def column_stack(self, kmax: int) -> np.ndarray:
         """Read-only ``(kmax+1, n + T, n)`` mode multipliers of ``Psi u`` and of
         the ``T`` taps ``u_c(t - delay)`` of :meth:`HistoryPerturbation.taps`
-        (``e_c e^{-ik delay}``), cached and grown like :meth:`MeasureMatrix.stack`."""
-        if self._columns is None or self._columns.shape[0] <= kmax:
-            k = np.arange(kmax + 1)[:, None, None]
+        (``e_c e^{-ik delay}``), cached by :func:`~fde.trigpoly.cached_stack`."""
+        def build(K):
+            k = np.arange(K + 1)[:, None, None]
             taps = self.h.taps() if self.h is not None else []
             rows = [np.eye(self.n)[[c]] * np.exp(-1j * k * d) for c, d in taps]
-            self._columns = np.concatenate([self.Psi.stack(kmax)] + rows, axis=1)
-            self._columns.flags.writeable = False
-        return self._columns[:kmax + 1]
+            return np.concatenate([self.Psi.stack(K)] + rows, axis=1)
+        return cached_stack(self, "_columns", kmax, build)
 
     def resonance_report(self):
         """The default-``tol`` :func:`~fde.resonance.resonant_set` of ``P`` and

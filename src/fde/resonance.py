@@ -57,29 +57,14 @@ def _fix_phase(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def kernel_data(L: np.ndarray, tol: float = 1e-9):
-    """Numerical kernel of a square matrix.
-
-    Returns ``(nu, theta, sigma)``: the kernel dimension, an orthonormal
-    ``(n, nu)`` basis with the deterministic phase convention, and the
-    singular values.  A singular value counts as zero below
-    ``tol * (1 + sigma_max)``.
-    """
-    L = np.asarray(L, dtype=complex)
-    _, sigma, vh = np.linalg.svd(L)
-    gate = tol * (1.0 + (sigma[0] if sigma.size else 0.0))
-    nu = int(np.sum(sigma < gate))
-    theta = _fix_phase(vh[len(sigma) - nu:].conj().T) if nu else np.zeros((L.shape[0], 0), dtype=complex)
-    return nu, theta, sigma
-
-
 @dataclass
 class ResonantMode:
     k: int
     L: np.ndarray
     sigma_min: float
     nu: int
-    theta: np.ndarray  # (n, nu), orthonormal
+    theta: np.ndarray  # (n, nu), orthonormal kernel of L
+    left: np.ndarray   # (n, nu), orthonormal kernel of L^*
 
 
 @dataclass
@@ -175,15 +160,19 @@ def resonant_set(P: MatrixPolynomial, Lam: MeasureMatrix,
     """Scan ``|k| <= k_star`` for singular symbols and extract kernels.
 
     A mode is resonant when ``sigma_min(L_k) < tol (1 + |L_k|)``.  Only
-    ``k >= 0`` is scanned; negative modes follow by conjugation.
+    ``k >= 0`` is scanned; negative modes follow by conjugation.  One SVD
+    of the resonant symbols gives the kernels of ``L_k`` and of ``L_k^*``.
     """
     k_star = scan_bound(P, Lam)
     Ls = symbol_stack(P, Lam, k_star)
     sig = np.linalg.svd(Ls, compute_uv=False)
-    modes = {}
-    for k in np.flatnonzero(sig[:, -1] < tol * (1.0 + sig[:, 0])).tolist():
-        nu, theta, _ = kernel_data(Ls[k], tol)
-        modes[k] = ResonantMode(k, Ls[k].copy(), float(sig[k, -1]), nu, theta)
+    ks = np.flatnonzero(sig[:, -1] < tol * (1.0 + sig[:, 0]))
+    U, sigma, Vh = np.linalg.svd(Ls[ks])
+    # the last nu singular vectors of each symbol span its two kernels
+    cuts = P.n - np.sum(sigma < tol * (1.0 + sigma[:, :1]), axis=1)
+    modes = {k: ResonantMode(k, Ls[k].copy(), float(sig[k, -1]), P.n - c,
+                             _fix_phase(Vh[i, c:].conj().T), U[i, :, c:])
+             for i, (k, c) in enumerate(zip(ks.tolist(), cuts.tolist()))}
     return ResonanceReport(P=P, Lam=Lam, tol=tol, k_star=k_star, modes=modes)
 
 
@@ -204,14 +193,9 @@ def check_linear_conditions(report: ResonanceReport,
     wit["L1"] = {"det_L0": _c2pair(np.linalg.det(L0)), "sigma_min_L0": float(sig0[-1])}
 
     ks = [k for k in sorted(report.modes) if k > 0]
-    worst_angle = 0.0
-    for k in ks:
-        mode = report.modes[k]
-        U, sigma, _ = np.linalg.svd(mode.L)
-        left = U[:, len(sigma) - mode.nu:]
-        # sin of the largest principal angle between the two kernels
-        defect = np.linalg.norm(mode.theta - left @ (left.conj().T @ mode.theta), 2)
-        worst_angle = max(worst_angle, float(defect))
+    # sin of the largest principal angle between the two kernels
+    worst_angle = max((float(np.linalg.norm(m.theta - m.left @ (m.left.conj().T @ m.theta), 2))
+                       for m in map(report.modes.get, ks)), default=0.0)
     l2 = worst_angle < _ANGLE_TOL
     wit["L2"] = {"max_angle_sin": worst_angle}
 

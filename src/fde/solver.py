@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .nonlinearity import _h_base_deriv, nemytskii_core, nemytskii_eval
 from .problem import SolveConfig
 from .lazer_leach import kernel_forcing_coords, sphere_design
 from .resonance import KernelElement, ResonanceReport, symbol_stack
-from .trigpoly import TrigPoly
+from .trigpoly import TrigPoly, cached_stack
 
 TWO_PI = 2.0 * np.pi
 
@@ -137,10 +137,10 @@ def coefficient_jacobian(prob, u: TrigPoly, samples: np.ndarray | None = None) -
     dG = prob.g.deriv(samples[:, :n])
     A[:, :n] = dG.T * np.eye(n)[..., None] if prob.g.componentwise else dG.transpose(1, 2, 0)
     if samples.shape[-1] > n:
-        col = {key: n + f for f, key in enumerate(prob.h.taps())}
-        for term, fac in zip(prob.h.terms, prob.h.profiles(samples[:, n:], _h_base_deriv)):
-            for tap in term.taps:
-                A[term.component, col[tap.component, tap.delay]] += tap.weight * fac
+        derivs = prob.h.profiles(samples[:, n:], _h_base_deriv)
+        for term, (cols, weights), fac in zip(prob.h.terms, prob.h.reads, derivs):
+            # add.at sums a repeated tap into its column
+            np.add.at(A[term.component], n + cols, weights[:, None] * fac)
     # one FFT of A; k + j <= 2 kmax < M needs no wrap; T and H are indexed
     # [row component, column component, k, j]
     k = np.arange(kmax + 1)
@@ -217,7 +217,7 @@ def seed_kernel(prob, report: ResonanceReport | None = None,
         kb = max(k for k, _ in report.kernel_slots())
         first = _stages(prob, config or prob.solve, report)[0]
         # a kernel band above kmax fails in the solve, not here
-        M = _grid_size(max(first.kmax, kb), None, prob)
+        M = _grid_size(max(first, kb), None, prob)
 
     zero, objs = _seed_table(prob, report, amps, M)
     threshold = max(1e-6, 0.5 * zero)
@@ -270,17 +270,17 @@ def time_shift_gauge(prob) -> bool:
 
 
 def _stages(prob, config: SolveConfig, report: ResonanceReport) -> list:
-    """Settings of each Newton rung of a solve under ``config``, narrowest
+    """Bandwidth of each Newton rung of a solve under ``config``, narrowest
     first: the doubling bands ``kc, 2 kc, 4 kc, ...`` below ``config.kmax``,
     ``kc = max(COARSE_KMAX, kb, prob.p.kmax)``, each on its own ``4 k``
-    grid, then ``config``."""
+    grid, then ``config.kmax``."""
     kb = max((k for k, _ in report.kernel_slots()), default=0)
     k = max(COARSE_KMAX, kb, prob.p.kmax)
     rungs = []
     while k < config.kmax:
-        rungs.append(replace(config, kmax=k))
+        rungs.append(k)
         k *= 2
-    return rungs + [config]
+    return rungs + [config.kmax]
 
 
 def _newton(prob, u: TrigPoly, config: SolveConfig, mu: float, it: int,
@@ -360,24 +360,25 @@ def solve_periodic(prob, seed=None, config: SolveConfig | None = None,
 
     seed_el = None
     if seed is None:
-        u = TrigPoly.zero(prob.n, rungs[0].kmax)
+        u = TrigPoly.zero(prob.n, rungs[0])
     elif isinstance(seed, KernelElement):
         seed_el = seed
-        u = seed.to_poly(rungs[0].kmax)
+        u = seed.to_poly(rungs[0])
     elif isinstance(seed, TrigPoly):
-        rungs = [r for r in rungs if not np.any(seed.coeffs[r.kmax + 1:])] or rungs[-1:]
-        u = seed.truncate(rungs[0].kmax)
+        rungs = [k for k in rungs if not np.any(seed.coeffs[k + 1:])] or rungs[-1:]
+        u = seed.truncate(rungs[0])
     else:
         raise DimensionMismatch("seed must be a KernelElement or TrigPoly")
 
     mu, it, trace, start = MU0, 0, [], None
-    for rung in rungs:
-        if it == start and not diverged and rung is not config:
+    for kmax in rungs:
+        full = kmax == config.kmax
+        if it == start and not diverged and not full:
             continue        # the last rung took no step: the full band confirms
-        tag = {"kmax": rung.kmax} if rung is not config else {}
+        tag = {} if full else {"kmax": kmax}
         start = it
         u, res, mu, it, diverged = _newton(
-            prob, u.pad(rung.kmax), rung, mu, it, trace, tag)
+            prob, u.pad(kmax), config, mu, it, trace, tag)
     M = _grid_size(u, None, prob)
     converged = bool(res <= config.tol_residual and not diverged)
 
@@ -481,8 +482,7 @@ def _verify_stack(prob, K: int) -> np.ndarray:
     sums, ``sum_j (ik)^j P_j + Lam``, ``Psi`` and ``e_c e^{-ik delay}`` per tap of ``h``:
     each atom adds ``w e^{ik theta}`` and each density its closed form at ``-k``, read
     from the measures' entries and not from the solver's stacks; cached on ``prob``."""
-    W = prob._verify_stack
-    if W is None or W.shape[0] <= K:
+    def build(K):
         n, k = prob.n, np.arange(K + 1)
         taps = prob.h.taps() if prob.h is not None else []
         W = np.zeros((K + 1, 2 * n + len(taps), n), dtype=complex)
@@ -494,9 +494,8 @@ def _verify_stack(prob, K: int) -> np.ndarray:
                     W[:, r * n + i, j] += sum(d.profile.transform(d.a, d.b, -k) for d in m.densities)
         for f, (c, delay) in enumerate(taps):
             W[:, 2 * n + f, c] = np.exp(-1j * k * delay)
-        W.flags.writeable = False
-        prob._verify_stack = W
-    return W[:K + 1]
+        return W
+    return cached_stack(prob, "_verify_stack", K, build)
 
 
 def verify_pointwise(prob, u: TrigPoly, M_fine: int | None = None) -> float:

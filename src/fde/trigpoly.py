@@ -188,6 +188,18 @@ class TrigPoly:
         return TrigPoly(c)
 
 
+def cached_stack(owner, name: str, kmax: int, build) -> np.ndarray:
+    """Rows ``0 .. kmax`` of the read-only per-mode array cached in the
+    attribute ``name`` of ``owner``: ``build(kmax)`` makes it on first use
+    and again only when a larger ``kmax`` is asked for."""
+    arr = getattr(owner, name)
+    if arr is None or arr.shape[0] <= kmax:
+        arr = build(kmax)
+        arr.flags.writeable = False
+        setattr(owner, name, arr)
+    return arr[:kmax + 1]
+
+
 def eval_grid(u: TrigPoly, M: int) -> np.ndarray:
     """Sample ``u`` on the uniform grid ``t_j = 2 pi j / M``.
 

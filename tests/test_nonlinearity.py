@@ -108,6 +108,33 @@ def test_sign_table_kind():
     assert not g.smooth
 
 
+def test_sign_table_lookup_two_components():
+    # key character j is the sign of x_j; rows with a zero entry lie on an
+    # orthant boundary and take zero_value, and so do the limits along them
+    table = {"++": [1.0, 2.0], "+-": [3.0, -1.0], "-+": [-2.0, 0.5], "--": [-1.5, -0.5]}
+    zero = [0.2, -0.1]
+    g = BoundedNonlinearity("sign_table", table=table, zero_value=zero)
+    x = np.array([[2.0, 3.0], [1.0, -4.0], [-0.5, 7.0], [-3.0, -1e-300],
+                  [0.0, 0.0], [0.0, 5.0], [-1.0, 0.0]])
+    want = [table["++"], table["+-"], table["-+"], table["--"], zero, zero, zero]
+    np.testing.assert_array_equal(g(x), want)
+    np.testing.assert_array_equal(g(x[None]), [want])
+    at_zero = g.value_at_zero()
+    np.testing.assert_array_equal(at_zero, zero)
+    at_zero[:] = 9.0                      # a copy, not the stored value
+    np.testing.assert_array_equal(g.value_at_zero(), zero)
+    y = np.array([[1.0, 0.0], [0.0, -2.0], [3.0, -0.5]])
+    np.testing.assert_array_equal(g.limit(y), [zero, zero, table["+-"]])
+
+
+def test_value_at_zero_is_the_field_at_zero():
+    p = ComponentProfile("atan", -0.5, 2.0, scale=0.7, shift=0.3)
+    g = BoundedNonlinearity("componentwise", components=[p, ComponentProfile("tanh", -1.0, 1.0)])
+    np.testing.assert_array_equal(g.value_at_zero(), [p.value(0.0), 0.0])
+    radial = BoundedNonlinearity("radial", A=[[1.0, 0.5], [0.0, 1.0]], b=[0.1, -0.2])
+    np.testing.assert_array_equal(radial.value_at_zero(), [0.0, 0.0])
+
+
 def test_nemytskii_zero_input():
     prob = build_example("duffing-delay")
     u = TrigPoly.zero(1, 8)

@@ -9,7 +9,7 @@ from fde import (EXAMPLE_IDS, KernelElement, MatrixPolynomial, MeasureMatrix,
                  resonant_set, right_inverse, scan_bound, solve_periodic,
                  symbol)
 from fde.errors import NotInImageError
-from fde.resonance import kernel_data, symbol_stack
+from fde.resonance import symbol_stack
 from fde.trigpoly import sobolev_norm
 
 TWO_PI = 2.0 * np.pi
@@ -141,19 +141,39 @@ def test_no_late_resonances():
             assert smin > 1e-9 * (1 + np.linalg.norm(L, 2))
 
 
-def test_kernel_data_zero_matrix():
-    nu, theta, sigma = kernel_data(np.zeros((2, 2), dtype=complex), 1e-9)
-    assert nu == 2
-    assert np.allclose(theta, np.eye(2))
-    assert np.max(np.abs(sigma)) == 0.0
-
-
 def test_weakly_coupled_kernel_identity_columns():
     prob = build_example("weakly-coupled")
     rep = resonant_set(prob.P, prob.Lam)
     mode = rep.modes[1]
     assert mode.nu == 2
     assert np.allclose(np.abs(mode.theta), np.eye(2), atol=1e-12)
+    # L_1 is the zero matrix: its adjoint has the whole space as kernel too
+    assert np.max(np.abs(mode.L)) == 0.0
+    assert np.allclose(mode.left.conj().T @ mode.left, np.eye(2), atol=1e-12)
+
+
+@pytest.mark.parametrize("ex", EXAMPLE_IDS)
+def test_left_kernels_annihilate_the_adjoint(ex):
+    # each mode carries an orthonormal kernel of L_k^* of the size of its
+    # kernel of L_k
+    prob = build_example(ex)
+    for mode in resonant_set(prob.P, prob.Lam).modes.values():
+        assert mode.left.shape == mode.theta.shape == (prob.n, mode.nu)
+        assert np.allclose(mode.left.conj().T @ mode.left, np.eye(mode.nu), atol=1e-12)
+        assert np.max(np.abs(mode.L.conj().T @ mode.left)) < 1e-9
+
+
+def test_linear_conditions_take_no_svd_per_mode(monkeypatch):
+    # L2 reads the adjoint kernels of the report; the SVDs left are those
+    # of L_0 and of the stacked deviation transforms, however many modes
+    prob = build_example("beam")
+    rep = resonant_set(prob.P, prob.Lam)
+    assert len(rep.modes) == 2
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    assert check_linear_conditions(rep, prob.Psi).all_pass
+    assert len(calls) == 2
 
 
 def test_linear_conditions_pass_catalog():

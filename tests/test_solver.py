@@ -146,9 +146,10 @@ def test_residual_consistency_converged_runs():
                                      ("weakly-coupled", 10),
                                      ("gompertz-system", 10),
                                      ("beam", 12),
-                                     ("radial-two-tap", 8)])
+                                     ("radial-two-tap", 8),
+                                     ("repeated-tap-gompertz", 10)])
 def test_jacobian_matches_directional_fd(ex, kmax):
-    prob = radial_two_tap() if ex == "radial-two-tap" else build_example(ex)
+    prob = radial_two_tap() if ex == "radial-two-tap" else seed_problem(ex)
     rng = np.random.default_rng(5)
     n = prob.n
     decay = np.exp(-0.4 * np.arange(kmax + 1))[:, None]
@@ -227,7 +228,8 @@ def per_tap_nemytskii(prob, c, M):
 
 @pytest.mark.parametrize("example", ALL_EXAMPLES + ("time-modulated-h",
                                                    "time-modulated-duffing",
-                                                   "radial-two-tap"))
+                                                   "radial-two-tap",
+                                                   "repeated-tap-gompertz"))
 @pytest.mark.parametrize("batch", [(), (3,)])
 def test_nemytskii_core_matches_the_per_tap_formula(example, batch):
     prob = radial_two_tap() if example == "radial-two-tap" else seed_problem(example)
@@ -339,11 +341,39 @@ def time_modulated_duffing() -> ProblemSpec:
     return dataclasses.replace(build_example("duffing-delay"), h=h)
 
 
+def repeated_tap_gompertz() -> ProblemSpec:
+    # h terms that read their taps in every way a term may: one tap listed
+    # twice with different weights, a second term on the same target, and
+    # a term with no taps at all (a constant)
+    tau = np.pi / 2
+    h = HistoryPerturbation(terms=[
+        PerturbationTerm(component=1, amp=0.2, profile="tanh",
+                         taps=[DelayTap(component=0, delay=tau, weight=0.7),
+                               DelayTap(component=0, delay=tau, weight=0.5)]),
+        PerturbationTerm(component=1, amp=0.1, profile="sech",
+                         taps=[DelayTap(component=1, delay=0.3)]),
+        PerturbationTerm(component=1, amp=0.05, profile="cos", taps=[])])
+    return dataclasses.replace(build_example("gompertz-system"), h=h)
+
+
 def seed_problem(name: str) -> ProblemSpec:
     variants = {"shifted-forcing": shifted_forcing_duffing,
                 "time-modulated-h": time_modulated_gompertz,
-                "time-modulated-duffing": time_modulated_duffing}
+                "time-modulated-duffing": time_modulated_duffing,
+                "repeated-tap-gompertz": repeated_tap_gompertz}
     return variants[name]() if name in variants else build_example(name)
+
+
+def test_repeated_and_empty_taps_reach_a_verified_solution():
+    # a repeated tap keeps one column per listing, an empty term none; the
+    # solve converges only if the residual, the Jacobian and the pointwise
+    # check all read them so
+    prob = repeated_tap_gompertz()
+    assert [cols.tolist() for cols, _ in prob.h.reads] == [[0, 0], [1], []]
+    assert prob.h.reads[2][0].dtype.kind == "i"
+    result = solve_best(prob)
+    assert result.converged
+    assert result.pointwise_residual <= 1e-10
 
 
 def brute_seed_table(prob, rep, amps, M):

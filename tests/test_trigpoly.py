@@ -5,7 +5,7 @@ import pytest
 
 from fde import TrigPoly, analyze_grid, differentiate, eval_grid
 from fde.errors import GridTooSmall
-from fde.trigpoly import sobolev_norm
+from fde.trigpoly import cached_stack, sobolev_norm
 
 TWO_PI = 2.0 * np.pi
 
@@ -151,3 +151,22 @@ def test_zero_and_constant():
     c = TrigPoly.constant([1.0, -2.0])
     vals = eval_grid(c, 16)
     assert np.max(np.abs(vals - np.array([1.0, -2.0]))) == 0.0
+
+
+def test_cached_stack_builds_once_per_growth():
+    class Owner:
+        rows = None
+
+    owner, built = Owner(), []
+
+    def build(K):
+        built.append(K)
+        return np.arange(K + 1.0)
+
+    assert cached_stack(owner, "rows", 8, build).tolist() == list(range(9))
+    assert cached_stack(owner, "rows", 3, build).tolist() == [0, 1, 2, 3]
+    assert cached_stack(owner, "rows", 8, build).shape == (9,)
+    assert cached_stack(owner, "rows", 20, build).shape == (21,)
+    assert built == [8, 20] and owner.rows.shape == (21,)
+    with pytest.raises(ValueError):
+        cached_stack(owner, "rows", 2, build)[0] = 1.0
