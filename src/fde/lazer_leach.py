@@ -697,14 +697,19 @@ def _panels(centres: np.ndarray, s: float) -> np.ndarray:
                                             (b[:, None] - d)[inner]]))
 
 
-# 16-point Gauss-Legendre rule on [-1, 1], shared by every panel
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+@cache
+def _gauss_legendre():
+    """16-point Gauss-Legendre rule on [-1, 1], shared by every panel, built
+    on first use: ``numpy.polynomial`` is imported only by
+    :func:`gamma_convergence`."""
+    return np.polynomial.legendre.leggauss(16)
 
 
 def _rule(edges: list, s_values, per_unit: float | None):
     """``(nodes, weights, s at each node, first node of each s)`` of the
     Gauss-Legendre panels between the ``edges[i]`` of each ``s_values[i]``,
     each cut evenly into pieces no wider than ``1 / per_unit`` if given."""
+    gl_nodes, gl_weights = _gauss_legendre()
     nodes, weights = [], []
     for e in edges:
         if per_unit is not None:
@@ -714,8 +719,8 @@ def _rule(edges: list, s_values, per_unit: float | None):
         half = 0.5 * np.diff(e)[:, None]
         # offsets from the left edge: a rounded panel midpoint would shift
         # all of a panel's nodes together
-        nodes.append((e[:-1, None] + half * (1.0 + _GL_NODES)).ravel())
-        weights.append((half * _GL_WEIGHTS).ravel())
+        nodes.append((e[:-1, None] + half * (1.0 + gl_nodes)).ravel())
+        weights.append((half * gl_weights).ravel())
     counts = [n.size for n in nodes]
     return (np.concatenate(nodes), np.concatenate(weights),
             np.repeat(s_values, counts), np.cumsum(counts) - counts)

@@ -10,7 +10,6 @@ trigonometric polynomial.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -188,6 +187,7 @@ class ProblemSpec:
 
     def content_hash(self) -> int:
         """Stable 63-bit hash of the problem content, solve block excluded."""
+        import hashlib              # maps OpenSSL: only this method needs it
         doc = self.to_dict()
         doc.pop("solve", None)
         blob = json.dumps(doc, sort_keys=True).encode()

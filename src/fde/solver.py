@@ -144,19 +144,36 @@ def coefficient_jacobian(prob, u: TrigPoly, samples: np.ndarray | None = None) -
     # one FFT of A; k + j <= 2 kmax < M needs no wrap; T and H are indexed
     # [row component, column component, k, j]
     k = np.arange(kmax + 1)
+    toeplitz, hankel = _toeplitz_hankel(kmax, M)
     ahat = np.fft.fft(A, axis=-1) / M
     psi = prob.column_stack(kmax).transpose(1, 2, 0)[None, :, :, None, :]
-    T = (np.take(ahat, (k[:, None] - k) % M, axis=-1)[:, :, None] * psi).sum(axis=1)
-    H = (np.take(ahat, k[:, None] + k, axis=-1)[:, :, None] * psi.conj()).sum(axis=1)
+    T = (np.take(ahat, toeplitz, axis=-1)[:, :, None] * psi).sum(axis=1)
+    H = (np.take(ahat, hankel, axis=-1)[:, :, None] * psi.conj()).sum(axis=1)
     H[..., 0] = 0.0                 # the real mean mode has no conjugate twin
     T[:, :, k, k] += symbol_stack(prob.P, prob.Lam, kmax).transpose(1, 2, 0)
     # split c_j = a_j + i b_j into real columns: rows (k, i) of Re R_k
     # and Im R_k against columns (j, l) of a_j and b_j, without Im R_0 and
-    # the b-column of the real mean coefficient
-    Da, Db = (D.transpose(2, 0, 3, 1).reshape((kmax + 1) * n, -1) for D in (T + H, 1j * (T - H)))
-    J = np.block([[Da.real, Db.real[:, n:]], [Da.imag[n:], Db.imag[n:, n:]]])
+    # the b-column of the real mean coefficient.  The a-columns read
+    # T + H, the b-columns i (T - H)
+    Da, Db = (D.transpose(2, 0, 3, 1).reshape((kmax + 1) * n, -1) for D in (T + H, T - H))
+    r = Da.shape[0]
+    J = np.empty((2 * r - n, 2 * r - n))
+    J[:r, :r] = Da.real
+    np.negative(Db.imag[:, n:], out=J[:r, r:])
+    J[r:, :r] = Da.imag[n:]
+    J[r:, r:] = Db.real[n:, n:]
     J[n:] *= np.sqrt(2.0)
     return J
+
+
+@functools.lru_cache(maxsize=8)
+def _toeplitz_hankel(kmax: int, M: int):
+    """Read-only index arrays ``(k - j) % M`` and ``k + j`` of the Jacobian's
+    Toeplitz and Hankel blocks, ``0 <= k, j <= kmax``."""
+    k = np.arange(kmax + 1)
+    toeplitz, hankel = (k[:, None] - k) % M, k[:, None] + k
+    toeplitz.flags.writeable = hankel.flags.writeable = False
+    return toeplitz, hankel
 
 
 # -- seeding -----------------------------------------------------------

@@ -43,6 +43,13 @@ def test_example_params_change_problem(capsys):
     assert prob.content_hash() != build_example("duffing-delay").content_hash()
 
 
+def test_content_hash_is_pinned():
+    # the hash names a problem across processes and versions: sha256 of the
+    # sorted JSON without the solve block, read as a 63-bit integer
+    assert build_example("duffing-delay").content_hash() == 6364679115992769546
+    assert build_example("beam").content_hash() == 708386190593626035
+
+
 def test_unknown_example_and_missing_file(capsys):
     code, _, err = run(capsys, "analyze", "no-such-thing")
     assert code == 4
@@ -617,6 +624,35 @@ def test_import_loads_no_scipy(tmp_path):
                          "fde.load_problem(sys.argv[1]); "
                          "assert 'jsonschema' not in sys.modules", str(path))
     assert proc.returncode == 0, proc.stderr
+
+
+# hashlib maps OpenSSL (only content_hash reads it), numpy.polynomial
+# builds the Gauss-Legendre rule of gamma_convergence, and numpy.random
+# draws the Sobol points of sphere_samples
+UNUSED_AT_START = ("hashlib", "_hashlib", "numpy.polynomial", "numpy.random")
+
+
+def test_import_solve_and_certificates_load_no_unused_module(tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(fde.emit_example("weakly-coupled")))
+    proc = _python("-c", "import sys\n"
+                         f"unused = {UNUSED_AT_START!r}\n"
+                         "import fde\n"
+                         "assert not [m for m in unused if m in sys.modules]\n"
+                         "prob = fde.load_problem(sys.argv[1])\n"
+                         "assert not [m for m in unused if m in sys.modules]\n"
+                         "u = fde.solve_best(prob).u\n"
+                         "assert not [m for m in unused if m in sys.modules]\n"
+                         "fde.verify_pointwise(prob, u)\n"
+                         "assert not [m for m in unused if m in sys.modules]\n"
+                         "fde.certify(prob)\n"
+                         "assert not [m for m in unused if m in sys.modules]", str(path))
+    assert proc.returncode == 0, proc.stderr
+    for cmd in ("check-ll beam", "solve weakly-coupled"):
+        proc = _python("-c", "import os, sys; from fde.cli import main; "
+                             f"assert main({cmd.split()!r} + ['--out', os.devnull]) == 0; "
+                             f"assert not [m for m in {UNUSED_AT_START!r} if m in sys.modules]")
+        assert proc.returncode == 0, (cmd, proc.stderr)
 
 
 def test_check_ll_on_a_two_dimensional_kernel_loads_no_scipy():

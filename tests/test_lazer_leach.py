@@ -266,6 +266,22 @@ def test_one_frequency_certificates_find_no_roots(name, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_convergence_bits_do_not_depend_on_when_the_rule_is_built():
+    # the Gauss-Legendre rule is built on first use; the first call, which
+    # builds it, and a later one give the same bits, pinned on beam's
+    # panel path
+    import fde.lazer_leach as ll
+    prob = build_example("beam")
+    rep = resonant_set(prob.P, prob.Lam)
+    w = KernelElement(rep, (np.linspace(0.2, 0.5, rep.nu) * (1 + 0.5j))[None])
+    pinned = ["0x1.88d918ba5894cp-5", "0x1.f0ea37a86a758p-7", "0x1.3a46cd0f9dd65p-8"]
+    ll._gauss_legendre.cache_clear()
+    first = gamma_convergence(prob, w, (1e2, 1e3, 1e4))
+    assert ll._gauss_legendre.cache_info().currsize == 1
+    later = gamma_convergence(prob, w, (1e2, 1e3, 1e4))
+    assert [x.hex() for x in first.tolist()] == [x.hex() for x in later.tolist()] == pinned
+
+
 def panel_convergence(prob, w, s_values, M, monkeypatch):
     """``gamma_convergence`` on the panel path graded from the root angles
     of ``Psi w``, which every input takes when the frequency test fails."""
