@@ -21,41 +21,41 @@ from .errors import DimensionMismatch
 from .trigpoly import TrigPoly
 
 
-def _base(kind: str, z):
-    if kind == "tanh":
-        return np.tanh(z)
-    if kind == "atan":
-        return (2.0 / np.pi) * np.arctan(z)
-    if kind == "alg":
-        return z / np.sqrt(1.0 + z * z)
-    raise DimensionMismatch(f"unknown saturation profile {kind!r}")
+def _tanh_tail(z):
+    # 2 / (1 + e^{2z}), written with e^{-2|z|} so nothing overflows
+    with np.errstate(under="ignore"):
+        e = np.exp(-2.0 * np.abs(z))
+    return 2.0 * np.where(z > 0, e, 1.0) / (1.0 + e)
 
 
-def _base_gap(kind: str, z):
-    """``1 - base(z)`` without the cancellation of the difference: tail
-    forms that keep full relative accuracy as ``z -> +inf``."""
-    if kind == "tanh":
-        # 2 / (1 + e^{2z}), written with e^{-2|z|} so nothing overflows
-        with np.errstate(under="ignore"):
-            e = np.exp(-2.0 * np.abs(z))
-        return 2.0 * np.where(z > 0, e, 1.0) / (1.0 + e)
-    if kind == "atan":
-        # pi/2 - atan z = atan(1/z) for z > 0, and atan2 covers every z
-        return (2.0 / np.pi) * np.arctan2(1.0, z)
-    if kind == "alg":
-        q = np.hypot(1.0, z)
-        return np.where(z > 0, 1.0 / (q * (q + np.abs(z))), 1.0 - z / q)
-    raise DimensionMismatch(f"unknown saturation profile {kind!r}")
+def _alg_tail(z):
+    q = np.hypot(1.0, z)
+    return np.where(z > 0, 1.0 / (q * (q + np.abs(z))), 1.0 - z / q)
 
 
-def _base_deriv(kind: str, z):
-    if kind == "tanh":
-        return 1.0 - np.tanh(z) ** 2
-    if kind == "atan":
-        return (2.0 / np.pi) / (1.0 + z * z)
-    if kind == "alg":
-        return (1.0 + z * z) ** -1.5
-    raise DimensionMismatch(f"unknown saturation profile {kind!r}")
+def _sech(z):
+    # 2 e^{-|z|} / (1 + e^{-2|z|}) cannot overflow; its underflow to 0
+    # far out is the correctly rounded value
+    with np.errstate(under="ignore"):
+        e = np.exp(-np.abs(z))
+        return 2.0 * e / (1.0 + e * e)
+
+
+# (value, derivative[, tail]) of each profile by name.  The saturating
+# profiles of ``g`` (tanh, atan, alg) run from -1 to 1 and carry a tail
+# ``1 - value(z)`` that keeps full relative accuracy as ``z -> +inf``
+# (pi/2 - atan z = atan2(1, z) for every z); those of ``h`` (tanh, sech,
+# sin, cos) are bounded by one.  Names are checked by the constructors.
+_PROFILES = {
+    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2, _tanh_tail),
+    "atan": (lambda z: (2.0 / np.pi) * np.arctan(z),
+             lambda z: (2.0 / np.pi) / (1.0 + z * z),
+             lambda z: (2.0 / np.pi) * np.arctan2(1.0, z)),
+    "alg": (lambda z: z / np.sqrt(1.0 + z * z), lambda z: (1.0 + z * z) ** -1.5, _alg_tail),
+    "sech": (_sech, lambda z: -np.tanh(z) * _sech(z)),
+    "sin": (np.sin, np.cos),
+    "cos": (np.cos, lambda z: -np.sin(z)),
+}
 
 
 @dataclass
@@ -88,10 +88,12 @@ class ComponentProfile:
         return 0.5 * (self.hi - self.lo)
 
     def value(self, x):
-        return self.mid + self.half * _base(self.kind, self.scale * (np.asarray(x) - self.shift))
+        z = self.scale * (np.asarray(x) - self.shift)
+        return self.mid + self.half * _PROFILES[self.kind][0](z)
 
     def deriv(self, x):
-        return self.half * self.scale * _base_deriv(self.kind, self.scale * (np.asarray(x) - self.shift))
+        z = self.scale * (np.asarray(x) - self.shift)
+        return self.half * self.scale * _PROFILES[self.kind][1](z)
 
     def to_dict(self):
         return {"profile": self.kind, "lo": self.lo, "hi": self.hi,
@@ -247,8 +249,8 @@ class BoundedNonlinearity:
             sgn = np.sign(y)
             # hi - value(x) is half (1 - base(z)), lo - value(x) is
             # -half (1 - base(-z)), and the gap is 0 where y is
-            return np.stack([sgn[..., j] * p.half * _base_gap(
-                p.kind, sgn[..., j] * p.scale * (x[..., j] - p.shift))
+            return np.stack([sgn[..., j] * p.half * _PROFILES[p.kind][2](
+                sgn[..., j] * p.scale * (x[..., j] - p.shift))
                 for j, p in enumerate(self.components)], axis=-1)
         if self.kind == "radial":
             # 1 - phi(r) = 1 / (sqrt(1 + r^2) (sqrt(1 + r^2) + r))
@@ -317,34 +319,6 @@ def saturating(lo: float = -1.0, hi: float = 1.0, kind: str = "tanh",
 
 
 # -- history perturbation ---------------------------------------------
-
-
-def _h_base(kind: str, z):
-    if kind == "tanh":
-        return np.tanh(z)
-    if kind == "sech":
-        # 2 e^{-|z|} / (1 + e^{-2|z|}) cannot overflow; its underflow to 0
-        # far out is the correctly rounded value
-        with np.errstate(under="ignore"):
-            e = np.exp(-np.abs(z))
-            return 2.0 * e / (1.0 + e * e)
-    if kind == "sin":
-        return np.sin(z)
-    if kind == "cos":
-        return np.cos(z)
-    raise DimensionMismatch(f"unknown perturbation profile {kind!r}")
-
-
-def _h_base_deriv(kind: str, z):
-    if kind == "tanh":
-        return 1.0 - np.tanh(z) ** 2
-    if kind == "sech":
-        return -np.tanh(z) * _h_base("sech", z)
-    if kind == "sin":
-        return np.cos(z)
-    if kind == "cos":
-        return -np.sin(z)
-    raise DimensionMismatch(f"unknown perturbation profile {kind!r}")
 
 
 @dataclass
@@ -421,11 +395,14 @@ class HistoryPerturbation:
         """Distinct ``(component, delay)`` pairs the terms read, in order."""
         return list(dict.fromkeys((tp.component, tp.delay) for t in self.terms for tp in t.taps))
 
-    def profiles(self, taps: np.ndarray, base=_h_base) -> list:
-        """``amp * tmod(t) * base(z)`` of each term, ``base`` the profile or its
-        derivative, from the ``(..., M, T)`` grid samples ``taps`` of :meth:`taps`."""
-        t = 2.0 * np.pi * np.arange(taps.shape[-2]) / taps.shape[-2]
-        return [term.amp * term.tmod(t) * base(term.profile, sum(
+    def profiles(self, taps: np.ndarray, order: int = 0) -> list:
+        """``amp * tmod(t) * base(z)`` of each term, ``base`` column ``order`` of
+        the profile table (0 the profile, 1 its derivative), from the
+        ``(..., M, T)`` grid samples ``taps`` of :meth:`taps`; a term without
+        taps reads ``z = 0``."""
+        M = taps.shape[-2]
+        t = 2.0 * np.pi * np.arange(M) / M if self.time_dependent else None
+        return [term.amp * term.tmod(t) * _PROFILES[term.profile][order](sum(
             w * taps[..., c] for c, w in zip(cols, weights)))
             for term, (cols, weights) in zip(self.terms, self.reads)]
 
@@ -467,11 +444,29 @@ def nemytskii_core(prob, c: np.ndarray, M: int):
     cols = np.einsum("kij,...kj->...ki", prob.column_stack(kmax), c)
     samples = np.fft.irfft(cols, M, axis=-2, norm="forward")
     total = prob.g(samples[..., :n])
-    if samples.shape[-1] > n:
+    if prob.h is not None:
         prob.h.add_to(total, samples[..., n:])
     N = np.fft.rfft(total, axis=-2)[..., :kmax + 1, :] / -M
     N[..., :prob.p.kmax + 1, :] += prob.p.coeffs[:kmax + 1]
     return N, samples
+
+
+def nemytskii_slopes(prob, samples: np.ndarray) -> np.ndarray:
+    """``(n, n + T, M)`` multipliers ``A(t)`` of the linearized ``g + h`` at
+    the ``(M, n + T)`` samples of :func:`nemytskii_core`: ``A[i, j]`` is the
+    derivative of component ``i`` by sample column ``j``, the entries of
+    ``g'(Psi u)`` and, in the column of each tap, its weight times the
+    profile derivative of each term that reads it."""
+    n = prob.n
+    A = np.zeros((n, samples.shape[-1], samples.shape[0]))
+    dG = prob.g.deriv(samples[:, :n])
+    A[:, :n] = dG.T * np.eye(n)[..., None] if prob.g.componentwise else dG.transpose(1, 2, 0)
+    if prob.h is not None:
+        derivs = prob.h.profiles(samples[:, n:], 1)
+        for term, (cols, weights), fac in zip(prob.h.terms, prob.h.reads, derivs):
+            # add.at sums a repeated tap into its column
+            np.add.at(A[term.component], n + cols, weights[:, None] * fac)
+    return A
 
 
 def nemytskii_eval(prob, u: TrigPoly, M: int) -> TrigPoly:

@@ -15,8 +15,9 @@ The Jacobian is assembled alternating frequency and time (Krack & Gross,
 *Harmonic Balance for Nonlinear Vibration Problems*, 2019) from the grid
 samples of the residual evaluation at the same iterate: the linearized
 Nemytskii part is a product ``A(t) (B u)(t)`` of grid functions -- the
-entries of ``g'(Psi u)`` and the profile derivative of each tap of ``h``
--- with the mode multipliers ``psihat(-k)`` and ``e^{-ik tau}``.  One FFT
+entries of ``g'(Psi u)`` and the profile derivative of each tap of ``h``,
+from :func:`~fde.nonlinearity.nemytskii_slopes` -- with the mode
+multipliers ``psihat(-k)`` and ``e^{-ik tau}``.  One FFT
 of ``A`` turns it into a Toeplitz block ``Ahat_{k-j} B_j`` plus a Hankel
 block ``Ahat_{k+j} conj(B_j)``, with indices mod ``M`` so the grid
 aliasing of the residual carries over exactly; the symbol adds ``L_k`` on
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, GridTooSmall
-from .nonlinearity import _h_base_deriv, nemytskii_core, nemytskii_eval
+from .nonlinearity import nemytskii_core, nemytskii_eval, nemytskii_slopes
 from .problem import SolveConfig
 from .lazer_leach import kernel_forcing_coords, sphere_design
 from .resonance import KernelElement, ResonanceReport, symbol_stack
@@ -131,21 +132,12 @@ def coefficient_jacobian(prob, u: TrigPoly, samples: np.ndarray | None = None) -
     kmax, n, M = u.kmax, u.n, _grid_size(u, None, prob)
     if samples is None:
         samples = nemytskii_core(prob, u.coeffs, M)[1]
-    # A(t) holds g'(Psi u) and, in the column of each tap, its weight times
-    # the profile derivative of each term that reads it; B is column_stack
-    A = np.zeros((n, samples.shape[-1], M))
-    dG = prob.g.deriv(samples[:, :n])
-    A[:, :n] = dG.T * np.eye(n)[..., None] if prob.g.componentwise else dG.transpose(1, 2, 0)
-    if samples.shape[-1] > n:
-        derivs = prob.h.profiles(samples[:, n:], _h_base_deriv)
-        for term, (cols, weights), fac in zip(prob.h.terms, prob.h.reads, derivs):
-            # add.at sums a repeated tap into its column
-            np.add.at(A[term.component], n + cols, weights[:, None] * fac)
-    # one FFT of A; k + j <= 2 kmax < M needs no wrap; T and H are indexed
-    # [row component, column component, k, j]
+    # one FFT of the multipliers A(t) of nemytskii_slopes (B is column_stack);
+    # k + j <= 2 kmax < M needs no wrap; T and H are indexed [row component,
+    # column component, k, j]
     k = np.arange(kmax + 1)
     toeplitz, hankel = _toeplitz_hankel(kmax, M)
-    ahat = np.fft.fft(A, axis=-1) / M
+    ahat = np.fft.fft(nemytskii_slopes(prob, samples), axis=-1) / M
     psi = prob.column_stack(kmax).transpose(1, 2, 0)[None, :, :, None, :]
     T = (np.take(ahat, toeplitz, axis=-1)[:, :, None] * psi).sum(axis=1)
     H = (np.take(ahat, hankel, axis=-1)[:, :, None] * psi.conj()).sum(axis=1)
@@ -538,6 +530,6 @@ def verify_pointwise(prob, u: TrigPoly, M_fine: int | None = None) -> float:
     cols[:prob.p.kmax + 1, :n] -= prob.p.coeffs
     vals = _grid_sum(cols, M_fine)
     acc = vals[:, :n] + prob.g(vals[:, n:2 * n])
-    if vals.shape[1] > 2 * n:
+    if prob.h is not None:
         prob.h.add_to(acc, vals[:, 2 * n:])
     return float(np.sqrt(np.max(np.einsum("ij,ij->i", acc, acc))))

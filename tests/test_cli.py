@@ -491,6 +491,37 @@ def test_unknown_perturbation_profile_exits_4(capsys, tmp_path, cmd):
     assert err == "error: $: unknown perturbation profile 'bogus'\n"
 
 
+@pytest.mark.parametrize("member, profile, message", [
+    ("g", "sech", "unknown saturation profile 'sech'"),
+    ("h", "atan", "unknown perturbation profile 'atan'"),
+])
+def test_profile_of_the_other_catalog_exits_4(capsys, tmp_path, member, profile, message):
+    # g and h read one profile table, but each accepts only its own names
+    doc = fde.emit_example("gompertz-system")
+    (doc["g"]["components"] if member == "g" else doc["h"]["terms"])[0]["profile"] = profile
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps(doc))
+    for cmd in ("analyze", "check-ll", "solve"):
+        code, out, err = run(capsys, cmd, str(path))
+        assert code == 4 and out == ""
+        assert err == f"error: $: {message}\n"
+
+
+def test_tapless_h_term_is_solved_and_verified(capsys, tmp_path):
+    # h = 0.3 cos(0): a term with no taps is a constant the solution must meet
+    doc = fde.emit_example("duffing-delay")
+    doc["h"] = {"terms": [{"component": 0, "amp": 0.3, "profile": "cos", "taps": []}]}
+    path, sol, plain = (tmp_path / name for name in ("tapless.json", "s.json", "plain.json"))
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "solve", str(path), "--out", str(sol))[0] == 0
+    assert run(capsys, "verify", str(path), "--solution", str(sol))[0] == 0
+    # the solution of the equation without h misses the constant by 0.3
+    assert run(capsys, "solve", "duffing-delay", "--out", str(plain))[0] == 0
+    code, out, _ = run(capsys, "verify", str(path), "--solution", str(plain))
+    assert code == 3
+    assert json.loads(out)["pointwise_residual"] >= 0.29
+
+
 def test_legacy_jacobian_keys_load_and_sign_table_solve_fails(capsys, tmp_path):
     # files written when the solver had a finite-difference Jacobian mode
     # still load; a sign-table g still cannot be solved (no derivative)

@@ -7,7 +7,7 @@ from fde import (BoundedNonlinearity, ComponentProfile, DelayTap,
                  HistoryPerturbation, MatrixPolynomial, MeasureMatrix,
                  PerturbationTerm, ProblemSpec, ScalarMeasure, TrigPoly,
                  build_example, eval_grid, saturating)
-from fde.nonlinearity import _base_deriv, _h_base, _h_base_deriv, nemytskii_eval
+from fde.nonlinearity import _PROFILES, nemytskii_eval
 
 import oracles
 
@@ -188,20 +188,48 @@ def test_large_amplitude_first_coefficient():
     assert abs(out.coeff(1)[0] - target) < 2e-3
 
 
+# the profile names a problem file may give g and h
+G_PROFILES = ("tanh", "atan", "alg")
+H_PROFILES = ("tanh", "sech", "sin", "cos")
+
+
+def test_profile_table_covers_the_accepted_names():
+    assert sorted(_PROFILES) == sorted(set(G_PROFILES + H_PROFILES))
+    # a tail 1 - value exists for the saturating profiles only
+    assert [name for name, cols in _PROFILES.items() if len(cols) == 3] == list(G_PROFILES)
+
+
+@pytest.mark.parametrize("name", sorted(_PROFILES))
+def test_profile_derivative_matches_a_central_difference(name):
+    value, deriv = _PROFILES[name][:2]
+    z, step = np.linspace(-3.0, 3.0, 61), 1e-5
+    fd = (value(z + step) - value(z - step)) / (2 * step)
+    assert np.max(np.abs(deriv(z) - fd)) < 1e-9
+
+
+@pytest.mark.parametrize("name", G_PROFILES)
+def test_profile_tail_is_one_minus_the_value(name):
+    # for z <= 0 the value is <= 0, so 1 - value loses nothing to cancellation
+    value, _, tail = _PROFILES[name]
+    z = np.linspace(-30.0, 0.0, 301)
+    np.testing.assert_allclose(tail(z), 1.0 - value(z), rtol=1e-15, atol=0.0)
+
+
 def test_profiles_do_not_overflow_far_out():
     z = np.array([800.0, -800.0])
     with np.errstate(all="raise"):
-        values = [_base_deriv("tanh", z), _h_base_deriv("tanh", z),
-                  _h_base_deriv("sech", z), _h_base("sech", z)]
-    for v in values:
+        columns = {name: [f(z) for f in cols] for name, cols in _PROFILES.items()}
+    for name, values in columns.items():
+        assert all(np.all(np.isfinite(v)) for v in values), name
+    for v in (columns["tanh"][1], columns["sech"][0], columns["sech"][1]):
         assert np.all(v == 0.0)
+    assert list(columns["tanh"][2]) == [0.0, 2.0]
     # the overflow-free forms agree with the textbook ones where both work
     z = np.linspace(-30.0, 30.0, 601)
     sech = 1.0 / np.cosh(z)
-    assert np.max(np.abs(_base_deriv("tanh", z) - sech ** 2)) < 1e-15
-    assert np.max(np.abs(_h_base_deriv("tanh", z) - sech ** 2)) < 1e-15
-    assert np.max(np.abs(_h_base_deriv("sech", z) + np.tanh(z) * sech)) < 1e-15
-    assert np.max(np.abs(_h_base("sech", z) - sech)) < 1e-15
+    assert np.max(np.abs(_PROFILES["tanh"][1](z) - sech ** 2)) < 1e-15
+    assert np.max(np.abs(_PROFILES["sech"][1](z) + np.tanh(z) * sech)) < 1e-15
+    assert np.max(np.abs(_PROFILES["sech"][0](z) - sech)) < 1e-15
 
 
 def tap_samples(h, u, M):

@@ -15,7 +15,7 @@ from fde import (BoundedNonlinearity, ConstProfile, DelayTap, Density,
 from fde.errors import DimensionMismatch, GridTooSmall
 from fde import nonlinearity, resonance
 from fde.measures import apply_deviation
-from fde.nonlinearity import _h_base, nemytskii_core, nemytskii_eval
+from fde.nonlinearity import _PROFILES, nemytskii_core, nemytskii_eval
 from fde.trigpoly import analyze_grid, eval_grid
 from fde.lazer_leach import sphere_design
 from fde.resonance import KernelElement, symbol
@@ -182,8 +182,8 @@ def reference_jacobian(prob, u: TrigPoly) -> np.ndarray:
     A = np.zeros((n, samples.shape[-1], M))
     dG = prob.g.deriv(samples[:, :n])
     A[:, :n] = dG.T * np.eye(n)[..., None] if prob.g.componentwise else dG.transpose(1, 2, 0)
-    if samples.shape[-1] > n:
-        derivs = prob.h.profiles(samples[:, n:], nonlinearity._h_base_deriv)
+    if prob.h is not None:
+        derivs = prob.h.profiles(samples[:, n:], 1)
         for term, (cols, weights), fac in zip(prob.h.terms, prob.h.reads, derivs):
             np.add.at(A[term.component], n + cols, weights[:, None] * fac)
     k = np.arange(kmax + 1)
@@ -260,7 +260,7 @@ def per_tap_nemytskii(prob, c, M):
     for term in (prob.h.terms if prob.h is not None else []):
         z = sum(tap.weight * eval_grid(TrigPoly(c[..., [tap.component]]).shift(-tap.delay),
                                        M)[..., 0] for tap in term.taps)
-        total[..., term.component] -= term.amp * term.tmod(t) * _h_base(term.profile, z)
+        total[..., term.component] -= term.amp * term.tmod(t) * _PROFILES[term.profile][0](z)
     return analyze_grid(total, u.kmax).coeffs
 
 
@@ -412,6 +412,26 @@ def test_repeated_and_empty_taps_reach_a_verified_solution():
     result = solve_best(prob)
     assert result.converged
     assert result.pointwise_residual <= 1e-10
+
+
+def constant_h_duffing(taps) -> ProblemSpec:
+    # h = 0.3 cos(z) with z the sum of the taps: a constant 0.3 with no taps
+    # or with one tap of zero weight
+    h = HistoryPerturbation(terms=[PerturbationTerm(component=0, amp=0.3, profile="cos",
+                                                    taps=taps)])
+    return dataclasses.replace(build_example("duffing-delay"), h=h)
+
+
+def test_an_h_of_tapless_terms_is_applied():
+    # with no tap column at all, the residual, the Jacobian and the
+    # pointwise check dropped the term and passed the solution without h
+    prob = constant_h_duffing([])
+    result = solve_best(prob)
+    zero_weight = solve_best(constant_h_duffing([DelayTap(component=0, delay=0.5, weight=0.0)]))
+    assert result.converged and zero_weight.converged
+    assert np.max(np.abs(result.u.coeffs - zero_weight.u.coeffs)) <= 1e-12
+    assert oracles.defect_direct(prob, result.u, verify_grid(result.u.kmax)) <= 1e-8
+    assert verify_pointwise(prob, solve_best(build_example("duffing-delay")).u) >= 0.29
 
 
 def brute_seed_table(prob, rep, amps, M):
