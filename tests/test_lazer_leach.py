@@ -10,10 +10,10 @@ from fde import (KernelElement, TrigPoly, apply_deviation, build_example,
 from fde.catalog import EXAMPLE_IDS
 from fde.errors import (BlockStructureError, DimensionMismatch,
                         R2ViolationError)
-from fde.lazer_leach import (ORBIT_PHASES, SphereSample, _ndtri, _sobol_amps,
-                             _sobol_points, _sorted_distinct, _sphere_table,
+from fde.lazer_leach import (ORBIT_PHASES, SphereSample, _sorted_distinct, _sphere_table,
                              _strata, kernel_forcing_coords, sphere_design)
 from fde.resonance import deviation_eigenvalues
+from fde.sobol import _ndtri, _sobol_amps, _sobol_points
 
 import oracles
 
@@ -908,11 +908,12 @@ def test_orbit_design_is_built_once_and_read_only():
 
 def test_sobol_points_match_scipy_bit_for_bit():
     # the numpy port draws scipy's scrambled Sobol points: the same Joe-Kuo
-    # direction numbers, the same LMS and shift from default_rng(seed)
+    # direction numbers, the same LMS and shift from default_rng(seed).  The
+    # last seed has five 32-bit words, one past SeedSequence's pool of four
     from scipy.stats import qmc
     for d in range(1, 9):
         for m in range(9):
-            for seed in range(6):
+            for seed in (*range(6), 2**32 + 5, 2**130 + 3):
                 want = qmc.Sobol(d=d, scramble=True, seed=seed).random_base2(m)
                 assert _sobol_points(d, m, seed).tobytes() == want.tobytes(), (d, m, seed)
 
@@ -941,6 +942,23 @@ def test_sobol_draw_refuses_more_than_eight_dimensions():
         _sobol_amps(5, 1, 0)
     with pytest.raises(ValueError):
         _sobol_points(9, 0, 0)
+    # a seed is a non-negative integer, read with operator.index: None (OS
+    # entropy, then cached for the process) and floats are refused, even a
+    # float equal to a seed already drawn
+    prob = build_example("beam")
+    rep = resonant_set(prob.P, prob.Lam)
+    sphere_samples(rep, 1, 0)
+    for seed in (None, 0.0, 1.5):
+        with pytest.raises(TypeError):
+            sphere_samples(rep, 1, seed)
+        with pytest.raises(TypeError):
+            _sobol_points(4, 1, seed)
+    for draw in (lambda: sphere_samples(rep, 1, -1), lambda: _sobol_points(4, 1, -1)):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            draw()
+    for seed, same in ((np.int64(0), 0), (True, 1), (np.uint8(1), 1)):
+        assert sphere_samples(rep, 1, seed)[0].amps.tobytes() == \
+            sphere_samples(rep, 1, same)[0].amps.tobytes()
 
 
 def test_sorted_distinct_is_np_unique():
